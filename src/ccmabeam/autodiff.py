@@ -1,23 +1,10 @@
-"""Scalar reverse-mode automatic differentiation on an explicit tape.
+"""Central-difference check of a hand-written gradient.
 
-A :class:`Tape` records one node per scalar operation (value, parent
-indices, local partial derivatives).  Nodes are appended in evaluation
-order, so parents always precede children and the backward sweep is a
-single reverse pass over the node list.
-
-Two families of operations exist:
-
-* scalar primitives (arithmetic, ``exp``, ``log10``, ``sqrt``, ...) that
-  create one node with one or two parents, and
-* vector reductions (:func:`lincomb`, :func:`quadform`, :func:`sumsq`)
-  that collapse many variables into a single node whose local Jacobian
-  is held as a numpy array.  These keep tape sizes manageable when a
-  value depends linearly or quadratically on hundreds of variables.
-
-All user-facing functions accept plain floats as well as :class:`Var`
-instances and fall back to ordinary float math in that case, so the same
-model code can be evaluated with or without derivative tracking (the
-finite-difference paths in :func:`gradcheck` rely on this).
+The design loss is differentiated by a reverse pass written out by hand
+(see :class:`ccmabeam.optimizer.DesignPipeline`).  :func:`gradcheck` is
+the oracle for such a pass: it evaluates the function on plain floats
+and compares the analytic gradient it is handed with central finite
+differences, coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -28,474 +15,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "DomainError",
-    "TapeMismatchError",
-    "Var",
-    "CVar",
-    "Tape",
-    "GradcheckResult",
-    "value_of",
-    "exp",
-    "ln",
-    "log10",
-    "sqrt",
-    "sin",
-    "cos",
-    "power",
-    "vmax",
-    "vmin",
-    "clamp",
-    "vsum",
-    "lincomb",
-    "quadform",
-    "sumsq",
-    "gradcheck",
-]
-
-_LN10 = math.log(10.0)
-
-
-class DomainError(ValueError):
-    """A primitive was evaluated outside its differentiable domain."""
-
-
-class TapeMismatchError(ValueError):
-    """Variables from different tapes were combined, or ``backward`` was
-    handed a root that does not live on the tape."""
-
-
-class _Span:
-    """Contiguous parent-index range for vectorized reductions."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo
-        self.hi = hi
-
-
-class _Gather:
-    """Arbitrary parent-index array for vectorized reductions."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices: np.ndarray):
-        self.indices = indices
-
-
-class Var:
-    """A real scalar recorded on a tape.
-
-    Supports the usual arithmetic operators against other ``Var``s and
-    plain numbers.  The branch-free forward value is available as
-    ``.value``; derivative information only materializes when
-    ``Tape.backward`` runs.
-    """
-
-    __slots__ = ("tape", "index", "value")
-
-    def __init__(self, tape: "Tape", index: int, value: float):
-        self.tape = tape
-        self.index = index
-        self.value = value
-
-    def __repr__(self) -> str:
-        return f"Var({self.value!r}, index={self.index})"
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _peer(self, other) -> "Var | None":
-        if isinstance(other, Var):
-            if other.tape is not self.tape:
-                raise TapeMismatchError("operands belong to different tapes")
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._peer(other)
-        if o is not None:
-            return self.tape._emit(self.value + o.value, (self.index, o.index), (1.0, 1.0))
-        return self.tape._emit(self.value + float(other), (self.index,), (1.0,))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._peer(other)
-        if o is not None:
-            return self.tape._emit(self.value - o.value, (self.index, o.index), (1.0, -1.0))
-        return self.tape._emit(self.value - float(other), (self.index,), (1.0,))
-
-    def __rsub__(self, other):
-        return self.tape._emit(float(other) - self.value, (self.index,), (-1.0,))
-
-    def __mul__(self, other):
-        o = self._peer(other)
-        if o is not None:
-            return self.tape._emit(
-                self.value * o.value, (self.index, o.index), (o.value, self.value)
-            )
-        c = float(other)
-        return self.tape._emit(self.value * c, (self.index,), (c,))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._peer(other)
-        if o is not None:
-            if o.value == 0.0:
-                raise ZeroDivisionError("division by a zero-valued Var")
-            inv = 1.0 / o.value
-            return self.tape._emit(
-                self.value * inv, (self.index, o.index), (inv, -self.value * inv * inv)
-            )
-        c = float(other)
-        if c == 0.0:
-            raise ZeroDivisionError("division by zero constant")
-        return self.tape._emit(self.value / c, (self.index,), (1.0 / c,))
-
-    def __rtruediv__(self, other):
-        if self.value == 0.0:
-            raise ZeroDivisionError("division by a zero-valued Var")
-        c = float(other)
-        v = c / self.value
-        return self.tape._emit(v, (self.index,), (-v / self.value,))
-
-    def __neg__(self):
-        return self.tape._emit(-self.value, (self.index,), (-1.0,))
-
-    def __abs__(self):
-        # subgradient 0 at the kink
-        d = 0.0 if self.value == 0.0 else math.copysign(1.0, self.value)
-        return self.tape._emit(abs(self.value), (self.index,), (d,))
-
-    def __pow__(self, p):
-        return power(self, p)
-
-
-class Tape:
-    """Append-only record of scalar operations.
-
-    Parents of node ``k`` always have indices below ``k``, so gradients
-    propagate correctly in one reverse sweep.  A tape is single-threaded;
-    build independent tapes for concurrent work.
-    """
-
-    __slots__ = ("_parents", "_partials", "leaves")
-
-    def __init__(self):
-        self._parents: list = []
-        self._partials: list = []
-        self.leaves: list[Var] = []
-
-    def __len__(self) -> int:
-        return len(self._parents)
-
-    def var(self, value: float) -> Var:
-        """Create a leaf variable (a differentiation input)."""
-        value = float(value)
-        if not math.isfinite(value):
-            raise DomainError(f"leaf value must be finite, got {value}")
-        v = self._emit(value, None, None)
-        self.leaves.append(v)
-        return v
-
-    def _emit(self, value, parents, partials) -> Var:
-        i = len(self._parents)
-        self._parents.append(parents)
-        self._partials.append(partials)
-        return Var(self, i, value)
-
-    def backward(self, root: Var) -> np.ndarray:
-        """Reverse sweep from ``root``; returns d(root)/d(node) for every node.
-
-        Nodes not reachable from the root keep gradient 0.
-        """
-        if not isinstance(root, Var) or root.tape is not self:
-            raise TapeMismatchError("backward root is not on this tape")
-        buf = np.zeros(len(self._parents))
-        buf[root.index] = 1.0
-        parents = self._parents
-        partials = self._partials
-        for k in range(root.index, -1, -1):
-            g = buf[k]
-            if g == 0.0:
-                continue
-            p = parents[k]
-            if p is None:
-                continue
-            d = partials[k]
-            tp = type(p)
-            if tp is tuple:
-                if len(p) == 2:
-                    buf[p[0]] += g * d[0]
-                    buf[p[1]] += g * d[1]
-                else:
-                    buf[p[0]] += g * d[0]
-            elif tp is _Span:
-                buf[p.lo : p.hi] += g * d
-            else:
-                np.add.at(buf, p.indices, g * d)
-        return buf
-
-    def gradients(self, root: Var, wrt: Sequence[Var]) -> list[float]:
-        """Gradient of ``root`` with respect to each variable in ``wrt``."""
-        buf = self.backward(root)
-        return [float(buf[v.index]) for v in wrt]
-
-    def leaf_gradients(self, root: Var) -> np.ndarray:
-        buf = self.backward(root)
-        return np.array([buf[v.index] for v in self.leaves])
-
-
-class CVar:
-    """Complex value held as a (real, imaginary) pair of Vars."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Var, im: Var):
-        self.re = re
-        self.im = im
-
-    def __add__(self, other: "CVar") -> "CVar":
-        return CVar(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other: "CVar") -> "CVar":
-        return CVar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conj(self) -> "CVar":
-        return CVar(self.re, -self.im)
-
-    def modulus2(self) -> Var:
-        """|z|^2 as a single fused node with partials (2 re, 2 im)."""
-        re, im = self.re, self.im
-        if re.tape is not im.tape:
-            raise TapeMismatchError("CVar components live on different tapes")
-        return re.tape._emit(
-            re.value * re.value + im.value * im.value,
-            (re.index, im.index),
-            (2.0 * re.value, 2.0 * im.value),
-        )
-
-
-def value_of(x) -> float:
-    """Detached float value of a Var or number (used for branch decisions)."""
-    return x.value if isinstance(x, Var) else float(x)
-
-
-# -- unary primitives (dispatch on type so model code is generic) -------
-
-
-def exp(x):
-    if isinstance(x, Var):
-        v = math.exp(x.value)
-        return x.tape._emit(v, (x.index,), (v,))
-    return math.exp(x)
-
-
-def ln(x):
-    if value_of(x) <= 0.0:
-        raise DomainError(f"ln requires a positive argument, got {value_of(x)}")
-    if isinstance(x, Var):
-        return x.tape._emit(math.log(x.value), (x.index,), (1.0 / x.value,))
-    return math.log(x)
-
-
-def log10(x):
-    if value_of(x) <= 0.0:
-        raise DomainError(f"log10 requires a positive argument, got {value_of(x)}")
-    if isinstance(x, Var):
-        return x.tape._emit(math.log10(x.value), (x.index,), (1.0 / (x.value * _LN10),))
-    return math.log10(x)
-
-
-def sqrt(x):
-    if value_of(x) < 0.0:
-        raise DomainError(f"sqrt requires a non-negative argument, got {value_of(x)}")
-    if isinstance(x, Var):
-        v = math.sqrt(x.value)
-        # subgradient 0 at x == 0 keeps NaNs out of downstream products
-        d = 0.0 if x.value == 0.0 else 0.5 / v
-        return x.tape._emit(v, (x.index,), (d,))
-    return math.sqrt(x)
-
-
-def sin(x):
-    if isinstance(x, Var):
-        return x.tape._emit(math.sin(x.value), (x.index,), (math.cos(x.value),))
-    return math.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Var):
-        return x.tape._emit(math.cos(x.value), (x.index,), (-math.sin(x.value),))
-    return math.cos(x)
-
-
-def power(x, p):
-    """x ** p for a constant real exponent p."""
-    p = float(p)
-    xv = value_of(x)
-    if xv < 0.0 and p != round(p):
-        raise DomainError("power with non-integer exponent requires a non-negative base")
-    if xv == 0.0 and p < 1.0 and p != 0.0:
-        raise DomainError("power derivative is unbounded at 0 for exponents below 1")
-    if isinstance(x, Var):
-        v = xv**p
-        d = 0.0 if p == 0.0 else p * xv ** (p - 1.0)
-        return x.tape._emit(v, (x.index,), (d,))
-    return xv**p
-
-
-def vmax(a, b):
-    """Pointwise max; ties route the gradient to the first argument."""
-    av, bv = value_of(a), value_of(b)
-    if isinstance(a, Var) or isinstance(b, Var):
-        if isinstance(a, Var) and isinstance(b, Var) and a.tape is not b.tape:
-            raise TapeMismatchError("operands belong to different tapes")
-        tape = a.tape if isinstance(a, Var) else b.tape
-        if av >= bv:
-            if isinstance(a, Var):
-                return tape._emit(av, (a.index,), (1.0,))
-            return tape._emit(av, (b.index,), (0.0,))
-        if isinstance(b, Var):
-            return tape._emit(bv, (b.index,), (1.0,))
-        return tape._emit(bv, (a.index,), (0.0,))
-    return max(av, bv)
-
-
-def vmin(a, b):
-    """Pointwise min; ties route the gradient to the first argument."""
-    av, bv = value_of(a), value_of(b)
-    if isinstance(a, Var) or isinstance(b, Var):
-        if isinstance(a, Var) and isinstance(b, Var) and a.tape is not b.tape:
-            raise TapeMismatchError("operands belong to different tapes")
-        tape = a.tape if isinstance(a, Var) else b.tape
-        if av <= bv:
-            if isinstance(a, Var):
-                return tape._emit(av, (a.index,), (1.0,))
-            return tape._emit(av, (b.index,), (0.0,))
-        if isinstance(b, Var):
-            return tape._emit(bv, (b.index,), (1.0,))
-        return tape._emit(bv, (a.index,), (0.0,))
-    return min(av, bv)
-
-
-def clamp(x, lo: float, hi: float):
-    """Clamp to [lo, hi]; gradient is 1 strictly inside, 0 at and beyond the rails."""
-    if lo > hi:
-        raise DomainError(f"clamp bounds are inverted: [{lo}, {hi}]")
-    xv = value_of(x)
-    v = min(max(xv, lo), hi)
-    if isinstance(x, Var):
-        d = 1.0 if lo < xv < hi else 0.0
-        return x.tape._emit(v, (x.index,), (d,))
-    return v
-
-
-# -- vector reductions ---------------------------------------------------
-
-
-def _vector_parents(xs: Sequence[Var]):
-    tape = xs[0].tape
-    first = xs[0].index
-    contiguous = True
-    for k, x in enumerate(xs):
-        if x.tape is not tape:
-            raise TapeMismatchError("reduction operands belong to different tapes")
-        if x.index != first + k:
-            contiguous = False
-    if contiguous:
-        return _Span(first, first + len(xs))
-    return _Gather(np.array([x.index for x in xs], dtype=np.intp))
-
-
-def vsum(xs: Sequence):
-    """Sum of a vector of Vars (or floats) as one tape node."""
-    return lincomb(xs, None)
-
-
-def lincomb(xs: Sequence, coeffs, const: float = 0.0):
-    """sum_i coeffs[i] * xs[i] + const as a single node.
-
-    ``coeffs=None`` means all ones.  Falls back to a numpy dot product
-    when ``xs`` holds plain numbers.
-    """
-    n = len(xs)
-    if n == 0:
-        return float(const)
-    if coeffs is None:
-        coeffs = np.ones(n)
-    else:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (n,):
-            raise ValueError(f"coefficient length {coeffs.shape} does not match {n} terms")
-    if isinstance(xs[0], Var):
-        tape = xs[0].tape
-        values = np.fromiter((x.value for x in xs), dtype=float, count=n)
-        return tape._emit(float(values @ coeffs) + const, _vector_parents(xs), coeffs)
-    return float(np.asarray(xs, dtype=float) @ coeffs) + const
-
-
-def lincomb_many(xs: Sequence[Var], coeff_matrix: np.ndarray) -> list[Var]:
-    """One node per row of ``coeff_matrix``: values are coeff_matrix @ xs.
-
-    Equivalent to calling :func:`lincomb` per row but extracts the
-    operand values once, which matters when the same variables feed
-    hundreds of reductions.
-    """
-    coeff_matrix = np.asarray(coeff_matrix, dtype=float)
-    n = len(xs)
-    if coeff_matrix.ndim != 2 or coeff_matrix.shape[1] != n:
-        raise ValueError(
-            f"coefficient matrix width {coeff_matrix.shape} does not match {n} terms"
-        )
-    if not isinstance(xs[0], Var):
-        return list(coeff_matrix @ np.asarray(xs, dtype=float))
-    tape = xs[0].tape
-    values = np.fromiter((x.value for x in xs), dtype=float, count=n)
-    results = coeff_matrix @ values
-    parents = _vector_parents(xs)
-    emit = tape._emit
-    return [emit(float(results[k]), parents, coeff_matrix[k]) for k in range(len(results))]
-
-
-def quadform(xs: Sequence, matrix: np.ndarray):
-    """x^T A x as a single node with local gradient (A + A^T) x."""
-    n = len(xs)
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (n, n):
-        raise ValueError(f"matrix shape {matrix.shape} does not match {n} terms")
-    if n and isinstance(xs[0], Var):
-        tape = xs[0].tape
-        values = np.fromiter((x.value for x in xs), dtype=float, count=n)
-        av = matrix @ values
-        partial = av + matrix.T @ values
-        return tape._emit(float(values @ av), _vector_parents(xs), partial)
-    values = np.asarray(xs, dtype=float)
-    return float(values @ (matrix @ values))
-
-
-def sumsq(xs: Sequence):
-    """sum_i xs[i]^2 as a single node."""
-    n = len(xs)
-    if n and isinstance(xs[0], Var):
-        tape = xs[0].tape
-        values = np.fromiter((x.value for x in xs), dtype=float, count=n)
-        return tape._emit(float(values @ values), _vector_parents(xs), 2.0 * values)
-    values = np.asarray(xs, dtype=float)
-    return float(values @ values)
-
-
-# -- gradient checking ----------------------------------------------------
+__all__ = ["GradcheckResult", "gradcheck"]
 
 
 @dataclass(frozen=True)
 class GradcheckResult:
-    """Outcome of an AD vs. central finite-difference comparison.
+    """Outcome of an analytic vs. central finite-difference comparison.
 
     ``excluded`` lists coordinates where the two finite-difference step
     sizes disagreed, which flags a piecewise branch boundary between the
@@ -508,32 +33,31 @@ class GradcheckResult:
 
 
 def gradcheck(
-    f: Callable[[Sequence], object],
+    f: Callable[[list[float]], float],
     point: Sequence[float],
+    gradient: Sequence[float],
     rel_step: float = 1e-4,
     boundary_rtol: float = 1e-3,
 ) -> GradcheckResult:
-    """Compare the tape gradient of ``f`` against central finite differences.
+    """Compare ``gradient`` (the analytic gradient of ``f`` at ``point``)
+    against central finite differences.
 
-    ``f`` must accept a sequence of Vars (for the AD pass) or floats (for
-    the difference quotients) and return a scalar of matching kind.  The
-    relative error per coordinate is |AD - FD| / max(1, |FD|).
+    ``f`` takes a list of floats and returns a scalar.  The relative error
+    per coordinate is |analytic - FD| / max(1, |FD|).
     """
     point = [float(p) for p in point]
-
-    tape = Tape()
-    xs = [tape.var(p) for p in point]
-    out = f(xs)
-    if not isinstance(out, Var):
-        raise TypeError("gradcheck target must return a Var when fed Vars")
-    ad = tape.gradients(out, xs)
+    gradient = np.asarray(gradient, dtype=float)
+    if gradient.shape != (len(point),):
+        raise ValueError(
+            f"gradient shape {gradient.shape} does not match {len(point)} coordinates"
+        )
 
     def fd(k: int, h: float) -> float:
         hi = list(point)
         lo = list(point)
         hi[k] += h
         lo[k] -= h
-        return (value_of(f(hi)) - value_of(f(lo))) / (2.0 * h)
+        return (float(f(hi)) - float(f(lo))) / (2.0 * h)
 
     errors = np.zeros(len(point))
     excluded: list[int] = []
@@ -545,7 +69,7 @@ def gradcheck(
             errors[k] = math.nan
             excluded.append(k)
             continue
-        errors[k] = abs(ad[k] - fd_h2) / max(1.0, abs(fd_h2))
+        errors[k] = abs(gradient[k] - fd_h2) / max(1.0, abs(fd_h2))
     included = [errors[k] for k in range(len(point)) if k not in excluded]
     return GradcheckResult(
         max_rel_error=max(included, default=0.0),

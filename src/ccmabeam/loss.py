@@ -3,17 +3,15 @@
 All three variants share the piecewise structure: a band whose
 beamwidth overshoots its target is penalized by that beamwidth directly,
 otherwise a performance term takes over.  Branch selection happens on
-detached values so gradients flow only through the active branch.
-Beamwidths enter in radians; conversion to degrees is an I/O concern.
+the values themselves, so the partial derivatives that :func:`total_loss`
+reports follow only the active branch.  Beamwidths enter in radians;
+conversion to degrees is an I/O concern.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from . import autodiff as ad
-from .autodiff import value_of
+from dataclasses import dataclass, field
 
 __all__ = ["LossConfig", "BandLossTerms", "loss_l1", "loss_l2", "loss_l3", "total_loss"]
 
@@ -23,6 +21,8 @@ VARIANTS = ("L1", "L2", "L3")
 L2_TOLERANCE = math.radians(1.0)
 
 STD_EPS = 1e-12
+
+_LN10 = math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,11 @@ class LossConfig:
 
 @dataclass
 class BandLossTerms:
-    """Detached snapshot of the assembled loss (floats only)."""
+    """Snapshot of the assembled loss and its per-band partial derivatives.
+
+    ``d_theta``, ``d_phi``, ``d_df`` and ``d_wng`` hold dL/d(theta),
+    dL/d(phi), dL/d(DF) and dL/d(WNG) per band, regularizers included.
+    """
 
     theta: list[float]
     phi: list[float]
@@ -69,11 +73,15 @@ class BandLossTerms:
     i_term: float = 0.0
     delta_term: float = 0.0
     total: float = 0.0
+    d_theta: list[float] = field(default_factory=list)
+    d_phi: list[float] = field(default_factory=list)
+    d_df: list[float] = field(default_factory=list)
+    d_wng: list[float] = field(default_factory=list)
 
 
-def _branch(theta, phi, cfg: LossConfig) -> str:
-    over_t = value_of(theta) > cfg.target_theta
-    over_p = value_of(phi) > cfg.target_phi
+def _branch(theta: float, phi: float, cfg: LossConfig) -> str:
+    over_t = theta > cfg.target_theta
+    over_p = phi > cfg.target_phi
     if over_t and not over_p:
         return "theta"
     if over_p and not over_t:
@@ -83,49 +91,64 @@ def _branch(theta, phi, cfg: LossConfig) -> str:
     return "perf"
 
 
-def loss_l1(theta, phi, df, cfg: LossConfig):
+def _perf_term(df: float, wng: float, alpha: float) -> tuple[float, float, float]:
+    """-alpha log10 DF - (1 - alpha) log10 WNG, and its partials in DF and WNG."""
+    # exact shortcuts keep the alpha endpoints bit-compatible with L1/L2
+    if alpha == 1.0:
+        return -math.log10(df), -1.0 / (df * _LN10), 0.0
+    if alpha == 0.0:
+        return -math.log10(wng), 0.0, -1.0 / (wng * _LN10)
+    return (
+        -(alpha * math.log10(df)) - ((1.0 - alpha) * math.log10(wng)),
+        -alpha / (df * _LN10),
+        -(1.0 - alpha) / (wng * _LN10),
+    )
+
+
+def _l1_perf(theta, phi, df, wng, cfg: LossConfig):
+    return _perf_term(df, wng, 1.0)
+
+
+def _l2_perf(theta, phi, df, wng, cfg: LossConfig):
+    value, d_df, d_wng = _perf_term(df, wng, 1.0)
+    if theta < cfg.target_theta - L2_TOLERANCE and phi < cfg.target_phi - L2_TOLERANCE:
+        return -value, -d_df, d_wng
+    return value, d_df, d_wng
+
+
+def _l3_perf(theta, phi, df, wng, cfg: LossConfig):
+    return _perf_term(df, wng, cfg.alpha)
+
+
+def _band_term(theta, phi, df, wng, cfg: LossConfig, perf):
+    """Branch, value and partials (d/dtheta, d/dphi, d/dDF, d/dWNG) of one band."""
+    branch = _branch(theta, phi, cfg)
+    if branch == "theta":
+        return branch, theta, [1.0, 0.0, 0.0, 0.0]
+    if branch == "phi":
+        return branch, phi, [0.0, 1.0, 0.0, 0.0]
+    if branch == "both":
+        return branch, theta + phi, [1.0, 1.0, 0.0, 0.0]
+    value, d_df, d_wng = perf(theta, phi, df, wng, cfg)
+    return branch, value, [0.0, 0.0, d_df, d_wng]
+
+
+def loss_l1(theta, phi, df, cfg: LossConfig) -> float:
     """Beamwidth overshoot penalty, otherwise maximize directivity.
 
     When both widths overshoot, their sum is penalized so each keeps a
     descent direction.
     """
-    branch = _branch(theta, phi, cfg)
-    if branch == "theta":
-        return theta
-    if branch == "phi":
-        return phi
-    if branch == "both":
-        return theta + phi
-    return -ad.log10(df)
+    return _band_term(theta, phi, df, 1.0, cfg, _l1_perf)[1]
 
 
-def loss_l2(theta, phi, df, cfg: LossConfig):
+def loss_l2(theta, phi, df, cfg: LossConfig) -> float:
     """Like L1, but a clearly undershooting band reduces directivity instead.
 
     When both widths sit more than a small tolerance below target the
     directivity term flips sign, trading DF away to broaden the mainlobe.
     """
-    branch = _branch(theta, phi, cfg)
-    if branch == "theta":
-        return theta
-    if branch == "phi":
-        return phi
-    if branch == "both":
-        return theta + phi
-    under_t = value_of(theta) < cfg.target_theta - L2_TOLERANCE
-    under_p = value_of(phi) < cfg.target_phi - L2_TOLERANCE
-    if under_t and under_p:
-        return ad.log10(df)
-    return -ad.log10(df)
-
-
-def _perf_term(df, wng, alpha: float):
-    # exact shortcuts keep the alpha endpoints bit-compatible with L1/L2
-    if alpha == 1.0:
-        return -ad.log10(df)
-    if alpha == 0.0:
-        return -ad.log10(wng)
-    return -(alpha * ad.log10(df)) - ((1.0 - alpha) * ad.log10(wng))
+    return _band_term(theta, phi, df, 1.0, cfg, _l2_perf)[1]
 
 
 def _fold_sum(values):
@@ -135,11 +158,76 @@ def _fold_sum(values):
     return total
 
 
-def _std(values, eps: float = STD_EPS):
+def _std(values, eps: float = STD_EPS) -> tuple[float, list[float]]:
+    """Population standard deviation (with eps under the root) and its gradient."""
     n = len(values)
     mean = _fold_sum(values) / n
     deviations = [(v - mean) * (v - mean) for v in values]
-    return ad.sqrt(_fold_sum(deviations) / n + eps)
+    std = math.sqrt(_fold_sum(deviations) / n + eps)
+    return std, [(v - mean) / (n * std) for v in values]
+
+
+def _assemble(thetas, phis, dfs, wngs, cfg: LossConfig, perf, regularized: bool):
+    lambda1, lambda2, lambda3 = (
+        (cfg.lambda1, cfg.lambda2, cfg.lambda3) if regularized else (0.0, 0.0, 0.0)
+    )
+    thetas, phis = [float(t) for t in thetas], [float(p) for p in phis]
+    dfs, wngs = [float(d) for d in dfs], [float(w) for w in wngs]
+    count = len(thetas)
+    bands = [_band_term(*args, cfg, perf) for args in zip(thetas, phis, dfs, wngs)]
+    terms = [value for _, value, _ in bands]
+    grads = [partials for _, _, partials in bands]
+    total = _fold_sum(terms)
+
+    i_term = 0.0
+    if lambda1 > 0.0:
+        std, d_std = _std(dfs)
+        i_term = i_term + lambda1 * std
+        for b in range(count):
+            grads[b][2] += lambda1 * d_std[b]
+    if lambda2 > 0.0:
+        std, d_std = _std(wngs)
+        i_term = i_term + lambda2 * std
+        for b in range(count):
+            grads[b][3] += lambda2 * d_std[b]
+    if lambda1 > 0.0 or lambda2 > 0.0:
+        total = total + i_term
+
+    delta_term = 0.0
+    p_values = None
+    if lambda3 > 0.0:
+        perfs = [_perf_term(df, wng, cfg.alpha) for df, wng in zip(dfs, wngs)]
+        p_values = [value for value, _, _ in perfs]
+        diffs = []
+        for i in range(2, count // 2 + 1):
+            lo, hi = i - 1, count - i
+            gap = p_values[lo] - p_values[hi]
+            diffs.append(abs(gap))
+            sign = lambda3 * ((gap > 0.0) - (gap < 0.0))  # subgradient 0 at the kink
+            for b, s in ((lo, sign), (hi, -sign)):
+                grads[b][2] += s * perfs[b][1]
+                grads[b][3] += s * perfs[b][2]
+        if diffs:
+            delta_term = lambda3 * _fold_sum(diffs)
+            total = total + delta_term
+
+    snapshot = BandLossTerms(
+        theta=thetas,
+        phi=phis,
+        df=dfs,
+        wng=wngs,
+        branches=[branch for branch, _, _ in bands],
+        band_values=terms,
+        p=p_values,
+        i_term=i_term,
+        delta_term=delta_term,
+        total=total,
+        d_theta=[g[0] for g in grads],
+        d_phi=[g[1] for g in grads],
+        d_df=[g[2] for g in grads],
+        d_wng=[g[3] for g in grads],
+    )
+    return total, snapshot
 
 
 def loss_l3(thetas, phis, dfs, wngs, cfg: LossConfig):
@@ -153,77 +241,18 @@ def loss_l3(thetas, phis, dfs, wngs, cfg: LossConfig):
     weights are zero, which makes the (alpha=1, lambdas=0) configuration
     reduce bit-identically to the sum of per-band L1 values.
     """
-    count = len(thetas)
-    if count < 2:
+    if len(thetas) < 2:
         raise ValueError("the banded loss needs at least 2 frequency bands")
-    terms = []
-    branches = []
-    for theta, phi, df, wng in zip(thetas, phis, dfs, wngs):
-        branch = _branch(theta, phi, cfg)
-        branches.append(branch)
-        if branch == "theta":
-            terms.append(theta)
-        elif branch == "phi":
-            terms.append(phi)
-        elif branch == "both":
-            terms.append(theta + phi)
-        else:
-            terms.append(_perf_term(df, wng, cfg.alpha))
-    total = _fold_sum(terms)
-
-    i_term = 0.0
-    if cfg.lambda1 > 0.0:
-        i_term = i_term + cfg.lambda1 * _std(dfs)
-    if cfg.lambda2 > 0.0:
-        i_term = i_term + cfg.lambda2 * _std(wngs)
-    if cfg.lambda1 > 0.0 or cfg.lambda2 > 0.0:
-        total = total + i_term
-
-    delta_term = 0.0
-    p_values = None
-    if cfg.lambda3 > 0.0:
-        p_values = [_perf_term(df, wng, cfg.alpha) for df, wng in zip(dfs, wngs)]
-        diffs = [
-            abs(p_values[i - 1] - p_values[count - i])
-            for i in range(2, count // 2 + 1)
-        ]
-        if diffs:
-            delta_term = cfg.lambda3 * _fold_sum(diffs)
-            total = total + delta_term
-
-    snapshot = BandLossTerms(
-        theta=[value_of(t) for t in thetas],
-        phi=[value_of(p) for p in phis],
-        df=[value_of(d) for d in dfs],
-        wng=[value_of(w) for w in wngs],
-        branches=branches,
-        band_values=[value_of(t) for t in terms],
-        p=None if p_values is None else [value_of(p) for p in p_values],
-        i_term=value_of(i_term),
-        delta_term=value_of(delta_term),
-        total=value_of(total),
-    )
-    return total, snapshot
+    return _assemble(thetas, phis, dfs, wngs, cfg, _l3_perf, regularized=True)
 
 
 def total_loss(thetas, phis, dfs, wngs, cfg: LossConfig):
     """Assemble the configured variant over all bands.
 
-    Returns the scalar objective (Var or float, matching the inputs) and
-    a detached :class:`BandLossTerms` snapshot.
+    Returns the scalar objective and a :class:`BandLossTerms` snapshot
+    that also carries the per-band partial derivatives.
     """
     if cfg.variant == "L3":
         return loss_l3(thetas, phis, dfs, wngs, cfg)
-    band_fn = loss_l1 if cfg.variant == "L1" else loss_l2
-    terms = [band_fn(t, p, d, cfg) for t, p, d in zip(thetas, phis, dfs)]
-    total = _fold_sum(terms)
-    snapshot = BandLossTerms(
-        theta=[value_of(t) for t in thetas],
-        phi=[value_of(p) for p in phis],
-        df=[value_of(d) for d in dfs],
-        wng=[value_of(w) for w in wngs],
-        branches=[_branch(t, p, cfg) for t, p in zip(thetas, phis)],
-        band_values=[value_of(t) for t in terms],
-        total=value_of(total),
-    )
-    return total, snapshot
+    perf = _l1_perf if cfg.variant == "L1" else _l2_perf
+    return _assemble(thetas, phis, dfs, wngs, cfg, perf, regularized=False)

@@ -2,8 +2,9 @@
 
 Directivity factor (DF) against an isotropic diffuse field, white noise
 gain (WNG), and two beamwidth estimators: a weighted least-squares
-parabola fit that is differentiable through the beampattern samples, and
-a plain level-crossing search used as a non-differentiable reference.
+parabola fit whose curvature is linear in the dB beampattern samples (so
+the width is differentiable through them), and a plain level-crossing
+search used as a non-differentiable reference.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import autodiff as ad
 from .geometry import ArrayGeometry
 from .wavefield import Direction, beampattern, snapped_range, steering_matrix, steering_vector
 from .weighting import DesignParams, assemble_filter
@@ -34,6 +34,8 @@ __all__ = [
     "sigma_schedule",
     "FitCut",
     "build_fit_cuts",
+    "fit_coefficients",
+    "curvature_width",
     "beamwidth_parabola",
     "beamwidth_oracle",
     "MetricCurves",
@@ -187,14 +189,13 @@ def build_fit_cuts(
     return theta_cut, phi_cut
 
 
-def beamwidth_parabola(x, cut_db, doa_index: int, sigma_window: float, delta_l: float = DELTA_L_DB):
-    """Mainlobe width from a mask-weighted quadratic fit to a dB cut.
+def fit_coefficients(x, doa_index: int, sigma_window: float) -> np.ndarray:
+    """Weights c such that c @ cut_db is the curvature ``a`` of the fit
+    cut_db[i] ~ a (x_i - x[doa])^2 + b.
 
-    Fits cut_db[i] ~ a x_i^2 + b with super-Gaussian sample weights
-    exp(-((x - x[doa]) / sigma_window)^4 / 2) and returns
-    (2 * sqrt(delta_l / |a|), True).  A non-concave fit (a >= 0) returns
-    the sentinel (pi, False).  ``cut_db`` may hold floats or tape
-    variables; the width is differentiable through the dB samples.
+    The fit is least squares with super-Gaussian sample weights
+    exp(-((x - x[doa]) / sigma_window)^4 / 2); solving its 2x2 normal
+    equations leaves ``a`` linear in the dB samples.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -204,9 +205,6 @@ def beamwidth_parabola(x, cut_db, doa_index: int, sigma_window: float, delta_l: 
         raise ValueError(f"doa_index {doa_index} outside the cut of length {n}")
     if sigma_window <= 0.0:
         raise ValueError("sigma_window must be positive")
-    if delta_l <= 0.0:
-        raise ValueError("delta_l must be positive")
-
     xo = x - x[doa_index]
     w = _mask_weights(xo, sigma_window)
     x2 = xo * xo
@@ -216,15 +214,35 @@ def beamwidth_parabola(x, cut_db, doa_index: int, sigma_window: float, delta_l: 
     denom = total_w * s_x4 - s_x2 * s_x2
     if denom <= 0.0:
         raise ValueError("degenerate cut: fit normal equations are singular")
+    return (total_w * (w * x2) - s_x2 * w) / denom
 
-    s_b = ad.lincomb(cut_db, w)
-    s_x2b = ad.lincomb(cut_db, w * x2)
-    a = (total_w * s_x2b - s_x2 * s_b) / denom
-    if ad.value_of(a) >= -1e-12:
-        # non-concave fit: sentinel width, anchored to the fit inputs with a
-        # zero coefficient so a taped pipeline keeps a uniform output type
-        return ad.lincomb([a], [0.0], const=math.pi), False
-    return 2.0 * ad.sqrt(delta_l / (-a)), True
+
+def curvature_width(a, delta_l: float = DELTA_L_DB):
+    """Mainlobe width 2 sqrt(delta_l / -a) of fitted curvatures ``a``.
+
+    Returns (width, d width / d a, concave), elementwise.  A non-concave
+    fit (a >= -1e-12) gets the sentinel width pi with a zero derivative.
+    """
+    a = np.asarray(a, dtype=float)
+    concave = a < -1e-12
+    neg_a = np.where(concave, -a, 1.0)
+    width = np.where(concave, 2.0 * np.sqrt(delta_l / neg_a), math.pi)
+    slope = np.where(concave, width / (2.0 * neg_a), 0.0)
+    return width, slope, concave
+
+
+def beamwidth_parabola(x, cut_db, doa_index: int, sigma_window: float, delta_l: float = DELTA_L_DB):
+    """Mainlobe width from a mask-weighted quadratic fit to a dB cut.
+
+    Fits cut_db[i] ~ a x_i^2 + b (see :func:`fit_coefficients`) and
+    returns (2 * sqrt(delta_l / |a|), True).  A non-concave fit (a >= 0)
+    returns the sentinel (pi, False).
+    """
+    if delta_l <= 0.0:
+        raise ValueError("delta_l must be positive")
+    a = fit_coefficients(x, doa_index, sigma_window) @ np.asarray(cut_db, dtype=float)
+    width, _, concave = curvature_width(a, delta_l)
+    return float(width), bool(concave)
 
 
 def beamwidth_oracle(x, cut_db, doa_index: int, delta_l: float = ORACLE_DELTA_L_DB):
@@ -236,7 +254,7 @@ def beamwidth_oracle(x, cut_db, doa_index: int, delta_l: float = ORACLE_DELTA_L_
     returned flag is False.
     """
     x = np.asarray(x, dtype=float)
-    b = np.asarray([ad.value_of(v) for v in cut_db], dtype=float)
+    b = np.asarray(cut_db, dtype=float)
     n = len(x)
     if not 0 <= doa_index < n:
         raise ValueError(f"doa_index {doa_index} outside the cut of length {n}")
@@ -274,6 +292,8 @@ class MetricCurves:
             object.__setattr__(self, name, arr)
             if arr.shape != (len(self.frequencies),):
                 raise ValueError(f"{name} length does not match the band count")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite, got {arr.tolist()}")
         if np.any(self.df <= 0.0) or np.any(self.wng <= 0.0):
             raise ValueError("DF and WNG must be positive")
         if np.any(self.theta <= 0.0) or np.any(self.theta > math.pi):
@@ -328,12 +348,12 @@ def evaluate_filter_bank(
             theta_cut.x, _cut_db(h, geometry, f, theta_cut), theta_cut.doa_index,
             theta_cut.sigma, delta_l,
         )
-        theta.append(min(ad.value_of(width), math.pi))
+        theta.append(min(width, math.pi))
         width, _ = beamwidth_parabola(
             phi_cut.x, _cut_db(h, geometry, f, phi_cut), phi_cut.doa_index,
             phi_cut.sigma, delta_l,
         )
-        phi.append(min(ad.value_of(width), math.pi))
+        phi.append(min(width, math.pi))
     return MetricCurves(freqs, np.array(df), np.array(wng), np.array(theta), np.array(phi))
 
 

@@ -5,34 +5,36 @@ a gradient sign flip shrinks the per-coordinate step and skips that
 coordinate for one iteration (its stored sign is reset), a repeated sign
 grows the step, and parameters always move by the signed step.
 
-The design pipeline assembles one differentiation tape per iteration
-covering every frequency band jointly, since the across-band loss terms
-couple the bands.
+The design pipeline evaluates every frequency band at once on stacked
+arrays, since the across-band loss terms couple the bands, and returns
+the gradient from a reverse pass over the same arrays written out by
+hand (reverse-mode differentiation; Griewank & Walther, *Evaluating
+Derivatives*, 2008).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import CVar, Tape, Var
 from .geometry import ArrayGeometry
-from .loss import LossConfig, total_loss
+from .loss import BandLossTerms, LossConfig, total_loss
 from .metrics import (
     DELTA_L_DB,
     GAMMA_DIAGONAL_REG,
     PATTERN_POWER_FLOOR,
     MetricCurves,
     NumericalError,
-    beamwidth_parabola,
     build_fit_cuts,
+    curvature_width,
     evaluate_params,
+    fit_coefficients,
     gamma_matrix,
 )
 from .wavefield import Direction, steering_matrix, steering_vector
@@ -45,12 +47,15 @@ __all__ = [
     "IterationRow",
     "RunRecord",
     "OptimizeResult",
+    "DesignLoss",
     "DesignPipeline",
     "optimize",
 ]
 
 INITIAL_SIGMA = 0.5
 INIT_NOISE = 1e-3
+
+_DB_PER_LN = 10.0 / math.log(10.0)  # d(10 log10 p)/dp = _DB_PER_LN / p
 
 
 @dataclass(frozen=True)
@@ -157,35 +162,53 @@ class RunRecord:
                 writer.writerow(cells)
 
 
-class _CutData(NamedTuple):
-    x: np.ndarray
-    doa_index: int
-    sigma: float
-    e_re: np.ndarray  # (points, mics) response coefficients, real part
-    e_im: np.ndarray
+class DesignLoss(float):
+    """The design loss of one parameter vector.
+
+    ``gradient()`` runs the reverse pass over the forward arrays that
+    produced this value and returns dL/dx in the parameter layout.
+    """
+
+    __slots__ = ("_backward",)
+
+    def __new__(cls, value: float, backward: Callable[[], np.ndarray]):
+        loss = super().__new__(cls, value)
+        loss._backward = backward
+        return loss
+
+    def gradient(self) -> np.ndarray:
+        return self._backward()
 
 
-class _BandData(NamedTuple):
-    frequency: float
-    a_gamma: np.ndarray  # (mics, mics) diffuse quadratic form over real gains
-    theta_cut: _CutData
-    phi_cut: _CutData
+class _Forward(NamedTuple):
+    """Forward intermediates the reverse pass reads (bands on axis 0)."""
 
-
-def _mod2(re, im):
-    if isinstance(re, Var):
-        return CVar(re, im).modulus2()
-    return re * re + im * im
+    v: np.ndarray  # (bands, rings) width parameters
+    weights: np.ndarray  # (bands, rings)
+    sigmas: np.ndarray  # (bands, rings)
+    taps: np.ndarray  # (bands, mics)
+    gains: np.ndarray  # (bands, mics)
+    a_gains: np.ndarray  # (bands, mics) diffuse form times gains
+    total: np.ndarray  # (bands,) sum of gains
+    filter_power: np.ndarray
+    floored: np.ndarray  # DF denominator held at its floor
+    denom: np.ndarray
+    df: np.ndarray
+    wng: np.ndarray
+    response: np.ndarray  # (bands, re/im, cut, samples)
+    cut_power: np.ndarray  # (bands, cut, samples)
+    slopes: np.ndarray  # (bands, cut) d width / d curvature
 
 
 class DesignPipeline:
-    """Differentiable map from unconstrained parameters to the design loss.
+    """Map from unconstrained parameters to the design loss and its gradient.
 
     All geometry-dependent quantities (window distances, steering phases
-    along the fit cuts, diffuse-coherence quadratic forms) are constant
-    per direction-of-arrival and are precomputed once.  ``build_loss``
-    accepts tape variables or plain floats, so the same object serves the
-    optimizer and finite-difference checks.
+    along the fit cuts, diffuse-coherence quadratic forms, parabola-fit
+    coefficients) are constant per direction-of-arrival and are
+    precomputed once, stacked over bands.  The cuts of all bands are
+    zero-padded to a common length; a padded sample has a zero fit
+    coefficient, so it does not reach the widths.
     """
 
     def __init__(
@@ -199,36 +222,56 @@ class DesignPipeline:
     ):
         if len(frequencies) == 0:
             raise ValueError("at least one frequency band is required")
+        self.frequencies = tuple(float(f) for f in frequencies)
+        for i in range(1, len(self.frequencies)):
+            if not self.frequencies[i] > self.frequencies[i - 1]:
+                raise ValueError(
+                    f"frequencies must be strictly increasing: band {i} "
+                    f"({self.frequencies[i]:g} Hz) follows {self.frequencies[i - 1]:g} Hz"
+                )
+        if delta_l <= 0.0:
+            raise ValueError("delta_l must be positive")
         self.geometry = geometry
         self.doa = doa
-        self.frequencies = tuple(float(f) for f in frequencies)
         self.loss_config = loss_config
         self.delta_l = delta_l
-        self.delta_sq = [
-            ring_distances(geometry, r, doa) ** 2 for r in range(geometry.ring_count)
-        ]
-        self.bands = [
-            self._band_data(f, grid_resolution) for f in self.frequencies
-        ]
 
-    def _band_data(self, frequency: float, grid_resolution: float) -> _BandData:
+        rings = range(geometry.ring_count)
+        self._ring_starts = np.array([geometry.ring_slice(r).start for r in rings])
+        self._ring_of_mic = np.repeat(rings, [ring.mic_count for ring in geometry.rings])
+        self._delta_sq = np.concatenate([ring_distances(geometry, r, doa) ** 2 for r in rings])
+
+        bands = [self._band_data(f, grid_resolution) for f in self.frequencies]
+        self._samples = max(len(c) for _, cuts, _ in bands for c in cuts)
+        self._a_gamma = np.stack([a_gamma for a_gamma, _, _ in bands])
+        # rows per band: real parts of both cuts, then imaginary parts
+        self._cut_rows = np.stack(
+            [
+                np.concatenate([self._pad(part(c)) for part in (np.real, np.imag) for c in cuts])
+                for _, cuts, _ in bands
+            ]
+        )
+        self._fit = np.stack([[self._pad(c) for c in fits] for _, _, fits in bands])
+
+    def _pad(self, rows: np.ndarray) -> np.ndarray:
+        pad = [(0, self._samples - len(rows))] + [(0, 0)] * (rows.ndim - 1)
+        return np.pad(rows, pad)
+
+    def _band_data(self, frequency: float, grid_resolution: float):
         geometry = self.geometry
         d = steering_vector(geometry, frequency, self.doa)
         a_gamma = gamma_matrix(geometry, frequency) * np.real(np.outer(np.conj(d), d))
+        cuts = build_fit_cuts(geometry, self.doa, frequency, grid_resolution)
+        responses = [
+            steering_matrix(geometry, frequency, c.elevations, c.azimuths) * np.conj(d)[None, :]
+            for c in cuts
+        ]
+        fits = [fit_coefficients(c.x, c.doa_index, c.sigma) for c in cuts]
+        return a_gamma, responses, fits
 
-        def cut_data(cut) -> _CutData:
-            steer = steering_matrix(geometry, frequency, cut.elevations, cut.azimuths)
-            coeff = steer * np.conj(d)[None, :]
-            return _CutData(
-                x=cut.x,
-                doa_index=cut.doa_index,
-                sigma=cut.sigma,
-                e_re=np.ascontiguousarray(coeff.real),
-                e_im=np.ascontiguousarray(coeff.imag),
-            )
-
-        theta_cut, phi_cut = build_fit_cuts(geometry, self.doa, frequency, grid_resolution)
-        return _BandData(frequency, a_gamma, cut_data(theta_cut), cut_data(phi_cut))
+    def _ring_sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-ring sums over the mic axis: (bands, mics) -> (bands, rings)."""
+        return np.add.reduceat(values, self._ring_starts, axis=1)
 
     @property
     def param_count(self) -> int:
@@ -258,59 +301,86 @@ class DesignPipeline:
         u_bands, v_bands = self.split_vector(x)
         return DesignParams.from_unconstrained(self.frequencies, u_bands, v_bands)
 
-    def build_loss(self, x: Sequence):
-        """Loss of a flat parameter vector (Vars or floats).
+    def build_loss(self, x: Sequence[float]) -> tuple[DesignLoss, BandLossTerms]:
+        """Loss of a flat parameter vector, all bands at once.
 
         Layout per band: ring-weight parameters, then width parameters.
-        Returns (loss, detached BandLossTerms snapshot).
+        Returns (loss, BandLossTerms); ``loss.gradient()`` is the reverse
+        pass of this evaluation.
         """
-        if len(x) != self.param_count:
-            raise ValueError(f"expected {self.param_count} parameters, got {len(x)}")
-        rings = self.geometry.ring_count
-        thetas, phis, dfs, wngs = [], [], [], []
-        for b, band in enumerate(self.bands):
-            lo = 2 * b * rings
-            u = x[lo : lo + rings]
-            v = x[lo + rings : lo + 2 * rings]
-            weights, sigmas = constrain_band(u, v)
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.param_count,):
+            raise ValueError(f"expected {self.param_count} parameters, got {x.size}")
+        bands = len(self.frequencies)
+        uv = x.reshape(bands, 2, -1)
+        weights, sigmas = constrain_band(uv[:, 0], uv[:, 1])
+        mic_ring = self._ring_of_mic
+        taps = np.exp(self._delta_sq * (-0.5 / (sigmas * sigmas))[:, mic_ring])
+        gains = weights[:, mic_ring] * taps
 
-            taps = []
-            for r in range(rings):
-                scale = -0.5 / (sigmas[r] * sigmas[r])
-                taps.append([ad.exp(d2 * scale) for d2 in self.delta_sq[r]])
-            # per-mic gains created back to back so reductions see one span
-            gains = []
-            for r in range(rings):
-                w = weights[r]
-                gains.extend(w * s for s in taps[r])
+        total = gains.sum(axis=1)
+        power = total * total
+        filter_power = np.einsum("bm,bm->b", gains, gains)
+        a_gains = np.matmul(self._a_gamma, gains[:, :, None])[:, :, 0]
+        diffuse = np.einsum("bm,bm->b", gains, a_gains)
+        # floor matching directivity_factor: guards an indefinite form
+        # without biasing the well-conditioned case
+        floor = GAMMA_DIAGONAL_REG * filter_power
+        floored = diffuse < floor
+        denom = np.where(floored, floor, diffuse)
+        df = power / denom
+        wng = power / filter_power
 
-            total = ad.vsum(gains)
-            power = total * total
-            filter_power = ad.sumsq(gains)
-            diffuse = ad.quadform(gains, band.a_gamma)
-            # floor matching directivity_factor: guards an indefinite form
-            # without biasing the well-conditioned case
-            df = power / ad.vmax(diffuse, GAMMA_DIAGONAL_REG * filter_power)
-            wng = power / filter_power
-            norm_db = 10.0 * ad.log10(power)
+        response = np.matmul(self._cut_rows, gains[:, :, None]).reshape(bands, 2, 2, -1)
+        cut_power = response[:, 0] ** 2 + response[:, 1] ** 2 + PATTERN_POWER_FLOOR
+        # the fit coefficients sum to zero, so the curvature ignores the dB
+        # offset of normalizing the cuts to the look direction
+        curvature = np.einsum("bcs,bcs->bc", self._fit, 10.0 * np.log10(cut_power))
+        widths, slopes, _ = curvature_width(curvature, self.delta_l)
 
-            def cut_widths(cut: _CutData):
-                res = ad.lincomb_many(gains, cut.e_re)
-                ims = ad.lincomb_many(gains, cut.e_im)
-                db = [
-                    10.0 * ad.log10(_mod2(re, im) + PATTERN_POWER_FLOOR) - norm_db
-                    for re, im in zip(res, ims)
-                ]
-                width, _ = beamwidth_parabola(
-                    cut.x, db, cut.doa_index, cut.sigma, self.delta_l
-                )
-                return width
+        value, terms = total_loss(
+            widths[:, 0].tolist(), widths[:, 1].tolist(), df.tolist(), wng.tolist(),
+            self.loss_config,
+        )
+        state = _Forward(
+            uv[:, 1], weights, sigmas, taps, gains, a_gains, total, filter_power,
+            floored, denom, df, wng, response, cut_power, slopes,
+        )
+        return DesignLoss(value, functools.partial(self._backward, state, terms)), terms
 
-            thetas.append(cut_widths(band.theta_cut))
-            phis.append(cut_widths(band.phi_cut))
-            dfs.append(df)
-            wngs.append(wng)
-        return total_loss(thetas, phis, dfs, wngs, self.loss_config)
+    def _backward(self, fw: _Forward, terms: BandLossTerms) -> np.ndarray:
+        """Reverse pass of :meth:`build_loss`: adjoints flow from the loss
+        partials back through each forward step in turn."""
+        g_widths = np.column_stack([terms.d_theta, terms.d_phi])
+        g_df, g_wng = np.array(terms.d_df), np.array(terms.d_wng)
+
+        # widths -> curvatures -> dB cut samples -> cut responses
+        g_db = (g_widths * fw.slopes)[:, :, None] * self._fit
+        g_response = 2.0 * fw.response * (_DB_PER_LN * g_db / fw.cut_power)[:, None]
+        bands = len(g_df)
+        g_gains = np.matmul(g_response.reshape(bands, 1, -1), self._cut_rows)[:, 0]
+
+        # DF = power / max(diffuse, floor), WNG = power / filter_power
+        g_power = g_df / fw.denom + g_wng / fw.filter_power
+        g_denom = -g_df * fw.df / fw.denom
+        g_filter_power = -g_wng * fw.wng / fw.filter_power
+        g_filter_power += np.where(fw.floored, GAMMA_DIAGONAL_REG * g_denom, 0.0)
+        g_diffuse = np.where(fw.floored, 0.0, g_denom)
+        g_gains += (
+            (2.0 * fw.total * g_power)[:, None]
+            + 2.0 * fw.gains * g_filter_power[:, None]
+            + 2.0 * fw.a_gains * g_diffuse[:, None]  # the diffuse form is symmetric
+        )
+
+        # gains = weight * exp(delta^2 * scale), scale = -1 / (2 sigma^2)
+        g_weights = self._ring_sum(g_gains * fw.taps)
+        g_scale = self._ring_sum(g_gains * fw.gains * self._delta_sq)
+        g_sigmas = g_scale / fw.sigmas**3
+        # softplus' = logistic sigmoid; softmax Jacobian-vector product
+        e = np.exp(-np.abs(fw.v))
+        g_v = g_sigmas * np.where(fw.v >= 0.0, 1.0, e) / (1.0 + e)
+        g_u = fw.weights * (g_weights - np.sum(fw.weights * g_weights, axis=1, keepdims=True))
+        return np.stack([g_u, g_v], axis=1).reshape(-1)
 
 
 class OptimizeResult(NamedTuple):
@@ -351,10 +421,8 @@ def optimize(
     no_improve = 0
     reason = "budget_exhausted"
     for it in range(1, budget + 1):
-        tape = Tape()
-        leaves = [tape.var(value) for value in x]
-        value, snap = pipeline.build_loss(leaves)
-        current = value.value
+        value, snap = pipeline.build_loss(x)
+        current = float(value)
         if not math.isfinite(current):
             raise NumericalError(f"loss became non-finite at iteration {it}")
         rows.append(
@@ -379,8 +447,7 @@ def optimize(
             break
         if it == budget:
             break
-        grads = np.array(tape.gradients(value, leaves))
-        x = rprop_step(state, grads, x, rprop_config)
+        x = rprop_step(state, value.gradient(), x, rprop_config)
     params = pipeline.params_from_vector(best_x)
     curves = evaluate_params(geometry, doa, params, grid_resolution, delta_l)
     record = RunRecord(pipeline.frequencies, rows, reason)

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .geometry import ArrayGeometry
 from .wavefield import Direction, steering_vector
 
@@ -77,16 +76,20 @@ def angular_distance(geometry: ArrayGeometry, ring: int, mic: int, doa: Directio
     return float(d[mic])
 
 
-def gaussian_window(delta, sigma):
-    """exp(-delta^2 / (2 sigma^2)); works on floats and tape variables."""
-    if ad.value_of(sigma) <= 0.0:
+def gaussian_window(delta, sigma: float):
+    """exp(-delta^2 / (2 sigma^2)) for a distance (or array of distances) and sigma > 0."""
+    if not sigma > 0.0:
         raise ValueError("window width sigma must be positive")
-    return ad.exp(-(delta * delta) / (2.0 * sigma * sigma))
+    # for a tiny sigma (delta / sigma)^2 overflows to inf, and exp(-inf) = 0
+    # is the exact limit; squaring sigma instead would underflow to 0 / 0
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * np.square(np.asarray(delta, dtype=float) / sigma))
 
 
 def softplus(v):
-    """Numerically stable ln(1 + e^v), generic over floats and Vars."""
-    return ad.vmax(v, 0.0) + ad.ln(1.0 + ad.exp(-abs(v)))
+    """Numerically stable ln(1 + e^v), elementwise."""
+    v = np.asarray(v, dtype=float)
+    return np.maximum(v, 0.0) + np.log(1.0 + np.exp(-np.abs(v)))
 
 
 def softplus_inverse(y: float) -> float:
@@ -101,18 +104,16 @@ def softplus_inverse(y: float) -> float:
 def constrain_band(u, v, sigma_floor: float = SIGMA_FLOOR):
     """Map unconstrained (u, v) to simplex weights and positive widths.
 
-    Weights are normalized exponentials of ``u`` (stabilized with the
-    detached max, which leaves both the values and the gradients of the
+    Works along the last axis, so ``u`` and ``v`` may hold one band
+    (rings,) or a stack of bands (bands, rings).  Weights are normalized
+    exponentials of ``u`` (stabilized with the maximum, which leaves the
     normalized result unchanged); widths are softplus of ``v`` plus a
-    small floor.  Accepts floats or tape variables.
+    small floor.
     """
-    shift = max(ad.value_of(x) for x in u)
-    e = [ad.exp(x - shift) for x in u]
-    total = e[0]
-    for item in e[1:]:
-        total = total + item
-    weights = [item / total for item in e]
-    widths = [softplus(x) + sigma_floor for x in v]
+    u = np.asarray(u, dtype=float)
+    e = np.exp(u - u.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    widths = softplus(v) + sigma_floor
     return weights, widths
 
 
@@ -145,12 +146,20 @@ class DesignParams:
             len(self.frequencies) == len(self.ring_weights) == len(self.window_widths)
         ):
             raise ValueError("band counts of frequencies, weights, and widths differ")
+        if len(set(self.frequencies)) != len(self.frequencies):
+            # bands are looked up by frequency: a repeat would report another band
+            raise ValueError(
+                f"frequencies: each band needs its own frequency, got {self.frequencies}"
+            )
         rings = {len(w) for w in self.ring_weights} | {len(s) for s in self.window_widths}
         if len(rings) != 1:
             raise ValueError("every band must carry one weight and one width per ring")
         for b, (w, s) in enumerate(zip(self.ring_weights, self.window_widths)):
             w = np.asarray(w, dtype=float)
             s = np.asarray(s, dtype=float)
+            for name, values in (("ring_weights", w), ("window_widths", s)):
+                if not np.all(np.isfinite(values)):
+                    raise ValueError(f"band {b}: {name} must be finite, got {values.tolist()}")
             if np.any(w < 0.0) or np.any(w > 1.0):
                 raise ValueError(f"band {b}: weights must lie in [0, 1]")
             if abs(w.sum() - 1.0) > 1e-12:
@@ -170,9 +179,9 @@ class DesignParams:
     def from_unconstrained(cls, frequencies, u_bands, v_bands) -> "DesignParams":
         weights, widths = [], []
         for u, v in zip(u_bands, v_bands):
-            w, s = constrain_band(list(map(float, u)), list(map(float, v)))
-            weights.append(np.array(w))
-            widths.append(np.array(s))
+            w, s = constrain_band(u, v)
+            weights.append(w)
+            widths.append(s)
         return cls(
             frequencies=tuple(float(f) for f in frequencies),
             ring_weights=tuple(weights),
@@ -233,8 +242,9 @@ def assemble_filter(
         )
     gains = np.empty(geometry.total_mics)
     for r in range(geometry.ring_count):
-        delta = ring_distances(geometry, r, doa)
-        gains[geometry.ring_slice(r)] = w[r] * np.exp(-(delta**2) / (2.0 * s[r] ** 2))
+        gains[geometry.ring_slice(r)] = w[r] * gaussian_window(
+            ring_distances(geometry, r, doa), s[r]
+        )
     d = steering_vector(geometry, frequency, doa)
     h = gains * d
     response = np.vdot(h, d)  # equals sum(gains), real for unit-modulus steering

@@ -21,8 +21,10 @@ from ccmabeam.metrics import (
     DELTA_L_DB,
     beamwidth_oracle,
     beamwidth_parabola,
+    curvature_width,
     directivity_factor,
     evaluate_filter_bank,
+    fit_coefficients,
     gamma_matrix,
     white_noise_gain,
 )
@@ -95,8 +97,9 @@ def test_criterion_2_gradient_correctness(toy_array, doa45):
         point = pipeline.initial_params(seed=0) + rng.uniform(
             -0.5, 0.5, pipeline.param_count
         )
+        loss, _ = pipeline.build_loss(point)
         result = ad.gradcheck(
-            lambda xs: pipeline.build_loss(xs)[0], point, rel_step=1e-4
+            lambda xs: pipeline.build_loss(xs)[0], point, loss.gradient(), rel_step=1e-4
         )
         worst = max(worst, result.max_rel_error)
         excluded_total += len(result.excluded)
@@ -211,9 +214,12 @@ def test_criterion_5_beamwidth_estimator():
     # (c) gradient through the dB samples matches finite differences
     base = -DELTA_L_DB / math.radians(20.0) ** 2 * x**2 + 0.05 * np.cos(5.0 * x)
     sigma_g = math.radians(9.0)
+    coeffs = fit_coefficients(x, 60, sigma_g)
+    _, slope, _ = curvature_width(coeffs @ base)
     grad = ad.gradcheck(
         lambda samples: beamwidth_parabola(x, samples, 60, sigma_g)[0],
         list(base),
+        slope * coeffs,
         rel_step=1e-4,
     )
     ok = exact_err < 1e-9 and agree_err <= 0.15 and grad.max_rel_error < 1e-5

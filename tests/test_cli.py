@@ -57,6 +57,10 @@ class TestConfigParsing:
             (lambda c: c.update(grid_resolution_deg=-1.0), "grid_resolution_deg"),
             (lambda c: c.update(sweep={"bogus": [1.0]}), "sweep.bogus"),
             (lambda c: c.update(sweep={"alpha": []}), "sweep.alpha"),
+            (lambda c: c.update(frequencies_hz=[3000.0, 2000.0]), "frequencies_hz[1]"),
+            (lambda c: c.update(frequencies_hz=[2000.0, 3000.0, 3000.0]), "frequencies_hz[2]"),
+            (lambda c: c.update(sweep={"alpha": [1.5]}), "sweep.alpha[0]"),
+            (lambda c: c.update(sweep={"lambda3": [0.1, -0.5]}), "sweep.lambda3[1]"),
         ],
     )
     def test_field_level_errors(self, tmp_path, mutate, needle):
@@ -156,6 +160,17 @@ class TestEvalCommand:
             == 1
         )
         assert "rings" in capsys.readouterr().err
+
+    def test_non_finite_params_fail_validation(self, tmp_path, capsys):
+        out = tmp_path / "design"
+        path = write_config(tmp_path, small_config(out))
+        assert main(["design", "--config", str(path)]) == 0
+        payload = json.loads((out / "params.json").read_text())
+        payload["bands"][1]["window_widths"][0] = math.nan
+        bad = tmp_path / "nan_params.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["eval", "--config", str(path), "--params", str(bad)]) == 1
+        assert "band 1: window_widths must be finite" in capsys.readouterr().err
 
     def test_requires_exactly_one_source(self, tmp_path):
         path = write_config(tmp_path, small_config(tmp_path / "out"))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ccmabeam.autodiff import gradcheck
 from ccmabeam.loss import (
     L2_TOLERANCE,
     BandLossTerms,
@@ -95,18 +96,11 @@ class TestL2:
     def test_one_sided_undershoot_keeps_maximizing(self):
         assert loss_l2(deg(39.0), deg(20.0), 10.0, cfg(variant="L2")) == -1.0
 
-    def test_var_path_gradients_flow_through_active_branch(self):
-        from ccmabeam.autodiff import Tape
-
-        tape = Tape()
-        theta = tape.var(deg(20.0))
-        phi = tape.var(deg(20.0))
-        df = tape.var(10.0)
-        out = loss_l2(theta, phi, df, cfg(variant="L2"))
-        g_theta, g_phi, g_df = tape.gradients(out, [theta, phi, df])
+    def test_gradients_flow_through_active_branch(self):
+        _, snap = total_loss([deg(20.0)], [deg(20.0)], [10.0], [5.0], cfg(variant="L2"))
         # broadening branch: only the directivity carries gradient, sign +
-        assert g_theta == 0.0 and g_phi == 0.0
-        assert g_df == pytest.approx(1.0 / (10.0 * math.log(10.0)), rel=1e-12)
+        assert snap.d_theta == [0.0] and snap.d_phi == [0.0] and snap.d_wng == [0.0]
+        assert snap.d_df[0] == pytest.approx(1.0 / (10.0 * math.log(10.0)), rel=1e-12)
 
 
 class TestL3:
@@ -209,3 +203,32 @@ class TestTotalLoss:
         c = cfg(variant="L3", alpha=0.5, lambda1=0.5)
         args = ([deg(30.0)] * 3, [deg(50.0), deg(30.0), deg(30.0)], [10.0] * 3, [5.0] * 3)
         assert total_loss(*args, c)[0] == loss_l3(*args, c)[0]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            cfg(variant="L1"),
+            cfg(variant="L2"),
+            cfg(variant="L3", alpha=0.3, lambda1=0.7, lambda2=0.4, lambda3=0.05),
+        ],
+        ids=["L1", "L2", "L3"],
+    )
+    def test_partials_match_finite_differences(self, config):
+        """The snapshot's dL/d(theta, phi, DF, WNG) against central differences,
+        on bands spread over every branch, L2's flipped one included."""
+        thetas = [deg(50.0), deg(30.0), deg(45.0), deg(20.0), deg(35.0), deg(39.5)]
+        phis = [deg(30.0), deg(50.0), deg(47.0), deg(25.0), deg(36.0), deg(30.0)]
+        dfs = [12.0, 30.0, 8.0, 60.0, 150.0, 90.0]
+        wngs = [40.0, 9.0, 3.0, 22.0, 70.0, 14.0]
+        n = len(thetas)
+
+        def f(xs):
+            return total_loss(xs[:n], xs[n : 2 * n], xs[2 * n : 3 * n], xs[3 * n :], config)[0]
+
+        point = thetas + phis + dfs + wngs
+        _, snap = total_loss(thetas, phis, dfs, wngs, config)
+        assert snap.branches == ["theta", "phi", "both", "perf", "perf", "perf"]
+        gradient = snap.d_theta + snap.d_phi + snap.d_df + snap.d_wng
+        result = gradcheck(f, point, gradient, rel_step=1e-6)
+        assert result.excluded == ()
+        assert result.max_rel_error < 1e-7

@@ -6,7 +6,6 @@ import pytest
 
 import ccmabeam as cb
 from ccmabeam import autodiff as ad
-from ccmabeam.autodiff import Tape
 from ccmabeam.metrics import (
     DELTA_L_DB,
     ORACLE_DELTA_L_DB,
@@ -15,8 +14,10 @@ from ccmabeam.metrics import (
     beamwidth_oracle,
     beamwidth_parabola,
     build_fit_cuts,
+    curvature_width,
     directivity_factor,
     evaluate_filter_bank,
+    fit_coefficients,
     gamma_matrix,
     sigma_schedule,
     white_noise_gain,
@@ -176,17 +177,19 @@ class TestBeamwidthParabola:
         assert not ok
         assert width == math.pi
 
-    def test_sentinel_stays_on_tape_with_zero_gradient(self):
-        from ccmabeam.autodiff import Var
-
+    def test_sentinel_has_zero_gradient(self):
         x = np.arange(-2.0, 3.0)
-        tape = Tape()
-        samples = [tape.var(0.0) for _ in range(5)]
-        width, ok = beamwidth_parabola(x, samples, 2, 1.0)
-        assert not ok
-        assert isinstance(width, Var)
-        assert width.value == math.pi
-        assert tape.gradients(width, samples) == [0.0] * 5
+        coeffs = fit_coefficients(x, 2, 1.0)
+        width, slope, concave = curvature_width(coeffs @ np.zeros(5))
+        assert not concave
+        assert width == math.pi
+        assert np.all(slope * coeffs == 0.0)
+
+    def test_fit_coefficients_give_the_curvature(self):
+        x = np.radians(np.arange(-20.0, 21.0))
+        coeffs = fit_coefficients(x, 20, math.radians(6.0))
+        assert coeffs @ (-3.5 * x**2 + 1.25) == pytest.approx(-3.5, rel=1e-9)
+        assert coeffs @ np.ones_like(x) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_far_sidelobe_barely_moves_fit(self):
         x = np.arange(-40.0, 41.0)
@@ -208,7 +211,9 @@ class TestBeamwidthParabola:
             width, _ = beamwidth_parabola(x, samples, 25, sigma)
             return width
 
-        result = ad.gradcheck(f, list(base), rel_step=1e-4)
+        coeffs = fit_coefficients(x, 25, sigma)
+        _, slope, _ = curvature_width(coeffs @ base)
+        result = ad.gradcheck(f, list(base), slope * coeffs, rel_step=1e-4)
         assert result.max_rel_error < 1e-5
 
     def test_input_validation(self):
@@ -288,6 +293,14 @@ class TestMetricCurves:
             MetricCurves((1000.0,), np.array([1.0]), np.array([1.0]), np.array([4.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             MetricCurves((1000.0, 2000.0), np.array([1.0]), np.array([1.0]), np.array([1.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("name", ["df", "wng", "theta", "phi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, name, bad):
+        values = {"df": [5.0], "wng": [10.0], "theta": [0.5], "phi": [0.6]}
+        values[name] = [bad]
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            MetricCurves((1000.0,), *(np.array(values[k]) for k in ("df", "wng", "theta", "phi")))
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "metrics.csv"

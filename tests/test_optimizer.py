@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import ccmabeam as cb
-from ccmabeam.autodiff import Tape
+from ccmabeam.autodiff import gradcheck
 from ccmabeam.loss import LossConfig
-from ccmabeam.metrics import NumericalError
+from ccmabeam.metrics import NumericalError, build_fit_cuts
 from ccmabeam.optimizer import (
     DesignPipeline,
     RPropConfig,
@@ -126,37 +126,39 @@ class TestDesignPipeline:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_var_and_float_paths_agree(self, pipeline):
+    def test_float_list_and_array_agree(self, pipeline):
         x = pipeline.initial_params(seed=1)
-        tape = Tape()
-        leaves = [tape.var(v) for v in x]
-        var_loss, var_snap = pipeline.build_loss(leaves)
-        flt_loss, flt_snap = pipeline.build_loss(list(x))
-        assert flt_loss == pytest.approx(var_loss.value, rel=1e-12)
-        assert flt_snap.theta == pytest.approx(var_snap.theta, rel=1e-12)
-        assert flt_snap.df == pytest.approx(var_snap.df, rel=1e-12)
+        array_loss, array_snap = pipeline.build_loss(x)
+        list_loss, list_snap = pipeline.build_loss([float(v) for v in x])
+        assert float(list_loss) == float(array_loss)
+        assert list_snap == array_snap
+        assert np.array_equal(list_loss.gradient(), array_loss.gradient())
 
     def test_wrong_length_rejected(self, pipeline):
         with pytest.raises(ValueError):
             pipeline.build_loss([0.0] * 3)
 
-    def test_l1_gradient_matches_finite_differences(self, toy_array, doa45):
-        from ccmabeam import autodiff as ad
-
-        pipeline = DesignPipeline(
-            toy_array, doa45, (2000.0, 3000.0, 4000.0), L1_CFG
+    @pytest.mark.parametrize("variant", ["L1", "L2"])
+    def test_l1_gradient_matches_finite_differences(self, array_16k, doa45, variant):
+        """At these points one band overshoots both targets and two sit on
+        the directivity branch, which L2 flips (DF partial > 0)."""
+        cfg = LossConfig(
+            variant=variant, target_theta=math.radians(40.0), target_phi=math.radians(40.0)
         )
+        pipeline = DesignPipeline(array_16k, doa45, (2000.0, 3000.0, 4000.0), cfg)
         rng = np.random.default_rng(13)
         for _ in range(3):
             point = pipeline.initial_params(seed=0) + rng.uniform(
                 -0.5, 0.5, pipeline.param_count
             )
-            result = ad.gradcheck(lambda xs: pipeline.build_loss(xs)[0], point)
+            loss, snap = pipeline.build_loss(point)
+            assert snap.branches == ["both", "perf", "perf"]
+            sign = 1.0 if variant == "L2" else -1.0
+            assert all(sign * d > 0.0 for d in snap.d_df[1:])
+            result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], point, loss.gradient())
             assert result.max_rel_error < 1e-4
 
     def test_five_ring_gradient_matches_finite_differences(self, array_16k, doa45):
-        from ccmabeam import autodiff as ad
-
         cfg = LossConfig(
             variant="L3",
             target_theta=math.radians(40.0),
@@ -170,12 +172,89 @@ class TestDesignPipeline:
         point = pipeline.initial_params(seed=4) + np.random.default_rng(4).uniform(
             -0.4, 0.4, pipeline.param_count
         )
-        result = ad.gradcheck(lambda xs: pipeline.build_loss(xs)[0], point)
+        loss, _ = pipeline.build_loss(point)
+        result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], point, loss.gradient())
         assert result.max_rel_error < 1e-4
 
+    def test_wide_l3_gradient_matches_finite_differences(self):
+        """15 bands whose fit cuts run from 91/181 samples at 0.5 kHz down to
+        62/63 at 7.5 kHz, so the zero padding to a common length is live."""
+        geometry = cb.build_geometry(
+            cb.ArrayConfig(ring_radii=(0.0, 0.05, 0.10), sample_rate=16000.0)
+        )
+        doa = cb.Direction.from_degrees(30.0, 120.0)
+        freqs = tuple(500.0 * k for k in range(1, 16))
+        lengths = [
+            tuple(len(cut.x) for cut in build_fit_cuts(geometry, doa, f, math.radians(1.0)))
+            for f in (freqs[0], freqs[-1])
+        ]
+        assert lengths == [(91, 181), (62, 63)]
+        cfg = LossConfig(
+            variant="L3",
+            target_theta=math.radians(40.0),
+            target_phi=math.radians(40.0),
+            alpha=0.5,
+            lambda1=1.0,
+            lambda2=1.0,
+            lambda3=0.1,
+        )
+        pipeline = DesignPipeline(geometry, doa, freqs, cfg)
+        point = pipeline.initial_params(seed=0) + np.random.default_rng(21).uniform(
+            -0.5, 0.5, pipeline.param_count
+        )
+        loss, snap = pipeline.build_loss(point)
+        assert "perf" in snap.branches and snap.branches.count("perf") < len(freqs)
+        result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], point, loss.gradient())
+        assert pipeline.param_count - len(result.excluded) >= 80
+        assert result.max_rel_error < 1e-4
+
+    def test_df_floor_gradient_matches_finite_differences(self, toy_array, doa45):
+        """A diffuse form shrunk under GAMMA_DIAGONAL_REG times the filter power
+        (as a numerically indefinite one would be) holds the DF denominator at
+        its floor, whose adjoint goes to the filter power."""
+        cfg = LossConfig(
+            variant="L3",
+            target_theta=math.radians(179.0),
+            target_phi=math.radians(179.0),
+            alpha=0.5,
+            lambda1=1.0,
+        )
+        pipeline = DesignPipeline(toy_array, doa45, (2000.0, 4000.0), cfg)
+        pipeline._a_gamma = pipeline._a_gamma * 1e-12
+        point = pipeline.initial_params(seed=3) + 0.2
+        loss, snap = pipeline.build_loss(point)
+        assert snap.branches == ["perf", "perf"]
+        assert snap.df == pytest.approx(list(1e10 * np.array(snap.wng)), rel=1e-12)
+        result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], point, loss.gradient())
+        assert result.max_rel_error < 1e-4
+
+    def test_centre_mic_width_gets_zero_gradient(self, pipeline):
+        """The centre ring's only mic sits at distance 0, so its window width
+        cannot reach the loss."""
+        loss, _ = pipeline.build_loss(pipeline.initial_params(seed=2) + 0.3)
+        grad = loss.gradient().reshape(2, 2, 2)  # (band, u/v, ring)
+        assert np.all(grad[:, 1, 0] == 0.0)
+        assert np.all(grad[:, 1, 1] != 0.0)
+
+    def test_sentinel_band_gets_zero_gradient(self, toy_array, doa45):
+        """All weight on the centre mic leaves a flat pattern, a non-concave
+        fit and the sentinel width pi; the band then has no descent direction."""
+        pipeline = DesignPipeline(toy_array, doa45, (2000.0,), L1_CFG)
+        loss, snap = pipeline.build_loss([50.0, -50.0, 0.0, 0.0])
+        assert snap.theta == [math.pi] and snap.phi == [math.pi]
+        assert snap.branches == ["both"]
+        assert np.all(loss.gradient() == 0.0)
+
+    @pytest.mark.parametrize(
+        "freqs", [(3000.0, 2000.0), (2000.0, 3000.0, 3000.0)], ids=["unsorted", "duplicate"]
+    )
+    def test_bands_must_be_strictly_increasing(self, toy_array, doa45, freqs):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DesignPipeline(toy_array, doa45, freqs, L1_CFG)
+
     def test_snapshot_matches_evaluator_on_same_params(self, array_16k, doa45):
-        """The tape pipeline and the numpy evaluation path must report the
-        same metrics for identical parameters (same cuts, same estimator)."""
+        """The batched pipeline and the per-filter evaluation path must report
+        the same metrics for identical parameters (same cuts, same estimator)."""
         from ccmabeam.metrics import evaluate_params
 
         freqs = (1500.0, 4000.0)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccmabeam as cb
-from ccmabeam import autodiff as ad
-from ccmabeam.autodiff import Tape
+from ccmabeam.metrics import evaluate_filter_bank
 from ccmabeam.wavefield import Direction, steering_vector
 from ccmabeam.weighting import (
     SIGMA_FLOOR,
@@ -115,11 +114,13 @@ class TestGaussianWindow:
         lo, hi = sorted((s1, s2))
         assert gaussian_window(delta, lo) <= gaussian_window(delta, hi) + 1e-15
 
-    def test_var_path_matches_float_path(self):
-        tape = Tape()
-        sigma = tape.var(0.6)
-        out = gaussian_window(0.3, sigma)
-        assert out.value == gaussian_window(0.3, 0.6)
+    def test_distance_array_matches_scalars(self):
+        delta = np.array([0.0, 0.3, 1.0])
+        assert gaussian_window(delta, 0.6).tolist() == [gaussian_window(d, 0.6) for d in delta]
+
+    @pytest.mark.parametrize("sigma", [1e-200, 5e-324])
+    def test_tiny_width_keeps_only_the_zero_distance_tap(self, sigma):
+        assert gaussian_window(np.array([0.0, 1e-3, 1.0]), sigma).tolist() == [1.0, 0.0, 0.0]
 
 
 class TestConstrain:
@@ -171,14 +172,14 @@ class TestConstrain:
         with pytest.raises(ValueError):
             unconstrain_band([0.5, 0.5], [SIGMA_FLOOR / 2.0, 0.5])
 
-    def test_var_path_matches_float_path(self):
-        tape = Tape()
-        u = [tape.var(x) for x in (0.3, -0.8, 1.1)]
-        v = [tape.var(x) for x in (-0.2, 0.5, 2.0)]
-        w_var, s_var = constrain_band(u, v)
-        w_flt, s_flt = constrain_band([0.3, -0.8, 1.1], [-0.2, 0.5, 2.0])
-        assert [x.value for x in w_var] == pytest.approx(w_flt, rel=1e-15)
-        assert [x.value for x in s_var] == pytest.approx(s_flt, rel=1e-15)
+    def test_band_stack_matches_single_bands(self):
+        u = np.array([[0.3, -0.8, 1.1], [2.0, 0.0, -4.0]])
+        v = np.array([[-0.2, 0.5, 2.0], [1.0, -3.0, 0.0]])
+        w_stack, s_stack = constrain_band(u, v)
+        for b in range(2):
+            w, s = constrain_band(u[b], v[b])
+            assert w_stack[b].tolist() == w.tolist()
+            assert s_stack[b].tolist() == s.tolist()
 
 
 class TestAssembleFilter:
@@ -218,6 +219,21 @@ class TestAssembleFilter:
         with pytest.raises(ValueError):
             assemble_filter(array_16k, 1000.0, doa45, [1.0], [0.5])
 
+    def test_tiny_widths_give_a_finite_filter(self, toy_array, doa45):
+        """A positive width squared underflows below about 1e-154; the filter
+        must keep the taps closest to the arrival direction, not turn NaN."""
+        h = assemble_filter(toy_array, 2000.0, doa45, [0.5, 0.5], [1e-200, 1e-200])
+        assert np.all(np.isfinite(h))
+        assert np.count_nonzero(h) == 2  # the centre mic and the closest ring mic
+        curves = evaluate_filter_bank(
+            toy_array,
+            doa45,
+            (2000.0,),
+            lambda f: assemble_filter(toy_array, f, doa45, [0.5, 0.5], [1e-200, 1e-200]),
+        )
+        for name in ("df", "wng", "theta", "phi"):
+            assert np.all(np.isfinite(getattr(curves, name))), name
+
 
 class TestDesignParams:
     def make(self):
@@ -254,6 +270,23 @@ class TestDesignParams:
                 ring_weights=(np.array([1.0]),),
                 window_widths=(np.array([0.5]),),
             )
+        with pytest.raises(ValueError, match="frequencies"):
+            DesignParams(
+                frequencies=(1000.0, 1000.0),
+                ring_weights=(np.array([1.0]), np.array([1.0])),
+                window_widths=(np.array([0.5]), np.array([0.5])),
+            )
+
+    @pytest.mark.parametrize("field", ["ring_weights", "window_widths"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_validation_rejects_non_finite_values(self, field, bad):
+        values = {
+            "ring_weights": (np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+            "window_widths": (np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+        }
+        values[field][1][0] = bad
+        with pytest.raises(ValueError, match=f"band 1: {field} must be finite"):
+            DesignParams(frequencies=(1000.0, 2000.0), **values)
 
     def test_save_load_round_trip(self, tmp_path):
         p = self.make()
