@@ -167,17 +167,29 @@ class DesignLoss(float):
 
     ``gradient()`` runs the reverse pass over the forward arrays that
     produced this value and returns dL/dx in the parameter layout.
+    ``pullback`` runs the same pass from any per-band adjoints of the
+    band metrics; ``gradient()`` is the pullback of the loss partials.
     """
 
-    __slots__ = ("_backward",)
+    __slots__ = ("_backward", "_terms")
 
-    def __new__(cls, value: float, backward: Callable[[], np.ndarray]):
+    def __new__(cls, value: float, backward: Callable[..., np.ndarray], terms: BandLossTerms):
         loss = super().__new__(cls, value)
         loss._backward = backward
+        loss._terms = terms
         return loss
 
     def gradient(self) -> np.ndarray:
-        return self._backward()
+        t = self._terms
+        return self.pullback(t.d_theta, t.d_phi, t.d_df, t.d_wng)
+
+    def pullback(self, d_theta, d_phi, d_df, d_wng) -> np.ndarray:
+        """d/dx of sum over bands of d_theta*theta + d_phi*phi + d_df*DF + d_wng*WNG."""
+        seeds = [np.asarray(d, dtype=float) for d in (d_theta, d_phi, d_df, d_wng)]
+        bands = len(self._terms.theta)
+        if any(d.shape != (bands,) for d in seeds):
+            raise ValueError(f"each metric adjoint must hold {bands} band values")
+        return self._backward(*seeds)
 
 
 class _Forward(NamedTuple):
@@ -346,13 +358,14 @@ class DesignPipeline:
             uv[:, 1], weights, sigmas, taps, gains, a_gains, total, filter_power,
             floored, denom, df, wng, response, cut_power, slopes,
         )
-        return DesignLoss(value, functools.partial(self._backward, state, terms)), terms
+        return DesignLoss(value, functools.partial(self._backward, state), terms), terms
 
-    def _backward(self, fw: _Forward, terms: BandLossTerms) -> np.ndarray:
-        """Reverse pass of :meth:`build_loss`: adjoints flow from the loss
-        partials back through each forward step in turn."""
-        g_widths = np.column_stack([terms.d_theta, terms.d_phi])
-        g_df, g_wng = np.array(terms.d_df), np.array(terms.d_wng)
+    def _backward(
+        self, fw: _Forward, g_theta: np.ndarray, g_phi: np.ndarray, g_df: np.ndarray, g_wng: np.ndarray
+    ) -> np.ndarray:
+        """Reverse pass of :meth:`build_loss`: adjoints flow from the band
+        metrics back through each forward step in turn."""
+        g_widths = np.column_stack([g_theta, g_phi])
 
         # widths -> curvatures -> dB cut samples -> cut responses
         g_db = (g_widths * fw.slopes)[:, :, None] * self._fit

@@ -96,7 +96,8 @@ class TestL2:
     def test_one_sided_undershoot_keeps_maximizing(self):
         assert loss_l2(deg(39.0), deg(20.0), 10.0, cfg(variant="L2")) == -1.0
 
-    def test_gradients_flow_through_active_branch(self):
+    def test_var_path_gradients_flow_through_active_branch(self):
+        """The partials in the snapshot follow only the active branch."""
         _, snap = total_loss([deg(20.0)], [deg(20.0)], [10.0], [5.0], cfg(variant="L2"))
         # broadening branch: only the directivity carries gradient, sign +
         assert snap.d_theta == [0.0] and snap.d_phi == [0.0] and snap.d_wng == [0.0]

@@ -177,7 +177,9 @@ class TestBeamwidthParabola:
         assert not ok
         assert width == math.pi
 
-    def test_sentinel_has_zero_gradient(self):
+    def test_sentinel_stays_on_tape_with_zero_gradient(self):
+        """The sentinel width pi carries a zero slope, so no gradient reaches
+        the cut samples of a non-concave fit."""
         x = np.arange(-2.0, 3.0)
         coeffs = fit_coefficients(x, 2, 1.0)
         width, slope, concave = curvature_width(coeffs @ np.zeros(5))

@@ -114,7 +114,8 @@ class TestGaussianWindow:
         lo, hi = sorted((s1, s2))
         assert gaussian_window(delta, lo) <= gaussian_window(delta, hi) + 1e-15
 
-    def test_distance_array_matches_scalars(self):
+    def test_var_path_matches_float_path(self):
+        """A vector of distances gives the scalar results elementwise."""
         delta = np.array([0.0, 0.3, 1.0])
         assert gaussian_window(delta, 0.6).tolist() == [gaussian_window(d, 0.6) for d in delta]
 
@@ -172,7 +173,8 @@ class TestConstrain:
         with pytest.raises(ValueError):
             unconstrain_band([0.5, 0.5], [SIGMA_FLOOR / 2.0, 0.5])
 
-    def test_band_stack_matches_single_bands(self):
+    def test_var_path_matches_float_path(self):
+        """A stack of bands gives the one-band results row by row."""
         u = np.array([[0.3, -0.8, 1.1], [2.0, 0.0, -4.0]])
         v = np.array([[-0.2, 0.5, 2.0], [1.0, -3.0, 0.0]])
         w_stack, s_stack = constrain_band(u, v)
