@@ -24,7 +24,7 @@ from .autodiff import gradcheck
 from .baselines import BASELINE_TAGS, evaluate_baseline, get_baseline
 from .geometry import ArrayConfig, ArrayGeometry, GeometryError, build_geometry
 from .loss import VARIANTS, LossConfig
-from .metrics import MetricCurves, NumericalError, evaluate_params
+from .metrics import MetricCurves, NumericalError, evaluate_params, metric_cells
 from .optimizer import DesignPipeline, optimize
 from .wavefield import AngularGrid, Direction, beampattern_grid, export_beampattern_csv, pattern_db
 from .weighting import DesignParams, assemble_filter
@@ -355,14 +355,7 @@ def _sweep_point(args) -> tuple[dict, list[list[str]]]:
     rows = []
     for b, f in enumerate(curves.frequencies):
         rows.append(
-            [
-                *(f"{getattr(loss, k):g}" for k in SWEEP_KEYS),
-                f"{f:g}",
-                f"{10.0 * math.log10(curves.df[b]):.6f}",
-                f"{10.0 * math.log10(curves.wng[b]):.6f}",
-                f"{math.degrees(curves.theta[b]):.6f}",
-                f"{math.degrees(curves.phi[b]):.6f}",
-            ]
+            [*(f"{getattr(loss, k):g}" for k in SWEEP_KEYS), f"{f:g}", *metric_cells(curves, b)]
         )
     return overrides, rows
 
@@ -421,17 +414,7 @@ def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str 
         )
         for b, f in enumerate(designed.frequencies):
             writer.writerow(
-                [
-                    f"{f:g}",
-                    f"{10.0 * math.log10(designed.df[b]):.6f}",
-                    f"{10.0 * math.log10(designed.wng[b]):.6f}",
-                    f"{math.degrees(designed.theta[b]):.6f}",
-                    f"{math.degrees(designed.phi[b]):.6f}",
-                    f"{10.0 * math.log10(reference.df[b]):.6f}",
-                    f"{10.0 * math.log10(reference.wng[b]):.6f}",
-                    f"{math.degrees(reference.theta[b]):.6f}",
-                    f"{math.degrees(reference.phi[b]):.6f}",
-                ]
+                [f"{f:g}", *metric_cells(designed, b), *metric_cells(reference, b)]
             )
     print(f"comparison written to {out / 'compare.csv'}")
 

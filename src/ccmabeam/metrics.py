@@ -39,6 +39,7 @@ __all__ = [
     "beamwidth_parabola",
     "beamwidth_oracle",
     "MetricCurves",
+    "metric_cells",
     "evaluate_filter_bank",
     "evaluate_params",
 ]
@@ -306,15 +307,21 @@ class MetricCurves:
             writer = csv.writer(fh)
             writer.writerow(["frequency_hz", "df_db", "wng_db", "theta_deg", "phi_deg"])
             for b, f in enumerate(self.frequencies):
-                writer.writerow(
-                    [
-                        f"{f:g}",
-                        f"{10.0 * math.log10(self.df[b]):.6f}",
-                        f"{10.0 * math.log10(self.wng[b]):.6f}",
-                        f"{math.degrees(self.theta[b]):.6f}",
-                        f"{math.degrees(self.phi[b]):.6f}",
-                    ]
-                )
+                writer.writerow([f"{f:g}", *metric_cells(self, b)])
+
+
+def metric_cells(metrics, b: int) -> list[str]:
+    """CSV cells of band ``b``: DF and WNG in dB, then theta and phi in degrees.
+
+    ``metrics`` holds per-band ``df``/``wng`` (linear) and ``theta``/``phi``
+    (radians), as :class:`MetricCurves` and ``IterationRow`` do.
+    """
+    return [
+        f"{10.0 * math.log10(metrics.df[b]):.6f}",
+        f"{10.0 * math.log10(metrics.wng[b]):.6f}",
+        f"{math.degrees(metrics.theta[b]):.6f}",
+        f"{math.degrees(metrics.phi[b]):.6f}",
+    ]
 
 
 def _cut_db(h: np.ndarray, geometry: ArrayGeometry, frequency: float, cut: FitCut) -> np.ndarray:

@@ -36,6 +36,7 @@ from .metrics import (
     evaluate_params,
     fit_coefficients,
     gamma_matrix,
+    metric_cells,
 )
 from .wavefield import Direction, steering_matrix, steering_vector
 from .weighting import DesignParams, SIGMA_FLOOR, constrain_band, ring_distances, softplus_inverse
@@ -153,12 +154,8 @@ class RunRecord:
             for row in self.rows:
                 cells = [str(row.iteration), f"{row.loss:.9e}"]
                 for b in range(len(self.frequencies)):
-                    cells += [
-                        f"{math.degrees(row.theta[b]):.6f}",
-                        f"{math.degrees(row.phi[b]):.6f}",
-                        f"{10.0 * math.log10(row.df[b]):.6f}",
-                        f"{10.0 * math.log10(row.wng[b]):.6f}",
-                    ]
+                    df_db, wng_db, theta_deg, phi_deg = metric_cells(row, b)
+                    cells += [theta_deg, phi_deg, df_db, wng_db]
                 writer.writerow(cells)
 
 
@@ -442,8 +439,9 @@ def optimize(
             IterationRow(
                 iteration=it,
                 loss=current,
-                theta=tuple(snap.theta),
-                phi=tuple(snap.phi),
+                # reported like evaluate_filter_bank; the loss keeps the raw width
+                theta=tuple(np.minimum(snap.theta, math.pi)),
+                phi=tuple(np.minimum(snap.phi, math.pi)),
                 df=tuple(snap.df),
                 wng=tuple(snap.wng),
             )

@@ -7,7 +7,6 @@ measured from the positive x axis.  All angles are radians.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,13 +18,10 @@ from .geometry import ArrayGeometry
 __all__ = [
     "Direction",
     "AngularGrid",
-    "SteeringField",
-    "propagation_delay",
     "steering_vector",
     "steering_matrix",
     "beampattern",
     "beampattern_grid",
-    "build_steering_field",
     "pattern_db",
     "export_beampattern_csv",
 ]
@@ -95,20 +91,10 @@ def snapped_range(lo: float, hi: float, anchor: float, step: float) -> np.ndarra
     return anchor + np.arange(kmin, kmax + 1) * step
 
 
-def propagation_delay(geometry: ArrayGeometry, ring: int, mic: int, direction: Direction) -> float:
-    """Arrival-time offset in seconds of mic (ring, mic) relative to the center.
-
-    Positive delay means the wavefront reaches the microphone after it
-    reaches the array center.
-    """
-    r = geometry.rings[ring]
-    if not 0 <= mic < r.mic_count:
-        raise IndexError(f"mic {mic} out of range for ring {ring} ({r.mic_count} mics)")
-    return (
-        -(r.radius / geometry.sound_speed)
-        * math.sin(direction.elevation)
-        * math.cos(direction.azimuth - r.angles[mic])
-    )
+# phase cells per block of beampattern_grid: its float64 temporaries stay a
+# few MB, and each block's real product with the (mics, 2) filter matrix is
+# small enough to run on one BLAS thread
+_BLOCK_CELLS = 1 << 18
 
 
 def _check_frequency(geometry: ArrayGeometry, frequency: float) -> None:
@@ -162,35 +148,35 @@ def beampattern(h: np.ndarray, steering: np.ndarray) -> np.ndarray:
 def beampattern_grid(
     geometry: ArrayGeometry, h: np.ndarray, frequency: float, grid: AngularGrid
 ) -> np.ndarray:
-    """Complex response over a full grid, shape (n_elevations, n_azimuths)."""
-    th, ph = np.meshgrid(grid.elevations, grid.azimuths, indexing="ij")
-    flat = beampattern(h, steering_matrix(geometry, frequency, th.ravel(), ph.ravel()))
-    return flat.reshape(th.shape)
+    """Complex response h^H d over a full grid, shape (n_elevations, n_azimuths).
 
-
-@dataclass(frozen=True)
-class SteeringField:
-    """Steering vectors on a shared grid for a list of frequency bands."""
-
-    frequencies: tuple[float, ...]
-    grid: AngularGrid
-    values: tuple[np.ndarray, ...]  # per band, (total_mics, n_elev * n_azim)
-
-    def band(self, index: int) -> np.ndarray:
-        return self.values[index]
-
-
-def build_steering_field(
-    geometry: ArrayGeometry, frequencies, grid: AngularGrid
-) -> SteeringField:
-    th, ph = np.meshgrid(grid.elevations, grid.azimuths, indexing="ij")
-    values = []
-    for f in frequencies:
-        mat = steering_matrix(geometry, f, th.ravel(), ph.ravel())
-        values.append(mat.T.copy())
-    return SteeringField(
-        frequencies=tuple(float(f) for f in frequencies), grid=grid, values=tuple(values)
+    The steering phase 2*pi*f*tau factors as sin(elevation) times a
+    (azimuth, mic) term, so no (directions x mics) steering matrix is
+    built: elevation rows are evaluated in blocks of about _BLOCK_CELLS
+    real phase cells, whose cosines and sines meet [Re h*, Im h*].
+    """
+    _check_frequency(geometry, frequency)
+    h = np.asarray(h)
+    mics = geometry.total_mics
+    if h.shape != (mics,):
+        raise ValueError(f"filter shape {h.shape} does not match the array's {mics} mics")
+    wavenumber = -2.0 * math.pi * frequency / geometry.sound_speed
+    azimuth_phase = (wavenumber * geometry.mic_radii) * np.cos(
+        grid.azimuths[:, None] - geometry.mic_angles
     )
+    sin_el = np.sin(grid.elevations)
+    weights = np.stack([h.real, -h.imag], axis=1)  # [Re h*, Im h*]
+    out = np.empty((len(sin_el), len(grid.azimuths)), dtype=complex)
+    rows = max(1, _BLOCK_CELLS // max(1, azimuth_phase.size))
+    for start in range(0, len(sin_el), rows):
+        phase = (sin_el[start : start + rows, None, None] * azimuth_phase).reshape(-1, mics)
+        cos_h = np.cos(phase) @ weights
+        sin_h = np.sin(phase) @ weights
+        # (cos + i sin)(a + ib) with h* = a + ib
+        block = out[start : start + rows].reshape(-1)
+        block.real = cos_h[:, 0] - sin_h[:, 1]
+        block.imag = cos_h[:, 1] + sin_h[:, 0]
+    return out
 
 
 def pattern_db(values: np.ndarray, floor: float = 1e-30) -> np.ndarray:
@@ -205,14 +191,17 @@ def export_beampattern_csv(
     azimuths: np.ndarray,
     pattern_db_grid: np.ndarray,
 ) -> None:
-    """Rows are elevation, columns azimuth, cells dB re mainlobe."""
+    """Rows are elevation, columns azimuth, cells dB re mainlobe.
+
+    Angles are written with 3 decimals and cells with 6, comma-separated
+    with CRLF line ends (the ``csv`` module's default dialect).
+    """
     pattern_db_grid = np.asarray(pattern_db_grid)
     if pattern_db_grid.shape != (len(elevations), len(azimuths)):
         raise ValueError("pattern grid shape does not match the angle axes")
+    header = "elevation_deg\\azimuth_deg" + "".join(f",{math.degrees(a):.3f}" for a in azimuths)
+    row_format = "%.3f" + ",%.6f" * len(azimuths) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["elevation_deg\\azimuth_deg"] + [f"{math.degrees(a):.3f}" for a in azimuths])
-        for i, el in enumerate(elevations):
-            writer.writerow(
-                [f"{math.degrees(el):.3f}"] + [f"{v:.6f}" for v in pattern_db_grid[i]]
-            )
+        fh.write(header + "\r\n")
+        for el, row in zip(elevations, pattern_db_grid):
+            fh.write(row_format % (math.degrees(el), *row.tolist()))

@@ -109,6 +109,21 @@ class TestDesignCommand:
         for name in ("metrics.csv", "params.json", "run_record.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_run_record_widths_clamped_like_metrics(self, tmp_path):
+        # this config's raw parabola width reaches 185.55 degrees at 2 kHz
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(write_config(tmp_path, small_config(out)))]) == 0
+        with open(out / "run_record.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        widths = [
+            float(v)
+            for row in rows
+            for k, v in row.items()
+            if k.startswith(("theta_deg_", "phi_deg_"))
+        ]
+        assert len(widths) == 4 * len(rows)
+        assert max(widths) == 180.0
+
     def test_manifest_reruns_identically(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         p1 = write_config(tmp_path, small_config(out1), "c1.json")

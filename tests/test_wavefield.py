@@ -1,23 +1,45 @@
 import csv
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ccmabeam as cb
+from ccmabeam.geometry import ArrayGeometry
 from ccmabeam.wavefield import (
+    _BLOCK_CELLS,
     AngularGrid,
     Direction,
     beampattern,
     beampattern_grid,
-    build_steering_field,
     export_beampattern_csv,
     pattern_db,
-    propagation_delay,
     snapped_range,
     steering_matrix,
     steering_vector,
 )
+
+
+def delays(geometry, frequency, direction):
+    """Per-mic arrival delay (s) after the centre, from the steering phase / (2 pi f)."""
+    return np.angle(steering_vector(geometry, frequency, direction)) / (2.0 * math.pi * frequency)
+
+
+def grid_reference(geometry, h, frequency, grid):
+    th, ph = np.meshgrid(grid.elevations, grid.azimuths, indexing="ij")
+    flat = steering_matrix(geometry, frequency, th.ravel(), ph.ravel()) @ np.conj(h)
+    return flat.reshape(th.shape)
+
+
+def csv_reference(path, elevations, azimuths, grid_db):
+    """The csv.writer export that export_beampattern_csv must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["elevation_deg\\azimuth_deg"] + [f"{math.degrees(a):.3f}" for a in azimuths])
+        for i, el in enumerate(elevations):
+            writer.writerow([f"{math.degrees(el):.3f}"] + [f"{v:.6f}" for v in grid_db[i]])
 
 
 class TestDirection:
@@ -40,24 +62,19 @@ class TestDirection:
 
 class TestPropagationDelay:
     def test_broadside_is_zero(self, array_16k):
-        d = Direction(0.0, 1.0)
-        for r in range(array_16k.ring_count):
-            assert propagation_delay(array_16k, r, 0, d) == 0.0
+        for f in (1000.0, 5000.0):
+            assert np.all(delays(array_16k, f, Direction(0.0, 1.0)) == 0.0)
 
     def test_center_mic_is_zero(self, array_16k):
         d = Direction.from_degrees(70.0, 10.0)
-        assert propagation_delay(array_16k, 0, 0, d) == 0.0
+        assert delays(array_16k, 2000.0, d)[0] == 0.0
 
     def test_aligned_in_plane_value(self):
         g = cb.build_geometry(cb.ArrayConfig(ring_radii=(0.1,), sample_rate=16000.0))
-        # arrival from the plane, along the first mic's azimuth
+        # arrival from the plane, along the first mic's azimuth: that mic hears it first
         d = Direction(math.pi / 2.0, g.rings[0].angles[0])
-        tau = propagation_delay(g, 0, 0, d)
+        tau = delays(g, 1000.0, d)[0]
         assert tau == pytest.approx(-0.1 / 343.0, rel=1e-12)
-
-    def test_index_validation(self, array_16k):
-        with pytest.raises(IndexError):
-            propagation_delay(array_16k, 1, 99, Direction(0.0, 0.0))
 
 
 class TestSteering:
@@ -96,11 +113,12 @@ class TestSteering:
 
     def test_steering_field_invariants(self, array_16k, doa45):
         grid = AngularGrid.build(math.radians(15.0), doa45)
-        field = build_steering_field(array_16k, (1000.0, 2000.0), grid)
-        for mat in field.values:
-            assert mat.shape[0] == array_16k.total_mics
+        th, ph = np.meshgrid(grid.elevations, grid.azimuths, indexing="ij")
+        for f in (1000.0, 2000.0):
+            mat = steering_matrix(array_16k, f, th.ravel(), ph.ravel())
+            assert mat.shape == (th.size, array_16k.total_mics)
             assert np.max(np.abs(np.abs(mat) - 1.0)) < 1e-12
-            assert np.all(mat[0] == 1.0 + 0.0j)  # center mic row
+            assert np.all(mat[:, 0] == 1.0 + 0.0j)  # center mic column
 
 
 class TestBeampattern:
@@ -148,6 +166,71 @@ class TestBeampattern:
             beampattern(np.ones(3), d)
 
 
+class TestBeampatternGrid:
+    @staticmethod
+    def random_filter(mics, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=mics) + 1j * rng.normal(size=mics)
+
+    def test_matches_steering_matrix_with_partial_last_block(self, array_16k, doa45):
+        grid = AngularGrid.build(math.radians(2.0), doa45)
+        rows = _BLOCK_CELLS // (len(grid.azimuths) * array_16k.total_mics)
+        assert rows > 1 and len(grid.elevations) % rows != 0
+        h = self.random_filter(array_16k.total_mics, 11)
+        for f in (1000.0, 6000.0):
+            b = beampattern_grid(array_16k, h, f, grid)
+            assert b.shape == (len(grid.elevations), len(grid.azimuths))
+            assert np.max(np.abs(b - grid_reference(array_16k, h, f, grid))) < 1e-12
+
+    def test_matches_steering_matrix_on_unsorted_uneven_rings(self, tmp_path):
+        rng = np.random.default_rng(12)
+        payload = {
+            "sample_rate_hz": 16000.0,
+            "sound_speed_mps": 343.0,
+            "rings": [
+                {"radius_m": 0.0, "mic_count": 1, "angles_rad": [0.0]},
+                {"radius_m": 0.04, "mic_count": 5, "angles_rad": [2.5, 0.3, -1.0, 4.0, 1.1]},
+                {
+                    "radius_m": 0.11,
+                    "mic_count": 9,
+                    "angles_rad": rng.uniform(-6.0, 6.0, 9).tolist(),
+                },
+            ],
+        }
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(payload))
+        g = ArrayGeometry.load(path)
+        grid = AngularGrid.build(math.radians(3.0), Direction.from_degrees(30.0, 200.0))
+        h = self.random_filter(g.total_mics, 13)
+        for f in (700.0, 4500.0):
+            b = beampattern_grid(g, h, f, grid)
+            assert np.max(np.abs(b - grid_reference(g, h, f, grid))) < 1e-12
+
+    def test_rejects_bad_filter_and_frequency(self, array_16k, doa45):
+        grid = AngularGrid.build(math.radians(15.0), doa45)
+        with pytest.raises(ValueError):
+            beampattern_grid(array_16k, np.ones(array_16k.total_mics - 1), 1000.0, grid)
+        with pytest.raises(ValueError):
+            beampattern_grid(array_16k, np.ones(array_16k.total_mics), 8000.1, grid)
+
+    def test_empty_azimuth_axis(self, array_16k, doa45):
+        grid = AngularGrid.build(13.0, doa45)  # coarser than a full turn: no azimuths
+        b = beampattern_grid(array_16k, np.ones(array_16k.total_mics), 1000.0, grid)
+        assert b.shape == (len(grid.elevations), 0)
+
+    def test_memory_stays_blocked(self, array_16k, doa45):
+        # building the full (directions x mics) complex steering matrix peaks near 758 MB
+        grid = AngularGrid.build(math.radians(0.5), doa45)
+        h = self.random_filter(array_16k.total_mics, 14)
+        tracemalloc.start()
+        try:
+            beampattern_grid(array_16k, h, 5500.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+
 class TestAngularGrid:
     def test_contains_doa_exactly(self):
         doa = Direction.from_degrees(45.3, 44.7)
@@ -187,6 +270,25 @@ class TestExport:
         assert rows[0][1:] == ["0.000", "180.000"]
         assert float(rows[1][1]) == pytest.approx(0.0, abs=1e-6)
         assert float(rows[2][1]) == pytest.approx(20.0 * math.log10(0.25), abs=1e-5)
+
+    @pytest.mark.parametrize(
+        "grid_db,needle",
+        [
+            (np.array([[0.0, -0.0, -1e-9], [-4e-7, 4e-7, 0.0]]), b",-0.000000,-0.000000\r\n"),
+            (pattern_db(np.array([[1.0, 0.0, 1e-3], [0.5, -1e-16, 2.0]])), b",-300.000000,"),
+            (np.array([[-0.0]]), b"\r\n0.000,-0.000000\r\n"),
+        ],
+        ids=["signed-zeros", "floor", "1x1"],
+    )
+    def test_bytes_match_csv_writer(self, tmp_path, grid_db, needle):
+        elevations = np.radians(np.arange(grid_db.shape[0]) * 45.3)
+        azimuths = np.radians(np.arange(grid_db.shape[1]) * 120.0 + 0.25)
+        export_beampattern_csv(tmp_path / "new.csv", elevations, azimuths, grid_db)
+        csv_reference(tmp_path / "old.csv", elevations, azimuths, grid_db)
+        data = (tmp_path / "new.csv").read_bytes()
+        assert data == (tmp_path / "old.csv").read_bytes()
+        assert data.count(b"\r\n") == grid_db.shape[0] + 1
+        assert needle in data
 
     def test_shape_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
