@@ -7,10 +7,10 @@ import math
 import numpy as np
 
 from .geometry import ArrayGeometry
-from .metrics import DELTA_L_DB, MetricCurves, evaluate_filter_bank
+from .metrics import MetricCurves, evaluate_filter_bank
 from .wavefield import Direction, steering_vector
 
-__all__ = ["das_filter", "evaluate_baseline", "get_baseline", "BASELINE_TAGS"]
+__all__ = ["das_filter", "evaluate_baseline"]
 
 
 def das_filter(geometry: ArrayGeometry, frequency: float, doa: Direction) -> np.ndarray:
@@ -18,38 +18,13 @@ def das_filter(geometry: ArrayGeometry, frequency: float, doa: Direction) -> np.
     return steering_vector(geometry, frequency, doa) / geometry.total_mics
 
 
-_BASELINES = {
-    "das": das_filter,
-    "delay_and_sum": das_filter,
-}
-
-BASELINE_TAGS = tuple(sorted(_BASELINES))
-
-
-def get_baseline(tag: str):
-    try:
-        return _BASELINES[tag]
-    except KeyError:
-        raise ValueError(
-            f"unknown baseline {tag!r}; expected one of {BASELINE_TAGS}"
-        ) from None
-
-
 def evaluate_baseline(
     geometry: ArrayGeometry,
     doa: Direction,
     frequencies,
-    tag: str = "das",
     grid_resolution: float = math.radians(1.0),
-    delta_l: float = DELTA_L_DB,
 ) -> MetricCurves:
-    """Metric curves of a named baseline beamformer."""
-    fn = get_baseline(tag)
+    """Metric curves of the delay-and-sum baseline."""
     return evaluate_filter_bank(
-        geometry,
-        doa,
-        frequencies,
-        lambda f: fn(geometry, f, doa),
-        grid_resolution,
-        delta_l,
+        geometry, doa, frequencies, lambda f: das_filter(geometry, f, doa), grid_resolution
     )

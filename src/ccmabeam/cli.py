@@ -21,18 +21,19 @@ import numpy as np
 
 from . import __version__
 from .autodiff import gradcheck
-from .baselines import BASELINE_TAGS, evaluate_baseline, get_baseline
+from .baselines import das_filter, evaluate_baseline
 from .geometry import ArrayConfig, ArrayGeometry, GeometryError, build_geometry
 from .loss import VARIANTS, LossConfig
-from .metrics import MetricCurves, NumericalError, evaluate_params, metric_cells
+from .metrics import MetricCurves, NumericalError, evaluate_params, metric_cells, params_filter_fn
 from .optimizer import DesignPipeline, optimize
 from .wavefield import AngularGrid, Direction, beampattern_grid, export_beampattern_csv, pattern_db
-from .weighting import DesignParams, assemble_filter
+from .weighting import DesignParams
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
 DEFAULT_FREQUENCIES = tuple(float(f) for f in range(500, 7501, 500))
 SWEEP_KEYS = ("alpha", "lambda1", "lambda2", "lambda3")
+GRADCHECK_TOLERANCE = 1e-4
 
 
 class ConfigError(ValueError):
@@ -103,7 +104,7 @@ def _number(value, field: str, minimum=None, strict=False) -> float:
     return value
 
 
-def parse_config(raw: dict, path: str = "") -> RunConfig:
+def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root: expected a JSON object")
 
@@ -211,8 +212,8 @@ def parse_config(raw: dict, path: str = "") -> RunConfig:
                 raise ConfigError(f"sweep.{key}: expected a non-empty list of values")
             for i, v in enumerate(values):
                 field = f"sweep.{key}[{i}]"
-                try:
-                    replace(loss, **{key: _number(v, field)})
+                try:  # sweeps run under L3 only
+                    replace(loss, variant="L3", **{key: _number(v, field)})
                 except ValueError as err:
                     raise ConfigError(f"{field}: {err}") from None
         sweep = {k: [float(v) for v in vals] for k, vals in sweep.items()}
@@ -241,35 +242,26 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from None
-    return parse_config(raw, str(path))
+    return parse_config(raw)
 
 
 def _write_manifest(cfg: RunConfig, out: Path) -> None:
     (out / "manifest.json").write_text(json.dumps(cfg.resolved(), indent=2) + "\n")
 
 
-def _write_beampatterns(
-    cfg: RunConfig, geometry: ArrayGeometry, out: Path, filter_fn, prefix: str = "beampattern"
-) -> None:
+def _write_beampatterns(cfg: RunConfig, geometry: ArrayGeometry, out: Path, filter_fn) -> None:
     grid = AngularGrid.build(cfg.grid_resolution, cfg.doa)
     for f in cfg.frequencies:
         h = filter_fn(f)
         grid_db = pattern_db(beampattern_grid(geometry, h, f, grid))
         export_beampattern_csv(
-            out / f"{prefix}_{f:g}.csv", grid.elevations, grid.azimuths, grid_db
+            out / f"beampattern_{f:g}.csv", grid.elevations, grid.azimuths, grid_db
         )
 
 
-def _design_filter_fn(cfg: RunConfig, geometry: ArrayGeometry, params: DesignParams):
-    lookup = {f: b for b, f in enumerate(params.frequencies)}
-
-    def fn(f: float):
-        b = lookup[f]
-        return assemble_filter(
-            geometry, f, cfg.doa, params.ring_weights[b], params.window_widths[b]
-        )
-
-    return fn
+def _check_baseline(tag: str) -> None:
+    if tag != "das":  # delay-and-sum is the one baseline
+        raise ConfigError(f"baseline: expected 'das', got {tag!r}")
 
 
 def cmd_design(cfg: RunConfig, out_dir: str | Path) -> MetricCurves:
@@ -288,7 +280,7 @@ def cmd_design(cfg: RunConfig, out_dir: str | Path) -> MetricCurves:
     result.params.save(out / "params.json")
     result.curves.to_csv(out / "metrics.csv")
     result.record.to_csv(out / "run_record.csv")
-    _write_beampatterns(cfg, geometry, out, _design_filter_fn(cfg, geometry, result.params))
+    _write_beampatterns(cfg, geometry, out, params_filter_fn(geometry, cfg.doa, result.params))
     _write_manifest(cfg, out)
     print(
         f"design finished after {result.record.iteration_count} iterations "
@@ -304,63 +296,26 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path, params_path=None, baseline=Non
     if (params_path is None) == (baseline is None):
         raise ConfigError("eval: provide exactly one of --params or --baseline")
     if baseline is not None:
-        fn = get_baseline(baseline)
-        filter_fn = lambda f: fn(geometry, f, cfg.doa)
-        curves = evaluate_baseline(
-            geometry, cfg.doa, cfg.frequencies, baseline, cfg.grid_resolution
-        )
+        _check_baseline(baseline)
+        filter_fn = lambda f: das_filter(geometry, f, cfg.doa)
+        curves = evaluate_baseline(geometry, cfg.doa, cfg.frequencies, cfg.grid_resolution)
     else:
-        params = DesignParams.load(params_path)
-        if params.ring_count != geometry.ring_count:
-            raise ConfigError(
-                f"params: file covers {params.ring_count} rings but the array has "
-                f"{geometry.ring_count}"
-            )
-        missing = [f for f in cfg.frequencies if f not in params.frequencies]
-        if missing:
-            raise ConfigError(f"params: no saved band for frequencies {missing}")
-        sub = DesignParams(
-            frequencies=tuple(cfg.frequencies),
-            ring_weights=tuple(
-                params.ring_weights[params.frequencies.index(f)] for f in cfg.frequencies
-            ),
-            window_widths=tuple(
-                params.window_widths[params.frequencies.index(f)] for f in cfg.frequencies
-            ),
-        )
-        curves = evaluate_params(geometry, cfg.doa, sub, cfg.grid_resolution)
-        filter_fn = _design_filter_fn(cfg, geometry, sub)
+        params = DesignParams.load(params_path).select(cfg.frequencies)
+        curves = evaluate_params(geometry, cfg.doa, params, cfg.grid_resolution)
+        filter_fn = params_filter_fn(geometry, cfg.doa, params)
     curves.to_csv(out / "metrics.csv")
     _write_beampatterns(cfg, geometry, out, filter_fn)
     print(f"eval wrote metrics and beampattern grids to {out}")
     return curves
 
 
-def _sweep_point(args) -> tuple[dict, list[list[str]]]:
-    raw_cfg, overrides, point_dir = args
-    cfg = parse_config(raw_cfg)
-    loss = replace(cfg.loss, **overrides)
-    point_cfg = RunConfig(
-        array=cfg.array,
-        doa=cfg.doa,
-        frequencies=cfg.frequencies,
-        loss=loss,
-        grid_resolution_deg=cfg.grid_resolution_deg,
-        budget=cfg.budget,
-        seed=cfg.seed,
-        output_dir=str(point_dir),
-        sweep=None,
-    )
-    curves = cmd_design(point_cfg, point_dir)
-    rows = []
-    for b, f in enumerate(curves.frequencies):
-        rows.append(
-            [*(f"{getattr(loss, k):g}" for k in SWEEP_KEYS), f"{f:g}", *metric_cells(curves, b)]
-        )
-    return overrides, rows
+def _sweep_point(cfg: RunConfig) -> list[list[str]]:
+    curves = cmd_design(cfg, cfg.output_dir)
+    knobs = [f"{getattr(cfg.loss, k):g}" for k in SWEEP_KEYS]
+    return [[*knobs, f"{f:g}", *metric_cells(curves, b)] for b, f in enumerate(curves.frequencies)]
 
 
-def cmd_sweep(cfg: RunConfig, raw_cfg: dict, out_dir: str | Path, workers: int = 1) -> int:
+def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
     if not cfg.sweep:
         raise ConfigError("sweep: the config has no sweep section")
     if cfg.loss.variant != "L3":
@@ -372,7 +327,8 @@ def cmd_sweep(cfg: RunConfig, raw_cfg: dict, out_dir: str | Path, workers: int =
     jobs = []
     for overrides in combos:
         tag = "_".join(f"{k}={overrides[k]:g}" for k in keys)
-        jobs.append((raw_cfg, overrides, out / tag))
+        loss = replace(cfg.loss, **overrides)
+        jobs.append(replace(cfg, loss=loss, output_dir=str(out / tag), sweep=None))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, jobs))
@@ -383,7 +339,7 @@ def cmd_sweep(cfg: RunConfig, raw_cfg: dict, out_dir: str | Path, workers: int =
         writer.writerow(
             [*SWEEP_KEYS, "frequency_hz", "df_db", "wng_db", "theta_deg", "phi_deg"]
         )
-        for _, rows in results:
+        for rows in results:
             writer.writerows(rows)
     print(f"sweep finished: {len(combos)} points, summary in {out / 'summary.csv'}")
     return len(combos)
@@ -393,16 +349,10 @@ def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     geometry = build_geometry(cfg.array)
+    _check_baseline(baseline)
     params = DesignParams.load(params_path)
-    if params.ring_count != geometry.ring_count:
-        raise ConfigError(
-            f"params: file covers {params.ring_count} rings but the array has "
-            f"{geometry.ring_count}"
-        )
     designed = evaluate_params(geometry, cfg.doa, params, cfg.grid_resolution)
-    reference = evaluate_baseline(
-        geometry, cfg.doa, params.frequencies, baseline, cfg.grid_resolution
-    )
+    reference = evaluate_baseline(geometry, cfg.doa, params.frequencies, cfg.grid_resolution)
     with open(out / "compare.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -419,7 +369,7 @@ def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str 
     print(f"comparison written to {out / 'compare.csv'}")
 
 
-def cmd_gradcheck(seed: int = 0, points: int = 5, tolerance: float = 1e-4) -> float:
+def cmd_gradcheck(seed: int = 0, points: int = 5) -> float:
     """Self-test: pipeline gradient vs. finite differences on a small array."""
     geometry = build_geometry(ArrayConfig(ring_radii=(0.0, 0.05), sample_rate=16000.0))
     doa = Direction.from_degrees(45.0, 45.0)
@@ -444,8 +394,8 @@ def cmd_gradcheck(seed: int = 0, points: int = 5, tolerance: float = 1e-4) -> fl
             + (f" ({len(result.excluded)} branch-boundary coords skipped)" if result.excluded else "")
         )
         worst = max(worst, result.max_rel_error)
-    status = "OK" if worst < tolerance else "FAIL"
-    print(f"gradcheck {status}: worst relative error {worst:.3e} (tolerance {tolerance:g})")
+    status = "OK" if worst < GRADCHECK_TOLERANCE else "FAIL"
+    print(f"gradcheck {status}: worst relative error {worst:.3e} (tolerance {GRADCHECK_TOLERANCE:g})")
     return worst
 
 
@@ -461,28 +411,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="run config JSON")
+    def common(p):
+        p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="optimizer seed override")
         p.add_argument("--grid-deg", type=float, default=None, help="grid resolution override")
 
     p = sub.add_parser("design", help="optimize a filter set and write artifacts")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="optimizer seed override")
 
     p = sub.add_parser("eval", help="recompute metrics from saved params or a baseline")
     common(p)
     p.add_argument("--params", default=None, help="params.json from a design run")
-    p.add_argument("--baseline", default=None, choices=BASELINE_TAGS)
+    p.add_argument("--baseline", default=None, choices=["das"])
 
     p = sub.add_parser("sweep", help="run the config's sweep grid")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="optimizer seed override")
     p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("compare", help="designed params vs. a baseline")
     common(p)
     p.add_argument("--params", required=True)
-    p.add_argument("--baseline", default="das", choices=BASELINE_TAGS)
+    p.add_argument("--baseline", default="das", choices=["das"])
 
     p = sub.add_parser("gradcheck", help="gradient self-test on a small array")
     p.add_argument("--seed", type=int, default=0)
@@ -507,7 +458,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "gradcheck":
             worst = cmd_gradcheck(seed=args.seed, points=args.points)
-            return 0 if worst < 1e-4 else 2
+            return 0 if worst < GRADCHECK_TOLERANCE else 2
         cfg = _apply_overrides(load_config(args.config), args)
         out = cfg.output_dir
         if args.command == "design":
@@ -515,7 +466,7 @@ def main(argv=None) -> int:
         elif args.command == "eval":
             cmd_eval(cfg, out, params_path=args.params, baseline=args.baseline)
         elif args.command == "sweep":
-            cmd_sweep(cfg, cfg.resolved(), out, workers=args.workers)
+            cmd_sweep(cfg, out, workers=args.workers)
         elif args.command == "compare":
             cmd_compare(cfg, out, args.params, args.baseline)
         return 0

@@ -32,7 +32,8 @@ class LossConfig:
     ``alpha`` trades directivity against white noise gain inside the
     performance term; ``lambda1``/``lambda2`` weight the across-band
     standard deviations of DF and WNG; ``lambda3`` weights the mismatch
-    between opposing bands.  Targets are radians.
+    between opposing bands.  Only L3 reads these four, so L1 and L2 take
+    their neutral values (alpha 1, lambdas 0).  Targets are radians.
     """
 
     variant: str
@@ -51,6 +52,10 @@ class LossConfig:
         for name in ("lambda1", "lambda2", "lambda3"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
+        neutral = {"alpha": 1.0, "lambda1": 0.0, "lambda2": 0.0, "lambda3": 0.0}
+        for name, value in neutral.items():
+            if self.variant != "L3" and getattr(self, name) != value:
+                raise ValueError(f"{name} is an L3 setting; {self.variant} needs {value:g}")
         if not 0.0 < self.target_theta <= math.pi or not 0.0 < self.target_phi <= math.pi:
             raise ValueError("beamwidth targets must lie in (0, pi] radians")
 
@@ -167,10 +172,8 @@ def _std(values, eps: float = STD_EPS) -> tuple[float, list[float]]:
     return std, [(v - mean) / (n * std) for v in values]
 
 
-def _assemble(thetas, phis, dfs, wngs, cfg: LossConfig, perf, regularized: bool):
-    lambda1, lambda2, lambda3 = (
-        (cfg.lambda1, cfg.lambda2, cfg.lambda3) if regularized else (0.0, 0.0, 0.0)
-    )
+def _assemble(thetas, phis, dfs, wngs, cfg: LossConfig, perf):
+    lambda1, lambda2, lambda3 = cfg.lambda1, cfg.lambda2, cfg.lambda3
     thetas, phis = [float(t) for t in thetas], [float(p) for p in phis]
     dfs, wngs = [float(d) for d in dfs], [float(w) for w in wngs]
     count = len(thetas)
@@ -243,7 +246,7 @@ def loss_l3(thetas, phis, dfs, wngs, cfg: LossConfig):
     """
     if len(thetas) < 2:
         raise ValueError("the banded loss needs at least 2 frequency bands")
-    return _assemble(thetas, phis, dfs, wngs, cfg, _l3_perf, regularized=True)
+    return _assemble(thetas, phis, dfs, wngs, cfg, _l3_perf)
 
 
 def total_loss(thetas, phis, dfs, wngs, cfg: LossConfig):
@@ -255,4 +258,4 @@ def total_loss(thetas, phis, dfs, wngs, cfg: LossConfig):
     if cfg.variant == "L3":
         return loss_l3(thetas, phis, dfs, wngs, cfg)
     perf = _l1_perf if cfg.variant == "L1" else _l2_perf
-    return _assemble(thetas, phis, dfs, wngs, cfg, perf, regularized=False)
+    return _assemble(thetas, phis, dfs, wngs, cfg, perf)

@@ -18,7 +18,15 @@ from typing import Callable
 import numpy as np
 
 from .geometry import ArrayGeometry
-from .wavefield import Direction, beampattern, snapped_range, steering_matrix, steering_vector
+from .wavefield import (
+    ELEVATION_RANGE,
+    Direction,
+    beampattern,
+    pattern_db,
+    snapped_range,
+    steering_matrix,
+    steering_vector,
+)
 from .weighting import DesignParams, assemble_filter
 
 __all__ = [
@@ -26,7 +34,6 @@ __all__ = [
     "DELTA_L_DB",
     "ORACLE_DELTA_L_DB",
     "GAMMA_DIAGONAL_REG",
-    "PATTERN_POWER_FLOOR",
     "MASK_SUPPORT_SIGMAS",
     "gamma_matrix",
     "directivity_factor",
@@ -41,6 +48,7 @@ __all__ = [
     "MetricCurves",
     "metric_cells",
     "evaluate_filter_bank",
+    "params_filter_fn",
     "evaluate_params",
 ]
 
@@ -50,7 +58,6 @@ DELTA_L_DB = 6.0
 ORACLE_DELTA_L_DB = 20.0 * math.log10(2.0)
 
 GAMMA_DIAGONAL_REG = 1e-10
-PATTERN_POWER_FLOOR = 1e-30
 MASK_SUPPORT_SIGMAS = 3.0
 
 SCHEDULE_K = 0.8
@@ -99,26 +106,19 @@ def white_noise_gain(h: np.ndarray, d_doa: np.ndarray) -> float:
     return abs(np.vdot(h, d_doa)) ** 2 / power
 
 
-def sigma_schedule(
-    frequency: float,
-    diameter: float,
-    sound_speed: float,
-    k: float = SCHEDULE_K,
-    sigma_min: float = SCHEDULE_SIGMA_MIN,
-    sigma_max: float = SCHEDULE_SIGMA_MAX,
-) -> tuple[float, float]:
+def sigma_schedule(frequency: float, diameter: float, sound_speed: float) -> tuple[float, float]:
     """Frequency-dependent fit-mask width, narrower at higher frequencies.
 
-    Returns (sigma_theta, sigma_phi) in radians, clamped to
-    [sigma_min, sigma_max].  A zero-aperture array pins the width to
-    sigma_max.
+    Returns (sigma_theta, sigma_phi) in radians: SCHEDULE_K * c / (f D),
+    clamped to [SCHEDULE_SIGMA_MIN, SCHEDULE_SIGMA_MAX].  A zero-aperture
+    array pins the width to SCHEDULE_SIGMA_MAX.
     """
     if frequency <= 0.0:
         raise ValueError("frequency must be positive")
     if diameter <= 0.0:
-        sigma = sigma_max
-    else:
-        sigma = min(max(k * sound_speed / (frequency * diameter), sigma_min), sigma_max)
+        return SCHEDULE_SIGMA_MAX, SCHEDULE_SIGMA_MAX
+    sigma = SCHEDULE_K * sound_speed / (frequency * diameter)
+    sigma = min(max(sigma, SCHEDULE_SIGMA_MIN), SCHEDULE_SIGMA_MAX)
     return sigma, sigma
 
 
@@ -144,21 +144,13 @@ def _mask_weights(x: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def build_fit_cuts(
-    geometry: ArrayGeometry,
-    doa: Direction,
-    frequency: float,
-    grid_resolution: float,
-    elevation_range: tuple[float, float] = (0.0, math.pi / 2.0),
-    support_sigmas: float = MASK_SUPPORT_SIGMAS,
-    **schedule_kwargs,
+    geometry: ArrayGeometry, doa: Direction, frequency: float, grid_resolution: float
 ) -> tuple[FitCut, FitCut]:
     """Elevation and azimuth cuts snapped to the DoA, trimmed to the mask support."""
-    sigma_theta, sigma_phi = sigma_schedule(
-        frequency, geometry.diameter(), geometry.sound_speed, **schedule_kwargs
-    )
+    sigma_theta, sigma_phi = sigma_schedule(frequency, geometry.diameter(), geometry.sound_speed)
 
-    lo, hi = elevation_range
-    support = support_sigmas * sigma_theta
+    lo, hi = ELEVATION_RANGE
+    support = MASK_SUPPORT_SIGMAS * sigma_theta
     thetas = snapped_range(
         max(lo, doa.elevation - support), min(hi, doa.elevation + support),
         doa.elevation, grid_resolution,
@@ -173,7 +165,7 @@ def build_fit_cuts(
         sigma=sigma_theta,
     )
 
-    support = support_sigmas * sigma_phi
+    support = MASK_SUPPORT_SIGMAS * sigma_phi
     steps = int(math.floor(support / grid_resolution + 1e-9))
     half_circle = int(math.ceil(math.pi / grid_resolution - 1e-9))
     kmin = -min(steps, half_circle - 1)
@@ -218,8 +210,8 @@ def fit_coefficients(x, doa_index: int, sigma_window: float) -> np.ndarray:
     return (total_w * (w * x2) - s_x2 * w) / denom
 
 
-def curvature_width(a, delta_l: float = DELTA_L_DB):
-    """Mainlobe width 2 sqrt(delta_l / -a) of fitted curvatures ``a``.
+def curvature_width(a):
+    """Mainlobe width 2 sqrt(DELTA_L_DB / -a) of fitted curvatures ``a``.
 
     Returns (width, d width / d a, concave), elementwise.  A non-concave
     fit (a >= -1e-12) gets the sentinel width pi with a zero derivative.
@@ -227,22 +219,20 @@ def curvature_width(a, delta_l: float = DELTA_L_DB):
     a = np.asarray(a, dtype=float)
     concave = a < -1e-12
     neg_a = np.where(concave, -a, 1.0)
-    width = np.where(concave, 2.0 * np.sqrt(delta_l / neg_a), math.pi)
+    width = np.where(concave, 2.0 * np.sqrt(DELTA_L_DB / neg_a), math.pi)
     slope = np.where(concave, width / (2.0 * neg_a), 0.0)
     return width, slope, concave
 
 
-def beamwidth_parabola(x, cut_db, doa_index: int, sigma_window: float, delta_l: float = DELTA_L_DB):
+def beamwidth_parabola(x, cut_db, doa_index: int, sigma_window: float):
     """Mainlobe width from a mask-weighted quadratic fit to a dB cut.
 
     Fits cut_db[i] ~ a x_i^2 + b (see :func:`fit_coefficients`) and
-    returns (2 * sqrt(delta_l / |a|), True).  A non-concave fit (a >= 0)
-    returns the sentinel (pi, False).
+    returns (2 * sqrt(DELTA_L_DB / |a|), True).  A non-concave fit
+    (a >= 0) returns the sentinel (pi, False).
     """
-    if delta_l <= 0.0:
-        raise ValueError("delta_l must be positive")
     a = fit_coefficients(x, doa_index, sigma_window) @ np.asarray(cut_db, dtype=float)
-    width, _, concave = curvature_width(a, delta_l)
+    width, _, concave = curvature_width(a)
     return float(width), bool(concave)
 
 
@@ -325,9 +315,9 @@ def metric_cells(metrics, b: int) -> list[str]:
 
 
 def _cut_db(h: np.ndarray, geometry: ArrayGeometry, frequency: float, cut: FitCut) -> np.ndarray:
-    values = beampattern(h, steering_matrix(geometry, frequency, cut.elevations, cut.azimuths))
-    power = np.abs(values) ** 2 + PATTERN_POWER_FLOOR
-    return 10.0 * np.log10(power)
+    return pattern_db(
+        beampattern(h, steering_matrix(geometry, frequency, cut.elevations, cut.azimuths))
+    )
 
 
 def evaluate_filter_bank(
@@ -336,7 +326,6 @@ def evaluate_filter_bank(
     frequencies,
     filter_fn: Callable[[float], np.ndarray],
     grid_resolution: float = math.radians(1.0),
-    delta_l: float = DELTA_L_DB,
 ) -> MetricCurves:
     """Metric curves for any per-frequency filter factory.
 
@@ -352,16 +341,32 @@ def evaluate_filter_bank(
         wng.append(white_noise_gain(h, d))
         theta_cut, phi_cut = build_fit_cuts(geometry, doa, f, grid_resolution)
         width, _ = beamwidth_parabola(
-            theta_cut.x, _cut_db(h, geometry, f, theta_cut), theta_cut.doa_index,
-            theta_cut.sigma, delta_l,
+            theta_cut.x, _cut_db(h, geometry, f, theta_cut), theta_cut.doa_index, theta_cut.sigma
         )
         theta.append(min(width, math.pi))
         width, _ = beamwidth_parabola(
-            phi_cut.x, _cut_db(h, geometry, f, phi_cut), phi_cut.doa_index,
-            phi_cut.sigma, delta_l,
+            phi_cut.x, _cut_db(h, geometry, f, phi_cut), phi_cut.doa_index, phi_cut.sigma
         )
         phi.append(min(width, math.pi))
     return MetricCurves(freqs, np.array(df), np.array(wng), np.array(theta), np.array(phi))
+
+
+def params_filter_fn(
+    geometry: ArrayGeometry, doa: Direction, params: DesignParams
+) -> Callable[[float], np.ndarray]:
+    """Filter factory of a designed parameter set: band frequency -> filter."""
+    if params.ring_count != geometry.ring_count:
+        raise ValueError(
+            f"params: the parameters cover {params.ring_count} rings but the array has "
+            f"{geometry.ring_count}"
+        )
+    lookup = {f: b for b, f in enumerate(params.frequencies)}
+
+    def filter_fn(f: float) -> np.ndarray:
+        b = lookup[f]
+        return assemble_filter(geometry, f, doa, params.ring_weights[b], params.window_widths[b])
+
+    return filter_fn
 
 
 def evaluate_params(
@@ -369,22 +374,8 @@ def evaluate_params(
     doa: Direction,
     params: DesignParams,
     grid_resolution: float = math.radians(1.0),
-    delta_l: float = DELTA_L_DB,
 ) -> MetricCurves:
     """Metric curves of a designed parameter set (one filter per band)."""
-    if params.ring_count != geometry.ring_count:
-        raise ValueError(
-            f"parameters cover {params.ring_count} rings but the array has "
-            f"{geometry.ring_count}"
-        )
-    lookup = {f: b for b, f in enumerate(params.frequencies)}
-
-    def filter_fn(f: float) -> np.ndarray:
-        b = lookup[f]
-        return assemble_filter(
-            geometry, f, doa, params.ring_weights[b], params.window_widths[b]
-        )
-
     return evaluate_filter_bank(
-        geometry, doa, params.frequencies, filter_fn, grid_resolution, delta_l
+        geometry, doa, params.frequencies, params_filter_fn(geometry, doa, params), grid_resolution
     )

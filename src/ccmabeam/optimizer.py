@@ -26,9 +26,7 @@ import numpy as np
 from .geometry import ArrayGeometry
 from .loss import BandLossTerms, LossConfig, total_loss
 from .metrics import (
-    DELTA_L_DB,
     GAMMA_DIAGONAL_REG,
-    PATTERN_POWER_FLOOR,
     MetricCurves,
     NumericalError,
     build_fit_cuts,
@@ -38,7 +36,7 @@ from .metrics import (
     gamma_matrix,
     metric_cells,
 )
-from .wavefield import Direction, steering_matrix, steering_vector
+from .wavefield import PATTERN_POWER_FLOOR, Direction, steering_matrix, steering_vector
 from .weighting import DesignParams, SIGMA_FLOOR, constrain_band, ring_distances, softplus_inverse
 
 __all__ = [
@@ -55,6 +53,9 @@ __all__ = [
 
 INITIAL_SIGMA = 0.5
 INIT_NOISE = 1e-3
+
+NO_IMPROVE_LIMIT = 200
+IMPROVE_TOL = 1e-6
 
 _DB_PER_LN = 10.0 / math.log(10.0)  # d(10 log10 p)/dp = _DB_PER_LN / p
 
@@ -227,7 +228,6 @@ class DesignPipeline:
         frequencies: Sequence[float],
         loss_config: LossConfig,
         grid_resolution: float = math.radians(1.0),
-        delta_l: float = DELTA_L_DB,
     ):
         if len(frequencies) == 0:
             raise ValueError("at least one frequency band is required")
@@ -238,12 +238,9 @@ class DesignPipeline:
                     f"frequencies must be strictly increasing: band {i} "
                     f"({self.frequencies[i]:g} Hz) follows {self.frequencies[i - 1]:g} Hz"
                 )
-        if delta_l <= 0.0:
-            raise ValueError("delta_l must be positive")
         self.geometry = geometry
         self.doa = doa
         self.loss_config = loss_config
-        self.delta_l = delta_l
 
         rings = range(geometry.ring_count)
         self._ring_starts = np.array([geometry.ring_slice(r).start for r in rings])
@@ -345,7 +342,7 @@ class DesignPipeline:
         # the fit coefficients sum to zero, so the curvature ignores the dB
         # offset of normalizing the cuts to the look direction
         curvature = np.einsum("bcs,bcs->bc", self._fit, 10.0 * np.log10(cut_power))
-        widths, slopes, _ = curvature_width(curvature, self.delta_l)
+        widths, slopes, _ = curvature_width(curvature)
 
         value, terms = total_loss(
             widths[:, 0].tolist(), widths[:, 1].tolist(), df.tolist(), wng.tolist(),
@@ -407,24 +404,18 @@ def optimize(
     budget: int,
     seed: int = 0,
     grid_resolution: float = math.radians(1.0),
-    rprop_config: RPropConfig = RPropConfig(),
-    no_improve_limit: int = 200,
-    improve_tol: float = 1e-6,
-    delta_l: float = DELTA_L_DB,
 ) -> OptimizeResult:
     """Jointly optimize all bands; returns the best parameters seen.
 
     Deterministic for a fixed seed.  Stops at the iteration budget or
-    after ``no_improve_limit`` iterations without the best loss improving
-    by more than ``improve_tol``.
+    after NO_IMPROVE_LIMIT iterations without the best loss improving by
+    more than IMPROVE_TOL.
     """
     if budget < 1:
         raise ValueError("iteration budget must be at least 1")
-    pipeline = DesignPipeline(
-        geometry, doa, frequencies, loss_config, grid_resolution, delta_l
-    )
+    pipeline = DesignPipeline(geometry, doa, frequencies, loss_config, grid_resolution)
     x = pipeline.initial_params(seed)
-    state = RPropState.create(len(x), rprop_config)
+    state = RPropState.create(len(x))
     rows: list[IterationRow] = []
     best_loss = math.inf
     best_x = x.copy()
@@ -446,20 +437,20 @@ def optimize(
                 wng=tuple(snap.wng),
             )
         )
-        if current < best_loss - improve_tol:
+        if current < best_loss - IMPROVE_TOL:
             no_improve = 0
         else:
             no_improve += 1
         if current < best_loss:
             best_loss = current
             best_x = x.copy()
-        if no_improve >= no_improve_limit:
+        if no_improve >= NO_IMPROVE_LIMIT:
             reason = "no_improvement"
             break
         if it == budget:
             break
-        x = rprop_step(state, value.gradient(), x, rprop_config)
+        x = rprop_step(state, value.gradient(), x)
     params = pipeline.params_from_vector(best_x)
-    curves = evaluate_params(geometry, doa, params, grid_resolution, delta_l)
+    curves = evaluate_params(geometry, doa, params, grid_resolution)
     record = RunRecord(pipeline.frequencies, rows, reason)
     return OptimizeResult(params=params, curves=curves, record=record)

@@ -16,6 +16,8 @@ import numpy as np
 from .geometry import ArrayGeometry
 
 __all__ = [
+    "ELEVATION_RANGE",
+    "PATTERN_POWER_FLOOR",
     "Direction",
     "AngularGrid",
     "steering_vector",
@@ -25,6 +27,13 @@ __all__ = [
     "pattern_db",
     "export_beampattern_csv",
 ]
+
+# elevations of the beampattern grid and of the fit cuts: a planar array
+# cannot tell a direction from its mirror image below the array plane
+ELEVATION_RANGE = (0.0, math.pi / 2.0)
+
+# added to |response|^2 before taking dB, so a null reads -300 dB, not -inf
+PATTERN_POWER_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -62,15 +71,10 @@ class AngularGrid:
     resolution: float
 
     @classmethod
-    def build(
-        cls,
-        resolution: float,
-        doa: Direction,
-        elevation_range: tuple[float, float] = (0.0, math.pi / 2.0),
-    ) -> "AngularGrid":
+    def build(cls, resolution: float, doa: Direction) -> "AngularGrid":
         if resolution <= 0.0:
             raise ValueError("grid resolution must be positive")
-        lo, hi = elevation_range
+        lo, hi = ELEVATION_RANGE
         elevations = snapped_range(lo, hi, doa.elevation, resolution)
         count = int(round(2.0 * math.pi / resolution))
         azimuths = np.sort((doa.azimuth + np.arange(count) * resolution) % (2.0 * math.pi))
@@ -179,9 +183,9 @@ def beampattern_grid(
     return out
 
 
-def pattern_db(values: np.ndarray, floor: float = 1e-30) -> np.ndarray:
+def pattern_db(values: np.ndarray) -> np.ndarray:
     """Magnitude in dB relative to a unit mainlobe, floored to avoid log(0)."""
-    power = np.abs(np.asarray(values)) ** 2 + floor
+    power = np.abs(np.asarray(values)) ** 2 + PATTERN_POWER_FLOOR
     return 10.0 * np.log10(power)
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "DegenerateFilterError",
     "DesignParams",
     "ring_distances",
-    "angular_distance",
     "gaussian_window",
     "assemble_filter",
     "constrain_band",
@@ -68,14 +67,6 @@ def ring_distances(geometry: ArrayGeometry, ring: int, doa: Direction) -> np.nda
     return (raw - raw.min()) / spread
 
 
-def angular_distance(geometry: ArrayGeometry, ring: int, mic: int, doa: Direction) -> float:
-    """Normalized distance of a single microphone, see :func:`ring_distances`."""
-    d = ring_distances(geometry, ring, doa)
-    if not 0 <= mic < len(d):
-        raise IndexError(f"mic {mic} out of range for ring {ring}")
-    return float(d[mic])
-
-
 def gaussian_window(delta, sigma: float):
     """exp(-delta^2 / (2 sigma^2)) for a distance (or array of distances) and sigma > 0."""
     if not sigma > 0.0:
@@ -101,23 +92,23 @@ def softplus_inverse(y: float) -> float:
     return math.log(math.expm1(y))
 
 
-def constrain_band(u, v, sigma_floor: float = SIGMA_FLOOR):
+def constrain_band(u, v):
     """Map unconstrained (u, v) to simplex weights and positive widths.
 
     Works along the last axis, so ``u`` and ``v`` may hold one band
     (rings,) or a stack of bands (bands, rings).  Weights are normalized
     exponentials of ``u`` (stabilized with the maximum, which leaves the
-    normalized result unchanged); widths are softplus of ``v`` plus a
-    small floor.
+    normalized result unchanged); widths are softplus of ``v`` plus
+    SIGMA_FLOOR.
     """
     u = np.asarray(u, dtype=float)
     e = np.exp(u - u.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
-    widths = softplus(v) + sigma_floor
+    widths = softplus(v) + SIGMA_FLOOR
     return weights, widths
 
 
-def unconstrain_band(weights, widths, sigma_floor: float = SIGMA_FLOOR):
+def unconstrain_band(weights, widths):
     """Centered-log / inverse-softplus pullback of feasible (w, sigma)."""
     w = np.asarray(weights, dtype=float)
     s = np.asarray(widths, dtype=float)
@@ -125,9 +116,9 @@ def unconstrain_band(weights, widths, sigma_floor: float = SIGMA_FLOOR):
         raise ValueError("weights must be strictly positive to unconstrain")
     logs = np.log(w)
     u = logs - logs.mean()
-    if np.any(s <= sigma_floor):
-        raise ValueError(f"window widths must exceed the floor {sigma_floor}")
-    v = np.array([softplus_inverse(x - sigma_floor) for x in s])
+    if np.any(s <= SIGMA_FLOOR):
+        raise ValueError(f"window widths must exceed the floor {SIGMA_FLOOR}")
+    v = np.array([softplus_inverse(x - SIGMA_FLOOR) for x in s])
     return u, v
 
 
@@ -190,6 +181,18 @@ class DesignParams:
             unconstrained_widths=tuple(np.asarray(v, dtype=float) for v in v_bands),
         )
 
+    def select(self, frequencies) -> "DesignParams":
+        """Weights and widths of the bands at ``frequencies``, in that order."""
+        missing = [f for f in frequencies if f not in self.frequencies]
+        if missing:
+            raise ValueError(f"params: no saved band for frequencies {missing}")
+        index = [self.frequencies.index(f) for f in frequencies]
+        return DesignParams(
+            frequencies=tuple(frequencies),
+            ring_weights=tuple(self.ring_weights[b] for b in index),
+            window_widths=tuple(self.window_widths[b] for b in index),
+        )
+
     def save(self, path: str | Path) -> None:
         bands = []
         for b in range(self.band_count):
@@ -206,7 +209,12 @@ class DesignParams:
 
     @classmethod
     def load(cls, path: str | Path) -> "DesignParams":
-        payload = json.loads(Path(path).read_text())
+        try:
+            payload = json.loads(Path(path).read_text())
+        except OSError as err:
+            raise ValueError(f"parameter file {path}: {err.strerror}") from None
+        except ValueError as err:  # not JSON, or not text
+            raise ValueError(f"parameter file {path} is not valid JSON: {err}") from None
         try:
             bands = payload["bands"]
             freqs = tuple(float(b["frequency_hz"]) for b in bands)

@@ -191,7 +191,7 @@ class TestPrimitives:
         assert snap.d_phi == [0.0, 1.0, 1.0, 0.0]
         assert snap.d_df[:3] == [0.0] * 3 and snap.d_wng == [0.0] * 4
         assert snap.d_df[3] == pytest.approx(-1.0 / (10.0 * math.log(10.0)), rel=1e-15)
-        width, slope, concave = curvature_width(np.array([-2.0, 0.0, 3.0]), 3.0)
+        width, slope, concave = curvature_width(np.array([-2.0, 0.0, 3.0]))
         assert concave.tolist() == [True, False, False]
         assert width[1:].tolist() == [math.pi, math.pi] and slope[1:].tolist() == [0.0, 0.0]
         assert slope[0] == pytest.approx(width[0] / 4.0, rel=1e-15)
@@ -213,13 +213,11 @@ class TestPrimitives:
         assert mixed[1].d_df == ref[1].d_df
         assert all(type(v) is float for v in mixed[1].df + mixed[1].d_wng)
 
-    def test_domain_errors(self, toy_array, doa45):
+    def test_domain_errors(self):
         deg = math.radians(30.0)
         for df, wng in ((0.0, 5.0), (-1.0, 5.0), (10.0, 0.0)):
             with pytest.raises(ValueError, match="math domain"):
                 total_loss([deg, deg], [deg, deg], [df, 10.0], [wng, 5.0], cfg("L3", alpha=0.5))
-        with pytest.raises(ValueError, match="delta_l"):
-            DesignPipeline(toy_array, doa45, (2000.0,), cfg(), delta_l=0.0)
         with pytest.raises(NumericalError):
             rprop_step(RPropState.create(2), np.array([1.0, math.inf]), np.zeros(2))
 

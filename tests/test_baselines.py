@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ccmabeam as cb
-from ccmabeam.baselines import das_filter, evaluate_baseline, get_baseline
+from ccmabeam.baselines import das_filter, evaluate_baseline
 from ccmabeam.metrics import directivity_factor, gamma_matrix, white_noise_gain
 from ccmabeam.wavefield import Direction, beampattern, steering_vector
 
@@ -35,15 +35,7 @@ class TestDasFilter:
             assert df >= 1.0, f"DAS DF fell below 1 at {f} Hz: {df}"
 
 
-class TestRegistry:
-    def test_known_tags(self):
-        assert get_baseline("das") is das_filter
-        assert get_baseline("delay_and_sum") is das_filter
-
-    def test_unknown_tag(self):
-        with pytest.raises(ValueError):
-            get_baseline("mvdr")
-
+class TestEvaluateBaseline:
     def test_evaluate_baseline_curves(self, array_16k, doa45):
         curves = evaluate_baseline(array_16k, doa45, (1000.0, 4000.0))
         assert curves.frequencies == (1000.0, 4000.0)

@@ -53,6 +53,8 @@ class TestConfigParsing:
             (lambda c: c["doa_deg"].update(elevation=120.0), "doa_deg.elevation"),
             (lambda c: c["loss"].update(variant="L7"), "loss.variant"),
             (lambda c: c["loss"].update(alpha=3.0), "loss"),
+            (lambda c: c["loss"].update(lambda1=5.0), "loss: lambda1"),
+            (lambda c: c["loss"].update(variant="L2", alpha=0.2), "loss: alpha"),
             (lambda c: c["optimizer"].update(budget=0), "optimizer.budget"),
             (lambda c: c.update(grid_resolution_deg=-1.0), "grid_resolution_deg"),
             (lambda c: c.update(sweep={"bogus": [1.0]}), "sweep.bogus"),
@@ -191,6 +193,38 @@ class TestEvalCommand:
         path = write_config(tmp_path, small_config(tmp_path / "out"))
         assert main(["eval", "--config", str(path)]) == 1
 
+    def test_missing_band_fails_validation(self, tmp_path, capsys):
+        out = tmp_path / "design"
+        path = write_config(tmp_path, small_config(out))
+        assert main(["design", "--config", str(path)]) == 0
+        other = write_config(
+            tmp_path, small_config(tmp_path / "eval", frequencies_hz=[2000.0, 4000.0]), "other.json"
+        )
+        assert main(["eval", "--config", str(other), "--params", str(out / "params.json")]) == 1
+        assert "params: no saved band for frequencies [4000.0]" in capsys.readouterr().err
+
+    def test_unknown_baseline_is_a_usage_error(self, tmp_path):
+        path = write_config(tmp_path, small_config(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exits:
+            main(["eval", "--config", str(path), "--baseline", "delay_and_sum"])
+        assert exits.value.code == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+class TestParamsFileErrors:
+    def test_missing_file(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, small_config(tmp_path / "out"))
+        missing = tmp_path / "nope.json"
+        assert main([command, "--config", str(path), "--params", str(missing)]) == 1
+        assert f"parameter file {missing}" in capsys.readouterr().err
+
+    def test_not_json(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, small_config(tmp_path / "out"))
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        assert main([command, "--config", str(path), "--params", str(broken)]) == 1
+        assert f"parameter file {broken} is not valid JSON" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def sweep_config(self, tmp_path, sweep):
@@ -234,6 +268,17 @@ class TestSweepCommand:
         out2 = tmp_path / "parallel"
         assert main(["sweep", "--config", str(p1), "--out", str(out2), "--workers", "2"]) == 0
         assert (out2 / "summary.csv").read_bytes() == serial
+
+    def test_point_matches_design_run(self, tmp_path):
+        path = self.sweep_config(tmp_path, {"alpha": [0.5], "lambda1": [1.0]})
+        assert main(["sweep", "--config", str(path)]) == 0
+        cfg = small_config(tmp_path / "design")
+        cfg["loss"].update(variant="L3", alpha=0.5, lambda1=1.0)
+        cfg["optimizer"]["budget"] = 5
+        assert main(["design", "--config", str(write_config(tmp_path, cfg, "design.json"))]) == 0
+        point = tmp_path / "sweep" / "alpha=0.5_lambda1=1"
+        for name in ("metrics.csv", "params.json", "run_record.csv"):
+            assert (point / name).read_bytes() == (tmp_path / "design" / name).read_bytes(), name
 
     def test_sweep_requires_l3(self, tmp_path):
         cfg = small_config(tmp_path / "sweep")

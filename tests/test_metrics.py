@@ -226,8 +226,6 @@ class TestBeamwidthParabola:
             beamwidth_parabola(x, np.zeros(5), 9, 1.0)
         with pytest.raises(ValueError):
             beamwidth_parabola(x, np.zeros(5), 2, 0.0)
-        with pytest.raises(ValueError):
-            beamwidth_parabola(x, np.zeros(5), 2, 1.0, delta_l=-1.0)
 
 
 class TestBeamwidthOracle:

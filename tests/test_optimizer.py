@@ -325,9 +325,7 @@ class TestOptimize:
         assert results["L2"].curves.df[0] < results["L1"].curves.df[0]
 
     def test_stops_when_no_improvement(self, toy_array, doa45):
-        result = optimize(
-            toy_array, doa45, (2000.0,), L1_CFG, budget=500, seed=0, no_improve_limit=10
-        )
+        result = optimize(toy_array, doa45, (2000.0,), L1_CFG, budget=500, seed=0)
         assert result.record.iteration_count < 500
         assert result.record.stopping_reason == "no_improvement"
 

@@ -12,7 +12,6 @@ from ccmabeam.weighting import (
     SIGMA_FLOOR,
     DegenerateFilterError,
     DesignParams,
-    angular_distance,
     assemble_filter,
     constrain_band,
     gaussian_window,
@@ -71,12 +70,6 @@ class TestRingDistances:
     def test_zenith_arrival_degenerates_to_uniform(self, array_16k):
         d = ring_distances(array_16k, 2, Direction(0.0, 0.0))
         assert np.all(d == 0.0)
-
-    def test_angular_distance_indexing(self, array_16k, doa45):
-        d = ring_distances(array_16k, 1, doa45)
-        assert angular_distance(array_16k, 1, 3, doa45) == d[3]
-        with pytest.raises(IndexError):
-            angular_distance(array_16k, 1, 99, doa45)
 
 
 class TestGaussianWindow:
