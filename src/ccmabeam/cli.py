@@ -43,14 +43,19 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     array: ArrayConfig
-    doa: Direction
+    doa_deg: tuple[float, float]  # (elevation, azimuth) as the config gave them
     frequencies: tuple[float, ...]
     loss: LossConfig
+    targets_deg: tuple[float, float]  # the loss's (theta, phi) width targets, as given
     grid_resolution_deg: float
     budget: int
     seed: int
     output_dir: str
     sweep: dict[str, list[float]] | None = None
+
+    @property
+    def doa(self) -> Direction:
+        return Direction.from_degrees(*self.doa_deg)
 
     @property
     def grid_resolution(self) -> float:
@@ -64,10 +69,7 @@ class RunConfig:
                 "sample_rate_hz": self.array.sample_rate,
                 "sound_speed_mps": self.array.sound_speed,
             },
-            "doa_deg": {
-                "elevation": math.degrees(self.doa.elevation),
-                "azimuth": math.degrees(self.doa.azimuth),
-            },
+            "doa_deg": {"elevation": self.doa_deg[0], "azimuth": self.doa_deg[1]},
             "frequencies_hz": list(self.frequencies),
             "loss": {
                 "variant": self.loss.variant,
@@ -75,8 +77,8 @@ class RunConfig:
                 "lambda1": self.loss.lambda1,
                 "lambda2": self.loss.lambda2,
                 "lambda3": self.loss.lambda3,
-                "target_theta_deg": math.degrees(self.loss.target_theta),
-                "target_phi_deg": math.degrees(self.loss.target_phi),
+                "target_theta_deg": self.targets_deg[0],
+                "target_phi_deg": self.targets_deg[1],
             },
             "grid_resolution_deg": self.grid_resolution_deg,
             "optimizer": {"budget": self.budget, "seed": self.seed},
@@ -141,7 +143,10 @@ def parse_config(raw: dict) -> RunConfig:
         # a planar array cannot separate mirror directions; the fit sector
         # covers [0, 90] degrees only
         raise ConfigError(f"doa_deg.elevation: must lie in [0, 90], got {elevation}")
-    doa = Direction.from_degrees(elevation, azimuth)
+    try:
+        Direction.from_degrees(elevation, azimuth)
+    except ValueError as err:
+        raise ConfigError(f"doa_deg: {err}") from None
 
     freqs_raw = raw.get("frequencies_hz", list(DEFAULT_FREQUENCIES))
     if not isinstance(freqs_raw, list) or not freqs_raw:
@@ -224,9 +229,10 @@ def parse_config(raw: dict) -> RunConfig:
 
     return RunConfig(
         array=array,
-        doa=doa,
+        doa_deg=(elevation, azimuth),
         frequencies=tuple(frequencies),
         loss=loss,
+        targets_deg=(target_theta, target_phi),
         grid_resolution_deg=grid_deg,
         budget=budget,
         seed=seed,
@@ -265,8 +271,6 @@ def _check_baseline(tag: str) -> None:
 
 
 def cmd_design(cfg: RunConfig, out_dir: str | Path) -> MetricCurves:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     geometry = build_geometry(cfg.array)
     result = optimize(
         geometry,
@@ -277,6 +281,8 @@ def cmd_design(cfg: RunConfig, out_dir: str | Path) -> MetricCurves:
         seed=cfg.seed,
         grid_resolution=cfg.grid_resolution,
     )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     result.params.save(out / "params.json")
     result.curves.to_csv(out / "metrics.csv")
     result.record.to_csv(out / "run_record.csv")
@@ -290,8 +296,6 @@ def cmd_design(cfg: RunConfig, out_dir: str | Path) -> MetricCurves:
 
 
 def cmd_eval(cfg: RunConfig, out_dir: str | Path, params_path=None, baseline=None) -> MetricCurves:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     geometry = build_geometry(cfg.array)
     if (params_path is None) == (baseline is None):
         raise ConfigError("eval: provide exactly one of --params or --baseline")
@@ -303,6 +307,8 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path, params_path=None, baseline=Non
         params = DesignParams.load(params_path).select(cfg.frequencies)
         curves = evaluate_params(geometry, cfg.doa, params, cfg.grid_resolution)
         filter_fn = params_filter_fn(geometry, cfg.doa, params)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     curves.to_csv(out / "metrics.csv")
     _write_beampatterns(cfg, geometry, out, filter_fn)
     print(f"eval wrote metrics and beampattern grids to {out}")
@@ -346,13 +352,13 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
 
 
 def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str = "das") -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     geometry = build_geometry(cfg.array)
     _check_baseline(baseline)
     params = DesignParams.load(params_path)
     designed = evaluate_params(geometry, cfg.doa, params, cfg.grid_resolution)
     reference = evaluate_baseline(geometry, cfg.doa, params.frequencies, cfg.grid_resolution)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "compare.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

@@ -24,6 +24,7 @@ __all__ = [
     "steering_matrix",
     "beampattern",
     "beampattern_grid",
+    "bessel_table",
     "pattern_db",
     "export_beampattern_csv",
 ]
@@ -82,23 +83,12 @@ class AngularGrid:
             arr.setflags(write=False)
         return cls(elevations=elevations, azimuths=azimuths, resolution=resolution)
 
-    def doa_indices(self, doa: Direction) -> tuple[int, int]:
-        ei = int(np.argmin(np.abs(self.elevations - doa.elevation)))
-        ai = int(np.argmin(np.abs(self.azimuths - doa.azimuth)))
-        return ei, ai
-
 
 def snapped_range(lo: float, hi: float, anchor: float, step: float) -> np.ndarray:
     """Grid points anchor + k*step inside [lo, hi]; always contains the anchor."""
     kmin = math.ceil((lo - anchor) / step - 1e-9)
     kmax = math.floor((hi - anchor) / step + 1e-9)
     return anchor + np.arange(kmin, kmax + 1) * step
-
-
-# phase cells per block of beampattern_grid: its float64 temporaries stay a
-# few MB, and each block's real product with the (mics, 2) filter matrix is
-# small enough to run on one BLAS thread
-_BLOCK_CELLS = 1 << 18
 
 
 def _check_frequency(geometry: ArrayGeometry, frequency: float) -> None:
@@ -149,38 +139,71 @@ def beampattern(h: np.ndarray, steering: np.ndarray) -> np.ndarray:
     return steering @ np.conj(h)
 
 
+def _harmonic_order(x: float) -> int:
+    """Truncation order N of the Jacobi-Anger series for arguments up to ``x``.
+
+    |J_n(x)| for |n| > N, and the trapezoid aliases of :func:`bessel_table`,
+    stay below double precision: the x^(1/3) term spans the Bessel
+    transition region, which a fixed margin over x does not at large x.
+    """
+    return math.ceil(x + 10.0 * x ** (1.0 / 3.0) + 15.0)
+
+
+def _phasors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """e^{j a_i b_k}, shape (a.size, b.size), built without complex temporaries."""
+    phase = np.outer(a, b)
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def bessel_table(x: np.ndarray, order: int) -> np.ndarray:
+    """Bessel functions J_n(x) for n = -order..order, shape x.shape + (2*order + 1,).
+
+    The trapezoid rule on K = 2*order + 2 points of
+    (1/2 pi) int_0^2pi e^{i(x sin t - n t)} dt, which is one FFT of the
+    samples e^{i x sin t_k}.  It adds the aliases J_{n +- K}(x), which stay
+    below double precision while order >= |x| + 10 |x|^(1/3) + 15.
+    """
+    x = np.asarray(x, dtype=float)
+    points = 2 * order + 2
+    samples = _phasors(x, np.sin((2.0 * math.pi / points) * np.arange(points)))
+    n = np.arange(-order, order + 1)
+    # numpy.fft loads on first use, so importing ccmabeam stays light
+    table = np.fft.fft(samples, axis=-1)[:, n % points].real / points
+    return table.reshape(x.shape + (len(n),))
+
+
 def beampattern_grid(
     geometry: ArrayGeometry, h: np.ndarray, frequency: float, grid: AngularGrid
 ) -> np.ndarray:
     """Complex response h^H d over a full grid, shape (n_elevations, n_azimuths).
 
-    The steering phase 2*pi*f*tau factors as sin(elevation) times a
-    (azimuth, mic) term, so no (directions x mics) steering matrix is
-    built: elevation rows are evaluated in blocks of about _BLOCK_CELLS
-    real phase cells, whose cosines and sines meet [Re h*, Im h*].
+    Ring-harmonic form of sum_m conj(h_m) e^{-j k r_m sin(el) cos(az - psi_m)}:
+    by the Jacobi-Anger expansion e^{-jx cos a} = sum_n (-j)^n J_n(x) e^{jna},
+    the response is C @ e^{j n az} with
+    C[el, n] = (-j)^n sum_r J_n(k r sin el) H[r, n] and ring harmonics
+    H[r, n] = sum_{m in ring r} conj(h_m) e^{-j n psi_m}, which hold for any
+    mic angles.  |n| runs to _harmonic_order(k * r_max); one Bessel table
+    per ring keeps the temporaries small.
     """
     _check_frequency(geometry, frequency)
     h = np.asarray(h)
     mics = geometry.total_mics
     if h.shape != (mics,):
         raise ValueError(f"filter shape {h.shape} does not match the array's {mics} mics")
-    wavenumber = -2.0 * math.pi * frequency / geometry.sound_speed
-    azimuth_phase = (wavenumber * geometry.mic_radii) * np.cos(
-        grid.azimuths[:, None] - geometry.mic_angles
-    )
+    wavenumber = 2.0 * math.pi * frequency / geometry.sound_speed
+    order = _harmonic_order(wavenumber * max(ring.radius for ring in geometry.rings))
+    n = np.arange(-order, order + 1)
+    mic_phasors = _phasors(n, geometry.mic_angles)
+    sign = np.array([1.0, -1j, -1.0, 1j])[n % 4]  # (-j)^n
     sin_el = np.sin(grid.elevations)
-    weights = np.stack([h.real, -h.imag], axis=1)  # [Re h*, Im h*]
-    out = np.empty((len(sin_el), len(grid.azimuths)), dtype=complex)
-    rows = max(1, _BLOCK_CELLS // max(1, azimuth_phase.size))
-    for start in range(0, len(sin_el), rows):
-        phase = (sin_el[start : start + rows, None, None] * azimuth_phase).reshape(-1, mics)
-        cos_h = np.cos(phase) @ weights
-        sin_h = np.sin(phase) @ weights
-        # (cos + i sin)(a + ib) with h* = a + ib
-        block = out[start : start + rows].reshape(-1)
-        block.real = cos_h[:, 0] - sin_h[:, 1]
-        block.imag = cos_h[:, 1] + sin_h[:, 0]
-    return out
+    coeffs = np.zeros((len(sin_el), len(n)), dtype=complex)
+    for ring, s in zip(geometry.rings, geometry.ring_slices):
+        ring_harmonics = sign * np.conj(mic_phasors[:, s] @ h[s])
+        coeffs += bessel_table(wavenumber * ring.radius * sin_el, order) * ring_harmonics
+    return coeffs @ _phasors(n, grid.azimuths)
 
 
 def pattern_db(values: np.ndarray) -> np.ndarray:

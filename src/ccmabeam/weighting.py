@@ -27,7 +27,6 @@ __all__ = [
     "gaussian_window",
     "assemble_filter",
     "constrain_band",
-    "unconstrain_band",
     "softplus",
     "softplus_inverse",
 ]
@@ -106,20 +105,6 @@ def constrain_band(u, v):
     weights = e / e.sum(axis=-1, keepdims=True)
     widths = softplus(v) + SIGMA_FLOOR
     return weights, widths
-
-
-def unconstrain_band(weights, widths):
-    """Centered-log / inverse-softplus pullback of feasible (w, sigma)."""
-    w = np.asarray(weights, dtype=float)
-    s = np.asarray(widths, dtype=float)
-    if np.any(w <= 0.0):
-        raise ValueError("weights must be strictly positive to unconstrain")
-    logs = np.log(w)
-    u = logs - logs.mean()
-    if np.any(s <= SIGMA_FLOOR):
-        raise ValueError(f"window widths must exceed the floor {SIGMA_FLOOR}")
-    v = np.array([softplus_inverse(x - SIGMA_FLOOR) for x in s])
-    return u, v
 
 
 @dataclass

@@ -133,6 +133,18 @@ class TestDesignCommand:
         assert main(["design", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
+    def test_manifest_echoes_the_config_degrees(self, tmp_path):
+        # both round trip through radians to 12.000000000000002 and 10.600000000000001
+        cfg = small_config(tmp_path / "out", doa_deg={"elevation": 12.0, "azimuth": 10.6})
+        cfg["loss"].update(target_theta_deg=12.0, target_phi_deg=10.6)
+        assert main(["design", "--config", str(write_config(tmp_path, cfg))]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["doa_deg"] == {"elevation": 12.0, "azimuth": 10.6}
+        assert manifest["loss"]["target_theta_deg"] == 12.0
+        assert manifest["loss"]["target_phi_deg"] == 10.6
+        text = (tmp_path / "out" / "manifest.json").read_text()
+        assert "12.000000000000002" not in text and "10.600000000000001" not in text
+
     def test_empty_frequency_list_fails_validation(self, tmp_path, capsys):
         path = write_config(tmp_path, small_config(tmp_path / "out", frequencies_hz=[]))
         assert main(["design", "--config", str(path)]) == 1
@@ -224,6 +236,32 @@ class TestParamsFileErrors:
         broken.write_text("{not json")
         assert main([command, "--config", str(path), "--params", str(broken)]) == 1
         assert f"parameter file {broken} is not valid JSON" in capsys.readouterr().err
+
+
+class TestFailedRunsCreateNoDirectory:
+    def test_design(self, tmp_path, capsys):
+        # 1 mm is too small a ring for two mics half a wavelength apart
+        cfg = small_config(tmp_path / "out")
+        cfg["array"]["ring_radii_m"] = [0.001]
+        assert main(["design", "--config", str(write_config(tmp_path, cfg))]) == 1
+        assert "cannot hold two microphones" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--params", "nope.json"], ["--baseline", "das", "--params", "nope.json"]],
+        ids=["missing-params", "two-sources"],
+    )
+    def test_eval(self, tmp_path, args):
+        path = write_config(tmp_path, small_config(tmp_path / "out"))
+        args = [str(tmp_path / a) if a == "nope.json" else a for a in args]
+        assert main(["eval", "--config", str(path), *args]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_compare(self, tmp_path):
+        path = write_config(tmp_path, small_config(tmp_path / "out"))
+        assert main(["compare", "--config", str(path), "--params", str(tmp_path / "nope.json")]) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepCommand:

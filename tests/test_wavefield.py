@@ -9,11 +9,12 @@ import pytest
 import ccmabeam as cb
 from ccmabeam.geometry import ArrayGeometry
 from ccmabeam.wavefield import (
-    _BLOCK_CELLS,
     AngularGrid,
     Direction,
+    _harmonic_order,
     beampattern,
     beampattern_grid,
+    bessel_table,
     export_beampattern_csv,
     pattern_db,
     snapped_range,
@@ -28,9 +29,13 @@ def delays(geometry, frequency, direction):
 
 
 def grid_reference(geometry, h, frequency, grid):
-    th, ph = np.meshgrid(grid.elevations, grid.azimuths, indexing="ij")
-    flat = steering_matrix(geometry, frequency, th.ravel(), ph.ravel()) @ np.conj(h)
-    return flat.reshape(th.shape)
+    """The direct sum over a steering matrix, one elevation row at a time."""
+    rows = [
+        steering_matrix(geometry, frequency, np.full(len(grid.azimuths), el), grid.azimuths)
+        @ np.conj(h)
+        for el in grid.elevations
+    ]
+    return np.array(rows).reshape(len(grid.elevations), len(grid.azimuths))
 
 
 def csv_reference(path, elevations, azimuths, grid_db):
@@ -139,8 +144,12 @@ class TestBeampattern:
         h = cb.das_filter(array_16k, f, doa45)
         grid = AngularGrid.build(math.radians(1.0), doa45)
         b = np.abs(beampattern_grid(array_16k, h, f, grid))
-        ei, ai = np.unravel_index(np.argmax(b), b.shape)
-        assert (ei, ai) == grid.doa_indices(doa45)
+        peak = np.unravel_index(np.argmax(b), b.shape)
+        doa_cell = (
+            np.argmin(np.abs(grid.elevations - doa45.elevation)),
+            np.argmin(np.abs(grid.azimuths - doa45.azimuth)),
+        )
+        assert peak == doa_cell
 
     def test_magnitude_bounded_by_l1_norm(self, array_16k, doa45):
         rng = np.random.default_rng(5)
@@ -172,15 +181,38 @@ class TestBeampatternGrid:
         rng = np.random.default_rng(seed)
         return rng.normal(size=mics) + 1j * rng.normal(size=mics)
 
-    def test_matches_steering_matrix_with_partial_last_block(self, array_16k, doa45):
+    def test_matches_steering_matrix(self, array_16k, doa45):
         grid = AngularGrid.build(math.radians(2.0), doa45)
-        rows = _BLOCK_CELLS // (len(grid.azimuths) * array_16k.total_mics)
-        assert rows > 1 and len(grid.elevations) % rows != 0
         h = self.random_filter(array_16k.total_mics, 11)
         for f in (1000.0, 6000.0):
             b = beampattern_grid(array_16k, h, f, grid)
             assert b.shape == (len(grid.elevations), len(grid.azimuths))
             assert np.max(np.abs(b - grid_reference(array_16k, h, f, grid))) < 1e-12
+
+    @staticmethod
+    def assert_matches_oracle(geometry, h, f, grid):
+        b = beampattern_grid(geometry, h, f, grid)
+        ref = grid_reference(geometry, h, f, grid)
+        assert np.max(np.abs(b - ref)) <= 1e-14 * np.sum(np.abs(h))
+        # the exported cells: at most one unit apart in the 6th decimal
+        cells = np.char.mod("%.6f", pattern_db(b)).astype(float)
+        ref_cells = np.char.mod("%.6f", pattern_db(ref)).astype(float)
+        assert np.max(np.abs(cells - ref_cells)) < 1.5e-6
+
+    @pytest.mark.parametrize("f", [1000.0, 2500.0, 4000.0, 5500.0, 8000.0])
+    def test_reference_array_at_half_degree_matches_oracle(self, f):
+        g = cb.build_geometry(
+            cb.ArrayConfig(ring_radii=(0.0, 0.05, 0.10, 0.15, 0.20), sample_rate=16000.0)
+        )
+        doa = Direction.from_degrees(45.0, 45.0)
+        grid = AngularGrid.build(math.radians(0.5), doa)
+        self.assert_matches_oracle(g, cb.das_filter(g, f, doa), f, grid)
+
+    def test_one_metre_ring_at_8khz_matches_oracle(self, doa45):
+        # k r = 146.5: the largest Jacobi-Anger order here (N = 215)
+        g = cb.build_geometry(cb.ArrayConfig(ring_radii=(1.0,), sample_rate=16000.0))
+        grid = AngularGrid.build(math.radians(0.5), doa45)
+        self.assert_matches_oracle(g, self.random_filter(g.total_mics, 15), 8000.0, grid)
 
     def test_matches_steering_matrix_on_unsorted_uneven_rings(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -219,7 +251,8 @@ class TestBeampatternGrid:
         assert b.shape == (len(grid.elevations), 0)
 
     def test_memory_stays_blocked(self, array_16k, doa45):
-        # building the full (directions x mics) complex steering matrix peaks near 758 MB
+        # 181 x 720 directions: the direct sum's (directions x mics) steering
+        # matrix would peak near 755 MB; the ring-harmonic form peaks near 4 MB
         grid = AngularGrid.build(math.radians(0.5), doa45)
         h = self.random_filter(array_16k.total_mics, 14)
         tracemalloc.start()
@@ -229,6 +262,50 @@ class TestBeampatternGrid:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+
+class TestBesselTable:
+    X = np.concatenate([[0.0, 1e-3, 0.5], np.linspace(1.0, 146.5, 60)])
+
+    def table(self):
+        order = _harmonic_order(self.X.max())
+        return np.arange(-order, order + 1), bessel_table(self.X, order)
+
+    def test_shape_follows_argument(self):
+        assert bessel_table(np.zeros((2, 3)), 4).shape == (2, 3, 9)
+
+    def test_sum_of_squares_is_one(self):
+        _, table = self.table()
+        assert np.max(np.abs(np.sum(table**2, axis=-1) - 1.0)) < 1e-14
+
+    def test_at_zero_is_kronecker_delta(self):
+        n, table = self.table()
+        assert np.max(np.abs(table[0] - (n == 0))) < 1e-15
+
+    def test_negative_orders(self):
+        n, table = self.table()
+        order = n[-1]
+        sign = (-1.0) ** np.arange(1, order + 1)
+        assert np.max(np.abs(table[:, :order][:, ::-1] - sign * table[:, order + 1 :])) < 1e-14
+
+    def test_recurrence(self):
+        # x (J_{n-1} + J_{n+1}) = 2 n J_n
+        n, table = self.table()
+        x, table = self.X[1:, None], table[1:]
+        residual = x * (table[:, :-2] + table[:, 2:]) - 2.0 * n[1:-1] * table[:, 1:-1]
+        assert np.max(np.abs(residual) / (x + 2.0 * np.abs(n[1:-1]))) < 1e-14
+
+    def test_orders_past_the_truncation_are_at_rounding_level(self):
+        # a fixed order of x + 30 would leave |J_{x+31}(x)| near 1e-7 at x = 146.5
+        wide = 2 * _harmonic_order(self.X.max())
+        n = np.arange(-wide, wide + 1)
+        for x, row in zip(self.X, bessel_table(self.X, wide)):
+            assert np.max(np.abs(row[np.abs(n) > _harmonic_order(x)])) < 1e-14
+
+    def test_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        n, table = self.table()
+        assert np.max(np.abs(table - special.jv(n, self.X[:, None]))) < 1e-14
 
 
 class TestAngularGrid:

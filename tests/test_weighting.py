@@ -18,7 +18,6 @@ from ccmabeam.weighting import (
     ring_distances,
     softplus,
     softplus_inverse,
-    unconstrain_band,
 )
 
 
@@ -145,26 +144,6 @@ class TestConstrain:
         w, s = constrain_band([1e6, -1e6, 0.0], [1e6, -1e6, 0.0])
         assert sum(w) == pytest.approx(1.0, abs=1e-12)
         assert all(x >= SIGMA_FLOOR for x in s)
-
-    @given(
-        raw=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6),
-        widths=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=6),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip_interior(self, raw, widths):
-        n = min(len(raw), len(widths))
-        w = np.asarray(raw[:n]) / np.sum(raw[:n])
-        s = np.asarray(widths[:n])
-        u, v = unconstrain_band(w, s)
-        w2, s2 = constrain_band(list(u), list(v))
-        assert np.allclose(w2, w, atol=1e-9)
-        assert np.allclose(s2, s, atol=1e-9)
-
-    def test_unconstrain_rejects_boundary(self):
-        with pytest.raises(ValueError):
-            unconstrain_band([0.0, 1.0], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            unconstrain_band([0.5, 0.5], [SIGMA_FLOOR / 2.0, 0.5])
 
     def test_var_path_matches_float_path(self):
         """A stack of bands gives the one-band results row by row."""
