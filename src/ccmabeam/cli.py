@@ -222,6 +222,11 @@ def parse_config(raw: dict) -> RunConfig:
                 except ValueError as err:
                     raise ConfigError(f"{field}: {err}") from None
         sweep = {k: [float(v) for v in vals] for k, vals in sweep.items()}
+    if (variant == "L3" or sweep is not None) and len(frequencies) < 2:
+        raise ConfigError(
+            "frequencies_hz: the L3 loss, which every sweep runs, needs at least 2 bands, "
+            f"got {len(frequencies)}"
+        )
 
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:

@@ -8,10 +8,8 @@ frequency of the configured sample rate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -102,47 +100,6 @@ class ArrayGeometry:
     def diameter(self) -> float:
         """Aperture diameter, twice the outermost ring radius."""
         return 2.0 * self.rings[-1].radius
-
-    def save(self, path: str | Path) -> None:
-        """Write the layout as structured text (JSON) for reproducibility."""
-        payload = {
-            "sample_rate_hz": self.config.sample_rate,
-            "sound_speed_mps": self.config.sound_speed,
-            "rings": [
-                {
-                    "radius_m": ring.radius,
-                    "mic_count": ring.mic_count,
-                    "angles_rad": [float(a) for a in ring.angles],
-                }
-                for ring in self.rings
-            ],
-        }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ArrayGeometry":
-        """Rebuild a geometry from a file written by :meth:`save`."""
-        payload = json.loads(Path(path).read_text())
-        try:
-            radii = tuple(float(r["radius_m"]) for r in payload["rings"])
-            config = ArrayConfig(
-                ring_radii=radii,
-                sample_rate=payload["sample_rate_hz"],
-                sound_speed=payload["sound_speed_mps"],
-            )
-            rings = []
-            for entry in payload["rings"]:
-                angles = np.asarray(entry["angles_rad"], dtype=float)
-                if len(angles) != int(entry["mic_count"]):
-                    raise GeometryError(
-                        f"ring radius {entry['radius_m']}: mic_count does not match angle list"
-                    )
-                if np.any(np.abs(angles) >= 2.0 * math.pi):
-                    raise GeometryError("angular positions must satisfy |phi| < 2*pi")
-                rings.append(Ring(float(entry["radius_m"]), int(entry["mic_count"]), angles))
-        except KeyError as missing:
-            raise GeometryError(f"geometry file is missing field {missing}") from None
-        return _assemble(config, tuple(rings))
 
 
 def mics_per_ring(radius: float, min_wavelength: float) -> int:

@@ -286,26 +286,14 @@ class DesignPipeline:
     def initial_params(self, seed: int) -> np.ndarray:
         """Near-uniform start: equal ring weights, sigma about INITIAL_SIGMA,
         plus a seeded +-INIT_NOISE jitter to break ring symmetry."""
-        rings = self.geometry.ring_count
-        base = np.zeros(self.param_count)
-        v0 = softplus_inverse(INITIAL_SIGMA - SIGMA_FLOOR)
-        for b in range(len(self.frequencies)):
-            base[(2 * b + 1) * rings : (2 * b + 2) * rings] = v0
+        base = np.zeros((len(self.frequencies), 2, self.geometry.ring_count))
+        base[:, 1] = softplus_inverse(INITIAL_SIGMA - SIGMA_FLOOR)
         rng = np.random.default_rng(seed)
-        return base + rng.uniform(-INIT_NOISE, INIT_NOISE, self.param_count)
-
-    def split_vector(self, x: np.ndarray):
-        rings = self.geometry.ring_count
-        u_bands, v_bands = [], []
-        for b in range(len(self.frequencies)):
-            lo = 2 * b * rings
-            u_bands.append(np.asarray(x[lo : lo + rings]))
-            v_bands.append(np.asarray(x[lo + rings : lo + 2 * rings]))
-        return u_bands, v_bands
+        return base.reshape(-1) + rng.uniform(-INIT_NOISE, INIT_NOISE, self.param_count)
 
     def params_from_vector(self, x: np.ndarray) -> DesignParams:
-        u_bands, v_bands = self.split_vector(x)
-        return DesignParams.from_unconstrained(self.frequencies, u_bands, v_bands)
+        uv = np.asarray(x, dtype=float).reshape(len(self.frequencies), 2, -1)
+        return DesignParams.from_unconstrained(self.frequencies, uv[:, 0], uv[:, 1])
 
     def build_loss(self, x: Sequence[float]) -> tuple[DesignLoss, BandLossTerms]:
         """Loss of a flat parameter vector, all bands at once.
@@ -344,10 +332,7 @@ class DesignPipeline:
         curvature = np.einsum("bcs,bcs->bc", self._fit, 10.0 * np.log10(cut_power))
         widths, slopes, _ = curvature_width(curvature)
 
-        value, terms = total_loss(
-            widths[:, 0].tolist(), widths[:, 1].tolist(), df.tolist(), wng.tolist(),
-            self.loss_config,
-        )
+        value, terms = total_loss(widths[:, 0], widths[:, 1], df, wng, self.loss_config)
         state = _Forward(
             uv[:, 1], weights, sigmas, taps, gains, a_gains, total, filter_power,
             floored, denom, df, wng, response, cut_power, slopes,
@@ -433,8 +418,8 @@ def optimize(
                 # reported like evaluate_filter_bank; the loss keeps the raw width
                 theta=tuple(np.minimum(snap.theta, math.pi)),
                 phi=tuple(np.minimum(snap.phi, math.pi)),
-                df=tuple(snap.df),
-                wng=tuple(snap.wng),
+                df=tuple(snap.df.tolist()),
+                wng=tuple(snap.wng.tolist()),
             )
         )
         if current < best_loss - IMPROVE_TOL:

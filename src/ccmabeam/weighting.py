@@ -153,17 +153,15 @@ class DesignParams:
 
     @classmethod
     def from_unconstrained(cls, frequencies, u_bands, v_bands) -> "DesignParams":
-        weights, widths = [], []
-        for u, v in zip(u_bands, v_bands):
-            w, s = constrain_band(u, v)
-            weights.append(w)
-            widths.append(s)
+        u = np.asarray(u_bands, dtype=float)
+        v = np.asarray(v_bands, dtype=float)
+        weights, widths = constrain_band(u, v)
         return cls(
             frequencies=tuple(float(f) for f in frequencies),
             ring_weights=tuple(weights),
             window_widths=tuple(widths),
-            unconstrained_weights=tuple(np.asarray(u, dtype=float) for u in u_bands),
-            unconstrained_widths=tuple(np.asarray(v, dtype=float) for v in v_bands),
+            unconstrained_weights=tuple(u),
+            unconstrained_widths=tuple(v),
         )
 
     def select(self, frequencies) -> "DesignParams":

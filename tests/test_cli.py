@@ -150,6 +150,19 @@ class TestDesignCommand:
         assert main(["design", "--config", str(path)]) == 1
         assert "frequencies_hz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,section",
+        [("design", {}), ("sweep", {"sweep": {"alpha": [0.5]}})],
+        ids=["design", "sweep"],
+    )
+    def test_single_band_l3_fails_validation(self, tmp_path, capsys, command, section):
+        cfg = small_config(tmp_path / "out", frequencies_hz=[2000.0], **section)
+        cfg["loss"]["variant"] = "L3"
+        assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert "frequencies_hz" in err and "at least 2 bands" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEvalCommand:
     def test_round_trip_reproduces_metrics(self, tmp_path):

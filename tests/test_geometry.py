@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccmabeam as cb
-from ccmabeam.geometry import ArrayConfig, ArrayGeometry, GeometryError, mics_per_ring
+from ccmabeam.geometry import ArrayConfig, GeometryError, mics_per_ring
 
 LAMBDA_16K = 343.0 / 8000.0  # Nyquist wavelength at f_s = 16 kHz, c = 343
 
@@ -116,26 +115,6 @@ class TestBuildGeometry:
     def test_geometry_arrays_read_only(self, array_16k):
         with pytest.raises(ValueError):
             array_16k.positions[0, 0] = 1.0
-
-    def test_save_load_round_trip(self, array_16k, tmp_path):
-        path = tmp_path / "geometry.json"
-        array_16k.save(path)
-        loaded = ArrayGeometry.load(path)
-        assert loaded.total_mics == array_16k.total_mics
-        assert [r.mic_count for r in loaded.rings] == [
-            r.mic_count for r in array_16k.rings
-        ]
-        assert np.allclose(loaded.positions, array_16k.positions)
-        assert np.allclose(loaded.distances, array_16k.distances)
-
-    def test_load_rejects_inconsistent_file(self, array_16k, tmp_path):
-        path = tmp_path / "geometry.json"
-        array_16k.save(path)
-        payload = json.loads(path.read_text())
-        payload["rings"][1]["mic_count"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(GeometryError):
-            ArrayGeometry.load(path)
 
 
 class TestArrayConfigValidation:

@@ -9,7 +9,6 @@ from ccmabeam.loss import (
     BandLossTerms,
     LossConfig,
     loss_l1,
-    loss_l2,
     loss_l3,
     total_loss,
 )
@@ -23,6 +22,49 @@ def cfg(variant="L1", **kw):
 
 def deg(x):
     return math.radians(x)
+
+
+def loss_l2(theta, phi, df, c):
+    """One band's L2 value through the full assembly."""
+    return total_loss([theta], [phi], [df], [1.0], c)[0]
+
+
+def scalar_reference(thetas, phis, dfs, wngs, c):
+    """The loss band by band in plain floats: (total, branches, partials)."""
+    branches, total, grads = [], 0.0, []
+    perfs = []
+    for t, p, d, w in zip(thetas, phis, dfs, wngs):
+        value = -(c.alpha * math.log10(d)) - ((1.0 - c.alpha) * math.log10(w))
+        p_df, p_wng = -c.alpha / (d * math.log(10.0)), -(1.0 - c.alpha) / (w * math.log(10.0))
+        perfs.append((value, p_df, p_wng))
+        over_t, over_p = t > c.target_theta, p > c.target_phi
+        if over_t or over_p:
+            branches.append({(1, 0): "theta", (0, 1): "phi", (1, 1): "both"}[over_t, over_p])
+            total += t * over_t + p * over_p
+            grads.append([float(over_t), float(over_p), 0.0, 0.0])
+            continue
+        flip = c.variant == "L2" and t < c.target_theta - L2_TOLERANCE
+        flip = flip and p < c.target_phi - L2_TOLERANCE
+        branches.append("perf")
+        total += -value if flip else value
+        grads.append([0.0, 0.0, -p_df if flip else p_df, p_wng])
+    n = len(thetas)
+    for weight, values, k in ((c.lambda1, dfs, 2), (c.lambda2, wngs, 3)):
+        if weight > 0.0:
+            mean = sum(values) / n
+            std = math.sqrt(sum((v - mean) * (v - mean) for v in values) / n + 1e-12)
+            total += weight * std
+            for b, v in enumerate(values):
+                grads[b][k] += weight * ((v - mean) / (n * std))
+    for lo in range(1, n // 2):
+        hi = n - 1 - lo
+        gap = perfs[lo][0] - perfs[hi][0]
+        total += c.lambda3 * abs(gap)
+        s = c.lambda3 * ((gap > 0.0) - (gap < 0.0))
+        for b, sign in ((lo, s), (hi, -s)):
+            grads[b][2] += sign * perfs[b][1]
+            grads[b][3] += sign * perfs[b][2]
+    return total, branches, np.array(grads).T
 
 
 class TestLossConfig:
@@ -100,7 +142,8 @@ class TestL2:
         """The partials in the snapshot follow only the active branch."""
         _, snap = total_loss([deg(20.0)], [deg(20.0)], [10.0], [5.0], cfg(variant="L2"))
         # broadening branch: only the directivity carries gradient, sign +
-        assert snap.d_theta == [0.0] and snap.d_phi == [0.0] and snap.d_wng == [0.0]
+        assert snap.d_theta.tolist() == [0.0] and snap.d_phi.tolist() == [0.0]
+        assert snap.d_wng.tolist() == [0.0]
         assert snap.d_df[0] == pytest.approx(1.0 / (10.0 * math.log(10.0)), rel=1e-12)
 
 
@@ -119,6 +162,21 @@ class TestL3:
             l1_terms = [loss_l1(t, p, d, c1) for t, p, d in zip(thetas, phis, dfs)]
             assert t3 == sum(l1_terms)
             assert snap.i_term == 0.0 and snap.delta_term == 0.0
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_reduces_to_l1_sum_at_every_band_count(self, n):
+        """The identity holds bit for bit at band counts where a pairwise
+        summation (np.sum from 8 elements on) would reorder the additions."""
+        rng = np.random.default_rng(100 + n)
+        c3 = cfg(variant="L3", alpha=1.0, lambda1=0.0, lambda2=0.0, lambda3=0.0)
+        c1 = cfg(variant="L1")
+        for _ in range(20):
+            thetas = rng.uniform(deg(10.0), deg(80.0), n).tolist()
+            phis = rng.uniform(deg(10.0), deg(80.0), n).tolist()
+            dfs = rng.uniform(0.5, 500.0, n).tolist()
+            wngs = rng.uniform(0.5, 200.0, n).tolist()
+            t3, _ = loss_l3(thetas, phis, dfs, wngs, c3)
+            assert t3 == sum(loss_l1(t, p, d, c1) for t, p, d in zip(thetas, phis, dfs))
 
     def test_identical_bands_zero_regularizers(self):
         c = cfg(variant="L3", alpha=0.5, lambda1=1.0, lambda2=1.0, lambda3=0.1)
@@ -190,8 +248,9 @@ class TestTotalLoss:
         assert isinstance(snap, BandLossTerms)
         assert snap.branches == ["theta", "perf"]
         assert total == deg(50.0) + (-2.0)
-        assert snap.band_values == [deg(50.0), -2.0]
-        assert snap.wng == [5.0, 6.0]
+        per_band = [loss_l1(deg(50.0), deg(30.0), 10.0, c), loss_l1(deg(30.0), deg(30.0), 100.0, c)]
+        assert per_band == [deg(50.0), -2.0]
+        assert snap.wng.tolist() == [5.0, 6.0]
 
     def test_l2_dispatch(self):
         c = cfg(variant="L2")
@@ -204,6 +263,35 @@ class TestTotalLoss:
         c = cfg(variant="L3", alpha=0.5, lambda1=0.5)
         args = ([deg(30.0)] * 3, [deg(50.0), deg(30.0), deg(30.0)], [10.0] * 3, [5.0] * 3)
         assert total_loss(*args, c)[0] == loss_l3(*args, c)[0]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            cfg(variant="L1"),
+            cfg(variant="L2"),
+            cfg(variant="L3", alpha=0.3, lambda1=0.7, lambda2=0.4, lambda3=0.05),
+            cfg(variant="L3", alpha=0.0, lambda2=1.0, lambda3=2.0),
+        ],
+        ids=["L1", "L2", "L3", "L3-wng"],
+    )
+    def test_matches_scalar_reference(self, config):
+        """The array assembly against a band-by-band float loop: the same
+        branches and partials, and the total to a few ulps (np.log10 and
+        math.log10 may round differently)."""
+        rng = np.random.default_rng(17)
+        for n in range(1 if config.variant != "L3" else 2, 17):
+            args = (
+                rng.uniform(deg(10.0), deg(60.0), n).tolist(),
+                rng.uniform(deg(10.0), deg(60.0), n).tolist(),
+                rng.uniform(0.5, 500.0, n).tolist(),
+                rng.uniform(0.5, 200.0, n).tolist(),
+            )
+            total, snap = total_loss(*args, config)
+            ref_total, ref_branches, ref_grads = scalar_reference(*args, config)
+            assert snap.branches == ref_branches
+            assert total == pytest.approx(ref_total, rel=1e-14, abs=1e-14)
+            grads = np.array([snap.d_theta, snap.d_phi, snap.d_df, snap.d_wng])
+            assert np.array_equal(grads, ref_grads)
 
     @pytest.mark.parametrize(
         "config",
@@ -229,7 +317,7 @@ class TestTotalLoss:
         point = thetas + phis + dfs + wngs
         _, snap = total_loss(thetas, phis, dfs, wngs, config)
         assert snap.branches == ["theta", "phi", "both", "perf", "perf", "perf"]
-        gradient = snap.d_theta + snap.d_phi + snap.d_df + snap.d_wng
+        gradient = np.concatenate([snap.d_theta, snap.d_phi, snap.d_df, snap.d_wng])
         result = gradcheck(f, point, gradient, rel_step=1e-6)
         assert result.excluded == ()
         assert result.max_rel_error < 1e-7

@@ -1,5 +1,4 @@
 import csv
-import json
 import math
 import tracemalloc
 
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 
 import ccmabeam as cb
-from ccmabeam.geometry import ArrayGeometry
+from ccmabeam.geometry import Ring, _assemble
 from ccmabeam.wavefield import (
     AngularGrid,
     Direction,
@@ -214,24 +213,14 @@ class TestBeampatternGrid:
         grid = AngularGrid.build(math.radians(0.5), doa45)
         self.assert_matches_oracle(g, self.random_filter(g.total_mics, 15), 8000.0, grid)
 
-    def test_matches_steering_matrix_on_unsorted_uneven_rings(self, tmp_path):
+    def test_matches_steering_matrix_on_unsorted_uneven_rings(self):
         rng = np.random.default_rng(12)
-        payload = {
-            "sample_rate_hz": 16000.0,
-            "sound_speed_mps": 343.0,
-            "rings": [
-                {"radius_m": 0.0, "mic_count": 1, "angles_rad": [0.0]},
-                {"radius_m": 0.04, "mic_count": 5, "angles_rad": [2.5, 0.3, -1.0, 4.0, 1.1]},
-                {
-                    "radius_m": 0.11,
-                    "mic_count": 9,
-                    "angles_rad": rng.uniform(-6.0, 6.0, 9).tolist(),
-                },
-            ],
-        }
-        path = tmp_path / "geometry.json"
-        path.write_text(json.dumps(payload))
-        g = ArrayGeometry.load(path)
+        angles = ([0.0], [2.5, 0.3, -1.0, 4.0, 1.1], rng.uniform(-6.0, 6.0, 9).tolist())
+        radii = (0.0, 0.04, 0.11)
+        g = _assemble(
+            cb.ArrayConfig(ring_radii=radii, sample_rate=16000.0),
+            tuple(Ring(r, len(a), np.array(a)) for r, a in zip(radii, angles)),
+        )
         grid = AngularGrid.build(math.radians(3.0), Direction.from_degrees(30.0, 200.0))
         h = self.random_filter(g.total_mics, 13)
         for f in (700.0, 4500.0):
