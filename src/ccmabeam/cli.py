@@ -297,6 +297,12 @@ def cmd_design(cfg: RunConfig, out_dir: str | Path) -> MetricCurves:
         f"design finished after {result.record.iteration_count} iterations "
         f"({result.record.stopping_reason}); artifacts in {out}"
     )
+    if result.record.stopping_reason == "numerical_failure":
+        # the artifacts hold the best parameters before the failure; exit 2
+        raise NumericalError(
+            f"non-finite loss or gradient after iteration {result.record.iteration_count}; "
+            f"{out} holds the best parameters found before it"
+        )
     return result.curves
 
 

@@ -394,7 +394,10 @@ def optimize(
 
     Deterministic for a fixed seed.  Stops at the iteration budget or
     after NO_IMPROVE_LIMIT iterations without the best loss improving by
-    more than IMPROVE_TOL.
+    more than IMPROVE_TOL.  A non-finite loss or gradient after the first
+    iteration stops the run with the best parameters seen so far and
+    stopping reason "numerical_failure"; at the first iteration it raises
+    NumericalError.
     """
     if budget < 1:
         raise ValueError("iteration budget must be at least 1")
@@ -410,7 +413,10 @@ def optimize(
         value, snap = pipeline.build_loss(x)
         current = float(value)
         if not math.isfinite(current):
-            raise NumericalError(f"loss became non-finite at iteration {it}")
+            if it == 1:
+                raise NumericalError(f"loss became non-finite at iteration {it}")
+            reason = "numerical_failure"
+            break
         rows.append(
             IterationRow(
                 iteration=it,
@@ -434,7 +440,13 @@ def optimize(
             break
         if it == budget:
             break
-        x = rprop_step(state, value.gradient(), x)
+        try:
+            x = rprop_step(state, value.gradient(), x)
+        except NumericalError:
+            if it == 1:
+                raise
+            reason = "numerical_failure"
+            break
     params = pipeline.params_from_vector(best_x)
     curves = evaluate_params(geometry, doa, params, grid_resolution)
     record = RunRecord(pipeline.frequencies, rows, reason)

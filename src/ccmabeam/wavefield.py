@@ -7,6 +7,7 @@ measured from the positive x axis.  All angles are radians.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -212,6 +213,40 @@ def pattern_db(values: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(power)
 
 
+# cells per row block of the CSV writer: its scratch stays a few hundred kB
+_CSV_BLOCK_CELLS = 1 << 13
+# a cell is spelled from the byte tables when |v| rounds below 1000 and
+# v * 10^6 lies farther than the margin from a rounding tie: fl(v * 10^6)
+# is off by at most 2^-24 there, so its rint rounds like %.6f.  Near-ties,
+# larger values, NaN and infinities go through %-format
+_CSV_TABLE_LIMIT = 1e9
+_CSV_TIE_MARGIN = 1e-6
+
+
+@functools.cache
+def _csv_cell_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Byte tables of one ``,%.6f`` cell, zero-padded to a 16-byte slot.
+
+    heads[1000 * negative + i] holds ``,`` [``-``] i ``.`` in 8 bytes and
+    digits[k] the 3 digits of k in 4; as integers, so one lookup places them.
+    """
+    k = np.arange(1000)
+    digits = (k[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    src = np.zeros((2, 1000, 8), dtype=np.uint8)
+    src[..., 0] = ord(",")
+    src[1, :, 1] = ord("-")
+    src[..., 2:5] = digits
+    src[..., 5] = ord(".")
+    keep = src != 0
+    keep[..., 2] &= k >= 100  # no leading zeros, but always a units digit
+    keep[..., 3] &= k >= 10
+    order = np.argsort(~keep, axis=-1, kind="stable")  # kept bytes first, in order
+    heads = np.take_along_axis(np.where(keep, src, 0), order, axis=-1)
+    padded = np.zeros((1000, 4), dtype=np.uint8)
+    padded[:, :3] = digits
+    return heads.reshape(2000, 8).view(np.uint64)[:, 0], padded.view(np.uint32)[:, 0]
+
+
 def export_beampattern_csv(
     path: str | Path,
     elevations: np.ndarray,
@@ -220,15 +255,55 @@ def export_beampattern_csv(
 ) -> None:
     """Rows are elevation, columns azimuth, cells dB re mainlobe.
 
-    Angles are written with 3 decimals and cells with 6, comma-separated
-    with CRLF line ends (the ``csv`` module's default dialect).
+    Angles are written with 3 decimals and cells with 6 (``%.3f``,
+    ``%.6f``), comma-separated with CRLF line ends (the ``csv`` module's
+    default dialect).  Cells are rounded to integer millionths in numpy and
+    assembled from byte tables, a block of rows at a time: per row, the
+    elevation label, one 16-byte slot per cell and CRLF, whose zero padding
+    is then deleted.  A row holding a cell the tables cannot round exactly
+    is formatted with ``%`` instead.
     """
     pattern_db_grid = np.asarray(pattern_db_grid)
     if pattern_db_grid.shape != (len(elevations), len(azimuths)):
         raise ValueError("pattern grid shape does not match the angle axes")
-    header = "elevation_deg\\azimuth_deg" + "".join(f",{math.degrees(a):.3f}" for a in azimuths)
-    row_format = "%.3f" + ",%.6f" * len(azimuths) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for el, row in zip(elevations, pattern_db_grid):
-            fh.write(row_format % (math.degrees(el), *row.tolist()))
+    heads, digits = _csv_cell_tables()
+    n = len(azimuths)
+    header = b"elevation_deg\\azimuth_deg" + (b",%.3f" * n) % tuple(np.degrees(azimuths).tolist())
+    labels = np.array([b"%.3f" % deg for deg in np.degrees(elevations).tolist()], dtype=bytes)
+    label_width = -(-labels.itemsize // 8) * 8  # keeps the slots 8-byte aligned
+    labels = labels.astype(f"S{label_width}")  # zero-padded
+    block_rows = max(1, _CSV_BLOCK_CELLS // max(n, 1))
+    with open(path, "wb") as fh:
+        fh.write(header + b"\r\n")
+        for start in range(0, len(labels), block_rows):
+            block = pattern_db_grid[start : start + block_rows].astype(float, copy=False)
+            rows = len(block)
+            text = np.zeros((rows, label_width + 16 * n + 8), dtype=np.uint8)
+            text[:, :label_width] = labels[start : start + rows].view(np.uint8).reshape(rows, -1)
+            text[:, -8:-6] = (ord("\r"), ord("\n"))
+
+            with np.errstate(invalid="ignore", over="ignore"):
+                scaled = block * 1e6
+                rounded = np.rint(scaled)
+                fallback = np.abs(scaled - rounded) > 0.5 - _CSV_TIE_MARGIN
+                millionths = np.abs(rounded)
+                fallback |= ~(millionths < _CSV_TABLE_LIMIT)  # also NaN and infinities
+            millionths[fallback] = 0.0
+            units = millionths.astype(np.intp)  # then peel off two groups of 3 decimals
+            low = units % 1000
+            units //= 1000
+            high = units % 1000
+            units //= 1000
+            units += np.signbit(block) * 1000
+            slots = text.view(np.uint64)[:, label_width // 8 : label_width // 8 + 2 * n]
+            slots = slots.reshape(rows, n, 2)
+            slots[..., 0] = heads.take(units)
+            decimals = slots[..., 1:].view(np.uint32)
+            decimals[..., 0] = digits.take(high)
+            decimals[..., 1] = digits.take(low)
+
+            lines = [row.tobytes().translate(None, b"\0") for row in text]
+            for i in np.flatnonzero(fallback.any(axis=1)):
+                cells = (b",%.6f" * n) % tuple(block[i].tolist())
+                lines[i] = labels[start + i] + cells + b"\r\n"
+            fh.write(b"".join(lines))

@@ -6,9 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccmabeam import cli
+from ccmabeam import cli, optimizer
 from ccmabeam.cli import ConfigError, load_config, main, parse_config
+from ccmabeam.geometry import build_geometry
 from ccmabeam.metrics import NumericalError
+from ccmabeam.optimizer import DesignPipeline
+from ccmabeam.weighting import DesignParams
 
 
 def small_config(out_dir, **overrides):
@@ -382,6 +385,37 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "optimize", boom)
         path = write_config(tmp_path, small_config(tmp_path / "out"))
         assert main(["design", "--config", str(path)]) == 2
+
+    def test_numerical_failure_keeps_best_artifacts(self, tmp_path, monkeypatch):
+        """NaN loss at iteration 4: every artifact is written from the best
+        of iterations 1-3, and the run exits 2."""
+        real = optimizer.total_loss
+        calls = [0]
+
+        def nan_at_four(*args):
+            value, terms = real(*args)
+            calls[0] += 1
+            return (math.nan if calls[0] == 4 else value), terms
+
+        monkeypatch.setattr(optimizer, "total_loss", nan_at_four)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, small_config(out))
+        assert main(["design", "--config", str(path)]) == 2
+        monkeypatch.undo()
+        names = {"params.json", "metrics.csv", "run_record.csv", "manifest.json",
+                 "beampattern_2000.csv", "beampattern_3000.csv"}
+        assert names <= {p.name for p in out.iterdir()}
+        with open(out / "run_record.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["iteration"]) for r in rows] == [1, 2, 3]
+        cfg = load_config(path)
+        pipeline = DesignPipeline(
+            build_geometry(cfg.array), cfg.doa, cfg.frequencies, cfg.loss, cfg.grid_resolution
+        )
+        params = DesignParams.load(out / "params.json")
+        x = np.stack([params.unconstrained_weights, params.unconstrained_widths], axis=1).reshape(-1)
+        best = min(float(r["loss"]) for r in rows)
+        assert float(pipeline.build_loss(x)[0]) == pytest.approx(best, rel=1e-9)
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exits:

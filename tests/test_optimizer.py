@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ccmabeam as cb
+from ccmabeam import optimizer as opt
 from ccmabeam.autodiff import gradcheck
 from ccmabeam.loss import LossConfig
 from ccmabeam.metrics import NumericalError, build_fit_cuts
@@ -332,6 +333,49 @@ class TestOptimize:
         result = optimize(toy_array, doa45, (2000.0,), L1_CFG, budget=500, seed=0)
         assert result.record.iteration_count < 500
         assert result.record.stopping_reason == "no_improvement"
+
+    @staticmethod
+    def fail_at(monkeypatch, call, where):
+        """Make the loss (or its gradient) of the ``call``-th evaluation non-finite."""
+        calls = [0]
+        if where == "loss":
+            real = opt.total_loss
+
+            def patched(*args):
+                value, terms = real(*args)
+                calls[0] += 1
+                return (math.nan if calls[0] == call else value), terms
+
+            monkeypatch.setattr(opt, "total_loss", patched)
+        else:
+            real = opt.DesignLoss.gradient
+
+            def patched(self):
+                g = real(self)
+                calls[0] += 1
+                return g * math.nan if calls[0] == call else g
+
+            monkeypatch.setattr(opt.DesignLoss, "gradient", patched)
+
+    @pytest.mark.parametrize("where,kept", [("loss", 5), ("gradient", 6)])
+    def test_numerical_failure_returns_best_so_far(self, toy_array, doa45, monkeypatch, where, kept):
+        """A failure at iteration 6 keeps the iterations with a finite loss,
+        and exactly the parameters a run stopped by budget there returns."""
+        clean = optimize(toy_array, doa45, (2000.0, 3000.0), L1_CFG, budget=kept, seed=4)
+        self.fail_at(monkeypatch, 6, where)
+        failed = optimize(toy_array, doa45, (2000.0, 3000.0), L1_CFG, budget=20, seed=4)
+        assert failed.record.stopping_reason == "numerical_failure"
+        assert failed.record.rows == clean.record.rows
+        for a, b in zip(failed.params.unconstrained_weights + failed.params.unconstrained_widths,
+                        clean.params.unconstrained_weights + clean.params.unconstrained_widths):
+            assert np.array_equal(a, b)
+        assert np.array_equal(failed.curves.df, clean.curves.df)
+
+    @pytest.mark.parametrize("where", ["loss", "gradient"])
+    def test_numerical_failure_at_first_iteration_raises(self, toy_array, doa45, monkeypatch, where):
+        self.fail_at(monkeypatch, 1, where)
+        with pytest.raises(NumericalError, match="iteration 1|non-finite gradient"):
+            optimize(toy_array, doa45, (2000.0, 3000.0), L1_CFG, budget=20, seed=4)
 
     def test_budget_validation(self, toy_array, doa45):
         with pytest.raises(ValueError):

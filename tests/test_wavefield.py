@@ -1,11 +1,15 @@
 import csv
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ccmabeam as cb
+from ccmabeam import wavefield
 from ccmabeam.geometry import Ring, _assemble
 from ccmabeam.wavefield import (
     AngularGrid,
@@ -252,6 +256,22 @@ class TestBeampatternGrid:
             tracemalloc.stop()
         assert peak < 32e6
 
+    def test_export_memory_stays_blocked(self, array_16k, doa45, tmp_path):
+        # one 181 x 720 band: the row blocks keep the writer's scratch near
+        # 1 MB, inside the benchmark's peak-RSS bound
+        grid = AngularGrid.build(math.radians(0.5), doa45)
+        h = self.random_filter(array_16k.total_mics, 15)
+        grid_db = pattern_db(beampattern_grid(array_16k, h, 3000.0, grid))
+        tracemalloc.start()
+        try:
+            export_beampattern_csv(tmp_path / "new.csv", grid.elevations, grid.azimuths, grid_db)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        csv_reference(tmp_path / "old.csv", grid.elevations, grid.azimuths, grid_db)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
 
 class TestBesselTable:
     X = np.concatenate([[0.0, 1e-3, 0.5], np.linspace(1.0, 146.5, 60)])
@@ -355,6 +375,43 @@ class TestExport:
         assert data == (tmp_path / "old.csv").read_bytes()
         assert data.count(b"\r\n") == grid_db.shape[0] + 1
         assert needle in data
+
+    @given(
+        data=st.data(),
+        pool=st.lists(
+            st.one_of(
+                st.floats(),  # any float64: NaN, infinities, signed zeros, subnormals
+                st.floats(-1e12, 1e12),
+                st.sampled_from([-300.0, -0.0, 999.9999995, -999.9999994, 1e9, -5e-7]),
+                # ties of the 6th decimal and their neighbours one ulp away
+                st.builds(
+                    lambda k, ulps: np.nextafter((k + 0.5) / 1e6, math.copysign(math.inf, ulps))
+                    if ulps else (k + 0.5) / 1e6,
+                    st.integers(-10**9, 10**9),
+                    st.sampled_from([-1, 0, 1]),
+                ),
+                st.integers(-128_000, 128_000).map(lambda j: j / 128),  # exact dyadic ties
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        rows=st.integers(1, 12),
+        cols=st.integers(1, 9),
+        block_cells=st.integers(1, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_csv_writer_on_any_cells(
+        self, tmp_path_factory, data, pool, rows, cols, block_cells
+    ):
+        grid_db = np.resize(np.array(pool, dtype=float), (rows, cols))
+        elevations = np.radians(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=rows, max_size=rows)))
+        azimuths = np.radians(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=cols, max_size=cols)))
+        out = tmp_path_factory.mktemp("export")
+        # small blocks, so the row counts straddle block ends
+        with mock.patch.object(wavefield, "_CSV_BLOCK_CELLS", block_cells):
+            export_beampattern_csv(out / "new.csv", elevations, azimuths, grid_db)
+        csv_reference(out / "old.csv", elevations, azimuths, grid_db)
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
     def test_shape_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
