@@ -8,7 +8,10 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
+import functools
 import itertools
 import json
 import math
@@ -99,7 +102,12 @@ def _require(mapping: dict, field: str, context: str = ""):
 def _number(value, field: str, minimum=None, strict=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):  # json reads NaN and Infinity
+        raise ConfigError(f"{field}: expected a finite number")
     if minimum is not None and (value <= minimum if strict else value < minimum):
         bound = "greater than" if strict else "at least"
         raise ConfigError(f"{field}: must be {bound} {minimum}, got {value}")
@@ -256,6 +264,44 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(raw)
 
 
+@functools.cache
+def _blas_thread_calls():
+    """(set, get) thread-count calls of numpy's bundled OpenBLAS, or None."""
+    root = Path(np.__file__).parent
+    libs = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            setter = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            getter = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread inside, then restore the caller's count.
+
+    Every product here is too small for a second BLAS thread to pay, and
+    ``sweep --workers`` is the one level of parallelism.  Without an
+    OpenBLAS handle this does nothing.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def _write_manifest(cfg: RunConfig, out: Path) -> None:
     (out / "manifest.json").write_text(json.dumps(cfg.resolved(), indent=2) + "\n")
 
@@ -275,6 +321,7 @@ def _check_baseline(tag: str) -> None:
         raise ConfigError(f"baseline: expected 'das', got {tag!r}")
 
 
+@_one_blas_thread()
 def cmd_design(cfg: RunConfig, out_dir: str | Path) -> MetricCurves:
     geometry = build_geometry(cfg.array)
     result = optimize(
@@ -306,6 +353,7 @@ def cmd_design(cfg: RunConfig, out_dir: str | Path) -> MetricCurves:
     return result.curves
 
 
+@_one_blas_thread()
 def cmd_eval(cfg: RunConfig, out_dir: str | Path, params_path=None, baseline=None) -> MetricCurves:
     geometry = build_geometry(cfg.array)
     if (params_path is None) == (baseline is None):
@@ -332,11 +380,14 @@ def _sweep_point(cfg: RunConfig) -> list[list[str]]:
     return [[*knobs, f"{f:g}", *metric_cells(curves, b)] for b, f in enumerate(curves.frequencies)]
 
 
+@_one_blas_thread()
 def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
     if not cfg.sweep:
         raise ConfigError("sweep: the config has no sweep section")
     if cfg.loss.variant != "L3":
         raise ConfigError("sweep: parameter sweeps require loss.variant == 'L3'")
+    if workers < 1:
+        raise ConfigError(f"--workers: must be at least 1, got {workers}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     keys = list(cfg.sweep.keys())
@@ -346,6 +397,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
         tag = "_".join(f"{k}={overrides[k]:g}" for k in keys)
         loss = replace(cfg.loss, **overrides)
         jobs.append(replace(cfg, loss=loss, output_dir=str(out / tag), sweep=None))
+    workers = min(workers, len(jobs))  # a fork pool starts every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, jobs))
@@ -362,6 +414,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
     return len(combos)
 
 
+@_one_blas_thread()
 def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str = "das") -> None:
     geometry = build_geometry(cfg.array)
     _check_baseline(baseline)
@@ -386,6 +439,7 @@ def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str 
     print(f"comparison written to {out / 'compare.csv'}")
 
 
+@_one_blas_thread()
 def cmd_gradcheck(seed: int = 0, points: int = 5) -> float:
     """Self-test: pipeline gradient vs. finite differences on a small array."""
     geometry = build_geometry(ArrayConfig(ring_radii=(0.0, 0.05), sample_rate=16000.0))
@@ -462,9 +516,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "grid_deg", None) is not None:
-        if args.grid_deg <= 0:
-            raise ConfigError("--grid-deg: must be positive")
-        cfg.grid_resolution_deg = args.grid_deg
+        cfg.grid_resolution_deg = _number(args.grid_deg, "--grid-deg", 0.0, strict=True)
     if getattr(args, "out", None):
         cfg.output_dir = args.out
     return cfg

@@ -86,6 +86,64 @@ class TestConfigParsing:
         assert main(["design", "--config", str(path)]) == 1
 
 
+# every float config field, set to ``value``
+NUMERIC_FIELDS = [
+    ("array.ring_radii_m[1]", lambda c, v: c["array"].update(ring_radii_m=[0.0, v])),
+    ("array.sample_rate_hz", lambda c, v: c["array"].update(sample_rate_hz=v)),
+    ("array.sound_speed_mps", lambda c, v: c["array"].update(sound_speed_mps=v)),
+    ("doa_deg.elevation", lambda c, v: c["doa_deg"].update(elevation=v)),
+    ("doa_deg.azimuth", lambda c, v: c["doa_deg"].update(azimuth=v)),
+    ("frequencies_hz[1]", lambda c, v: c.update(frequencies_hz=[2000.0, v])),
+    ("loss.target_theta_deg", lambda c, v: c["loss"].update(target_theta_deg=v)),
+    ("loss.target_phi_deg", lambda c, v: c["loss"].update(target_phi_deg=v)),
+    ("loss.alpha", lambda c, v: c["loss"].update(alpha=v)),
+    ("loss.lambda1", lambda c, v: c["loss"].update(lambda1=v)),
+    ("loss.lambda2", lambda c, v: c["loss"].update(lambda2=v)),
+    ("loss.lambda3", lambda c, v: c["loss"].update(lambda3=v)),
+    ("grid_resolution_deg", lambda c, v: c.update(grid_resolution_deg=v)),
+    *(
+        (f"sweep.{key}[1]", lambda c, v, key=key: c.update(sweep={key: [0.5, v]}))
+        for key in cli.SWEEP_KEYS
+    ),
+]
+# the integer fields reject any float, naming the field
+INTEGER_FIELDS = [
+    ("optimizer.budget", lambda c, v: c["optimizer"].update(budget=v), "expected a positive integer"),
+    ("optimizer.seed", lambda c, v: c["optimizer"].update(seed=v), "expected an integer"),
+]
+
+
+class TestNonFiniteNumbers:
+    """json reads NaN and Infinity; each is rejected naming its field."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "field,mutate,message",
+        [(f, m, "expected a finite number") for f, m in NUMERIC_FIELDS] + INTEGER_FIELDS,
+        ids=[f[0] for f in NUMERIC_FIELDS + INTEGER_FIELDS],
+    )
+    def test_rejected_with_field_name(self, tmp_path, capsys, field, mutate, message, value):
+        cfg = small_config(tmp_path / "out")
+        mutate(cfg, value)
+        assert main(["design", "--config", str(write_config(tmp_path, cfg))]) == 1
+        assert f"{field}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        cfg = small_config(tmp_path / "out")
+        cfg["array"]["sample_rate_hz"] = 10**400
+        assert main(["design", "--config", str(write_config(tmp_path, cfg))]) == 1
+        assert "array.sample_rate_hz: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_grid_override(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, small_config(tmp_path / "out"))
+        assert main(["design", "--config", str(path), f"--grid-deg={value}"]) == 1
+        assert "--grid-deg: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestDesignCommand:
     def test_artifacts_and_manifest(self, tmp_path):
         out = tmp_path / "out"
@@ -345,6 +403,132 @@ class TestSweepCommand:
         cfg["loss"]["variant"] = "L3"
         path = write_config(tmp_path, cfg, "nosweep.json")
         assert main(["sweep", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_fail_validation(self, tmp_path, capsys, workers):
+        path = self.sweep_config(tmp_path, {"alpha": [0.0, 1.0]})
+        assert main(["sweep", "--config", str(path), "--workers", workers]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_pool_capped_at_point_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:  # runs the points in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        path = self.sweep_config(tmp_path, {"alpha": [0.0, 1.0]})
+        assert main(["sweep", "--config", str(path), "--workers", "5000"]) == 0
+        assert sizes == [2]
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "b"), "--workers", "2"]) == 0
+        assert sizes == [2, 2]
+
+
+@pytest.fixture
+def blas_threads():
+    """(set, get) of the BLAS thread count; the test's count is undone after it."""
+    calls = cli._blas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread-count handle found")
+    set_threads, get_threads = calls
+    before = get_threads()
+    yield set_threads, get_threads
+    set_threads(before)
+
+
+class TestOneBlasThread:
+    def record_threads(self, monkeypatch, get_threads):
+        seen = []
+        real = cli.beampattern_grid
+
+        def recording(*args):
+            seen.append(get_threads())
+            return real(*args)
+
+        monkeypatch.setattr(cli, "beampattern_grid", recording)
+        return seen
+
+    @pytest.mark.parametrize(
+        "args", [["design"], ["eval", "--baseline", "das"]], ids=["design", "eval"]
+    )
+    def test_commands_run_on_one_thread(self, tmp_path, monkeypatch, blas_threads, args):
+        set_threads, get_threads = blas_threads
+        seen = self.record_threads(monkeypatch, get_threads)
+        set_threads(3)
+        path = write_config(tmp_path, small_config(tmp_path / "out"))
+        assert main([*args, "--config", str(path)]) == 0
+        assert seen == [1, 1]  # one grid per band
+        assert get_threads() == 3
+
+    def test_count_restored_after_validation_error(self, tmp_path, blas_threads):
+        set_threads, get_threads = blas_threads
+        set_threads(3)
+        cfg = load_config(write_config(tmp_path, small_config(tmp_path / "out")))
+        with pytest.raises(ConfigError):
+            cli.cmd_eval(cfg, tmp_path / "out", baseline="delay_and_sum")
+        assert get_threads() == 3
+
+    def test_count_restored_after_numerical_failure(self, tmp_path, monkeypatch, blas_threads):
+        set_threads, get_threads = blas_threads
+        seen = []
+
+        def boom(*args, **kwargs):
+            seen.append(get_threads())
+            raise NumericalError("synthetic failure")
+
+        monkeypatch.setattr(cli, "optimize", boom)
+        set_threads(3)
+        cfg = load_config(write_config(tmp_path, small_config(tmp_path / "out")))
+        with pytest.raises(NumericalError):
+            cli.cmd_design(cfg, tmp_path / "out")
+        assert seen == [1]
+        assert get_threads() == 3
+
+    def test_nested_sweep_design(self, tmp_path, monkeypatch, blas_threads):
+        # the second point runs after the first point's cmd_design has returned
+        set_threads, get_threads = blas_threads
+        seen = self.record_threads(monkeypatch, get_threads)
+        set_threads(3)
+        cfg = small_config(tmp_path / "sweep", sweep={"alpha": [0.0, 1.0]})
+        cfg["loss"]["variant"] = "L3"
+        cfg["optimizer"]["budget"] = 3
+        assert cli.cmd_sweep(load_config(write_config(tmp_path, cfg)), tmp_path / "sweep") == 2
+        assert seen == [1, 1, 1, 1]  # two points, two bands each
+        assert get_threads() == 3
+
+    def test_bytes_do_not_depend_on_caller_threads(self, tmp_path, blas_threads):
+        # unpinned, two BLAS threads spell one mainlobe cell of the reference
+        # array's 6 kHz DAS grid 0.000000 where one thread gives -0.000000
+        set_threads, _ = blas_threads
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                small_config(
+                    tmp_path / "out",
+                    array={"ring_radii_m": [0.0, 0.05, 0.10, 0.15, 0.20], "sample_rate_hz": 16000.0},
+                    frequencies_hz=[5000.0, 6000.0],
+                    grid_resolution_deg=1.0,
+                ),
+            )
+        )
+        for threads in (1, 2):
+            set_threads(threads)
+            cli.cmd_eval(cfg, tmp_path / str(threads), baseline="das")
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert names == ["beampattern_5000.csv", "beampattern_6000.csv", "metrics.csv"]
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 class TestCompareCommand:
