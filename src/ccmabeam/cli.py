@@ -2,7 +2,7 @@
 
 Config files are JSON with angles in degrees; everything internal runs
 in radians.  Exit codes: 0 success, 1 validation failure, 2 numerical
-failure.
+failure (in a sweep: any point failed).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .loss import VARIANTS, LossConfig
 from .metrics import MetricCurves, NumericalError, evaluate_params, metric_cells, params_filter_fn
 from .optimizer import DesignPipeline, optimize
 from .wavefield import AngularGrid, Direction, beampattern_grid, export_beampattern_csv, pattern_db
-from .weighting import DesignParams
+from .weighting import DegenerateFilterError, DesignParams
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
@@ -375,9 +374,14 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path, params_path=None, baseline=Non
 
 
 def _sweep_point(cfg: RunConfig) -> list[list[str]]:
-    curves = cmd_design(cfg, cfg.output_dir)
+    """summary.csv rows of one point; a failed point's status is its error class."""
     knobs = [f"{getattr(cfg.loss, k):g}" for k in SWEEP_KEYS]
-    return [[*knobs, f"{f:g}", *metric_cells(curves, b)] for b, f in enumerate(curves.frequencies)]
+    try:
+        curves = cmd_design(cfg, cfg.output_dir)
+    except (NumericalError, DegenerateFilterError) as err:
+        return [[*knobs, f"{f:g}", "", "", "", "", type(err).__name__] for f in cfg.frequencies]
+    bands = enumerate(curves.frequencies)
+    return [[*knobs, f"{f:g}", *metric_cells(curves, b), "ok"] for b, f in bands]
 
 
 @_one_blas_thread()
@@ -399,6 +403,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
         jobs.append(replace(cfg, loss=loss, output_dir=str(out / tag), sweep=None))
     workers = min(workers, len(jobs))  # a fork pool starts every worker at once
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, jobs))
     else:
@@ -406,11 +412,14 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            [*SWEEP_KEYS, "frequency_hz", "df_db", "wng_db", "theta_deg", "phi_deg"]
+            [*SWEEP_KEYS, "frequency_hz", "df_db", "wng_db", "theta_deg", "phi_deg", "status"]
         )
         for rows in results:
             writer.writerows(rows)
+    failed = sum(rows[0][-1] != "ok" for rows in results)
     print(f"sweep finished: {len(combos)} points, summary in {out / 'summary.csv'}")
+    if failed:
+        raise NumericalError(f"sweep: {failed} of {len(combos)} points failed (summary.csv status)")
     return len(combos)
 
 

@@ -93,10 +93,6 @@ class ArrayGeometry:
     def ring_count(self) -> int:
         return len(self.rings)
 
-    def ring_slice(self, ring: int) -> slice:
-        """Flat-index slice of the microphones belonging to ``ring``."""
-        return self.ring_slices[ring]
-
     def diameter(self) -> float:
         """Aperture diameter, twice the outermost ring radius."""
         return 2.0 * self.rings[-1].radius

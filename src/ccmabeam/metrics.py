@@ -5,12 +5,16 @@ gain (WNG), and two beamwidth estimators: a weighted least-squares
 parabola fit whose curvature is linear in the dB beampattern samples (so
 the width is differentiable through them), and a plain level-crossing
 search used as a non-differentiable reference.
+
+Every filter is scored by :class:`BandTables`, whose adjoint also serves
+the design gradient; the per-filter functions are reference oracles.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import mmap
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -20,14 +24,13 @@ import numpy as np
 from .geometry import ArrayGeometry
 from .wavefield import (
     ELEVATION_RANGE,
+    PATTERN_POWER_FLOOR,
     Direction,
-    beampattern,
-    pattern_db,
     snapped_range,
     steering_matrix,
     steering_vector,
 )
-from .weighting import DesignParams, assemble_filter
+from .weighting import DesignParams, assemble_filter, mic_layout, ring_gains
 
 __all__ = [
     "NumericalError",
@@ -47,6 +50,7 @@ __all__ = [
     "beamwidth_oracle",
     "MetricCurves",
     "metric_cells",
+    "BandTables",
     "evaluate_filter_bank",
     "params_filter_fn",
     "evaluate_params",
@@ -63,6 +67,8 @@ MASK_SUPPORT_SIGMAS = 3.0
 SCHEDULE_K = 0.8
 SCHEDULE_SIGMA_MIN = math.radians(4.0)
 SCHEDULE_SIGMA_MAX = math.radians(30.0)
+
+_DB_PER_LN = 10.0 / math.log(10.0)  # d(10 log10 p)/dp = _DB_PER_LN / p
 
 
 class NumericalError(RuntimeError):
@@ -134,7 +140,6 @@ class FitCut:
     x: np.ndarray
     elevations: np.ndarray
     azimuths: np.ndarray
-    weights: np.ndarray
     doa_index: int
     sigma: float
 
@@ -160,7 +165,6 @@ def build_fit_cuts(
         x=x_theta,
         elevations=thetas,
         azimuths=np.full_like(thetas, doa.azimuth),
-        weights=_mask_weights(x_theta, sigma_theta),
         doa_index=int(np.argmin(np.abs(x_theta))),
         sigma=sigma_theta,
     )
@@ -175,7 +179,6 @@ def build_fit_cuts(
         x=x_phi,
         elevations=np.full_like(x_phi, doa.elevation),
         azimuths=doa.azimuth + x_phi,
-        weights=_mask_weights(x_phi, sigma_phi),
         doa_index=int(-kmin),
         sigma=sigma_phi,
     )
@@ -314,10 +317,104 @@ def metric_cells(metrics, b: int) -> list[str]:
     ]
 
 
-def _cut_db(h: np.ndarray, geometry: ArrayGeometry, frequency: float, cut: FitCut) -> np.ndarray:
-    return pattern_db(
-        beampattern(h, steering_matrix(geometry, frequency, cut.elevations, cut.azimuths))
-    )
+def _untouched_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """Float zeros in a private mapping of their own: pages never written
+    (the padding of the fit cuts) stay out of the resident set, and freeing
+    returns them without raising malloc's mmap threshold for later arrays."""
+    buffer = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # a huge page would make the padding resident
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buffer, dtype=float).reshape(shape)
+
+
+class BandTables:
+    """The gains -> band metrics map of one array, DoA, band set and grid.
+
+    Every filter here, designed or delay-and-sum, is real per-mic gains g
+    times the look-direction phases d.  Tables stacked over bands: ``a_gamma``
+    is Gamma * Re(conj(d) d^T), so g^T a_gamma g = h^H Gamma h; ``cut_rows``
+    the real, then the imaginary parts of both fit cuts' steering times
+    conj(d); ``fit`` the cuts' parabola-fit coefficients.  Cuts are
+    zero-padded to the longest, with zero fit coefficients on the padding.
+    """
+
+    def __init__(self, geometry: ArrayGeometry, doa: Direction, frequencies, grid_resolution):
+        self.frequencies = tuple(float(f) for f in frequencies)
+        cuts = [build_fit_cuts(geometry, doa, f, grid_resolution) for f in self.frequencies]
+        samples = max(len(cut.x) for pair in cuts for cut in pair)
+        bands, mics = len(self.frequencies), geometry.total_mics
+        # filled band by band in place: padded per-band copies would hold the tables twice
+        self.a_gamma = np.empty((bands, mics, mics))
+        cut_rows = _untouched_zeros((bands, 2, 2, samples, mics))  # (band, re/im, cut, sample, mic)
+        self.fit = np.zeros((bands, 2, samples))
+        for b, f in enumerate(self.frequencies):
+            d = steering_vector(geometry, f, doa)
+            self.a_gamma[b] = gamma_matrix(geometry, f) * np.real(np.outer(np.conj(d), d))
+            for c, cut in enumerate(cuts[b]):
+                n = len(cut.x)
+                rows = steering_matrix(geometry, f, cut.elevations, cut.azimuths)
+                rows *= np.conj(d)
+                cut_rows[b, 0, c, :n] = rows.real
+                cut_rows[b, 1, c, :n] = rows.imag
+                self.fit[b, c, :n] = fit_coefficients(cut.x, cut.doa_index, cut.sigma)
+        self.cut_rows = cut_rows.reshape(bands, 4 * samples, mics)
+
+    def forward(self, gains: np.ndarray):
+        """(df, wng, widths, diffuse, pullback) of real gains (bands, mics).
+
+        ``widths`` (bands, 2) are the raw parabola widths; ``pullback(g_theta,
+        g_phi, g_df, g_wng)`` is the gradient in the gains of the metrics
+        weighted by those per-band adjoints.  DF is floored as in
+        :func:`directivity_factor`.
+        """
+        bands = len(gains)
+        total = gains.sum(axis=1)
+        power = total * total
+        filter_power = np.einsum("bm,bm->b", gains, gains)
+        a_gains = np.matmul(self.a_gamma, gains[:, :, None])[:, :, 0]
+        diffuse = np.einsum("bm,bm->b", gains, a_gains)
+        floor = GAMMA_DIAGONAL_REG * filter_power
+        floored = diffuse < floor
+        denom = np.where(floored, floor, diffuse)
+        df = power / denom
+        wng = power / filter_power
+
+        response = np.matmul(self.cut_rows, gains[:, :, None]).reshape(bands, 2, 2, -1)
+        cut_power = response[:, 0] ** 2 + response[:, 1] ** 2 + PATTERN_POWER_FLOOR
+        # the fit coefficients sum to zero, so the curvature ignores the dB
+        # offset of normalizing the cuts to the look direction
+        curvature = np.einsum("bcs,bcs->bc", self.fit, 10.0 * np.log10(cut_power))
+        widths, slopes, _ = curvature_width(curvature)
+
+        def pullback(g_theta, g_phi, g_df, g_wng) -> np.ndarray:
+            # widths -> curvatures -> dB cut samples -> cut responses -> gains
+            g_db = (np.column_stack([g_theta, g_phi]) * slopes)[:, :, None] * self.fit
+            g_response = 2.0 * response * (_DB_PER_LN * g_db / cut_power)[:, None]
+            g_gains = np.matmul(g_response.reshape(bands, 1, -1), self.cut_rows)[:, 0]
+            # DF = power / max(diffuse, floor), WNG = power / filter_power
+            g_power = g_df / denom + g_wng / filter_power
+            g_denom = -g_df * df / denom
+            g_filter_power = -g_wng * wng / filter_power
+            g_filter_power += np.where(floored, GAMMA_DIAGONAL_REG * g_denom, 0.0)
+            g_diffuse = np.where(floored, 0.0, g_denom)
+            g_gains += (
+                (2.0 * total * g_power)[:, None]
+                + 2.0 * gains * g_filter_power[:, None]
+                + 2.0 * a_gains * g_diffuse[:, None]  # the diffuse form is symmetric
+            )
+            return g_gains
+
+        return df, wng, widths, diffuse, pullback
+
+    def curves(self, gains: np.ndarray) -> MetricCurves:
+        """Reported metric curves of real gains (bands, mics): widths clamped to
+        (0, pi]; a band whose diffuse form is not positive raises NumericalError."""
+        df, wng, widths, diffuse, _ = self.forward(gains)
+        for b in np.flatnonzero(diffuse <= 0.0):
+            raise NumericalError(f"band {b} ({self.frequencies[b]:g} Hz): diffuse-noise "
+                                 f"power h^H Gamma h = {diffuse[b]} is not positive")
+        widths = np.minimum(widths, math.pi)
+        return MetricCurves(self.frequencies, df, wng, widths[:, 0], widths[:, 1])
 
 
 def evaluate_filter_bank(
@@ -327,39 +424,26 @@ def evaluate_filter_bank(
     filter_fn: Callable[[float], np.ndarray],
     grid_resolution: float = math.radians(1.0),
 ) -> MetricCurves:
-    """Metric curves for any per-frequency filter factory.
+    """Metric curves of a per-frequency filter factory, scored by :class:`BandTables`.
 
-    Beamwidths come from the parabola estimator on the standard fit cuts
-    and are clamped to (0, pi] for reporting.
+    Each filter h must be real gains times the look-direction phases d: a
+    band where h * conj(d) has an imaginary part above 1e-9 of its largest
+    modulus raises ValueError.
     """
-    freqs = tuple(float(f) for f in frequencies)
-    df, wng, theta, phi = [], [], [], []
-    for f in freqs:
-        h = filter_fn(f)
-        d = steering_vector(geometry, f, doa)
-        df.append(directivity_factor(h, d, gamma_matrix(geometry, f)))
-        wng.append(white_noise_gain(h, d))
-        theta_cut, phi_cut = build_fit_cuts(geometry, doa, f, grid_resolution)
-        width, _ = beamwidth_parabola(
-            theta_cut.x, _cut_db(h, geometry, f, theta_cut), theta_cut.doa_index, theta_cut.sigma
-        )
-        theta.append(min(width, math.pi))
-        width, _ = beamwidth_parabola(
-            phi_cut.x, _cut_db(h, geometry, f, phi_cut), phi_cut.doa_index, phi_cut.sigma
-        )
-        phi.append(min(width, math.pi))
-    return MetricCurves(freqs, np.array(df), np.array(wng), np.array(theta), np.array(phi))
+    tables = BandTables(geometry, doa, frequencies, grid_resolution)
+    gains = np.empty((len(tables.frequencies), geometry.total_mics))
+    for b, f in enumerate(tables.frequencies):
+        g = filter_fn(f) * np.conj(steering_vector(geometry, f, doa))
+        if np.max(np.abs(g.imag)) > 1e-9 * np.max(np.abs(g)):
+            raise ValueError(f"band {b} ({f:g} Hz): filter is not real gains times the DoA phases")
+        gains[b] = g.real
+    return tables.curves(gains)
 
 
 def params_filter_fn(
     geometry: ArrayGeometry, doa: Direction, params: DesignParams
 ) -> Callable[[float], np.ndarray]:
     """Filter factory of a designed parameter set: band frequency -> filter."""
-    if params.ring_count != geometry.ring_count:
-        raise ValueError(
-            f"params: the parameters cover {params.ring_count} rings but the array has "
-            f"{geometry.ring_count}"
-        )
     lookup = {f: b for b, f in enumerate(params.frequencies)}
 
     def filter_fn(f: float) -> np.ndarray:
@@ -375,7 +459,11 @@ def evaluate_params(
     params: DesignParams,
     grid_resolution: float = math.radians(1.0),
 ) -> MetricCurves:
-    """Metric curves of a designed parameter set (one filter per band)."""
-    return evaluate_filter_bank(
-        geometry, doa, params.frequencies, params_filter_fn(geometry, doa, params), grid_resolution
+    """Metric curves of a designed parameter set, scored by :class:`BandTables`."""
+    if params.ring_count != geometry.ring_count:
+        raise ValueError(f"params: the parameters cover {params.ring_count} rings "
+                         f"but the array has {geometry.ring_count}")
+    _, gains = ring_gains(
+        mic_layout(geometry, doa), np.stack(params.ring_weights), np.stack(params.window_widths)
     )
+    return BandTables(geometry, doa, params.frequencies, grid_resolution).curves(gains)

@@ -15,7 +15,6 @@ Derivatives*, 2008).
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,19 +24,11 @@ import numpy as np
 
 from .geometry import ArrayGeometry
 from .loss import BandLossTerms, LossConfig, total_loss
-from .metrics import (
-    GAMMA_DIAGONAL_REG,
-    MetricCurves,
-    NumericalError,
-    build_fit_cuts,
-    curvature_width,
-    evaluate_params,
-    fit_coefficients,
-    gamma_matrix,
-    metric_cells,
+from .metrics import BandTables, MetricCurves, NumericalError, metric_cells
+from .wavefield import Direction
+from .weighting import (
+    DesignParams, SIGMA_FLOOR, constrain_band, mic_layout, ring_gains, softplus_inverse,
 )
-from .wavefield import PATTERN_POWER_FLOOR, Direction, steering_matrix, steering_vector
-from .weighting import DesignParams, SIGMA_FLOOR, constrain_band, ring_distances, softplus_inverse
 
 __all__ = [
     "RPropConfig",
@@ -56,8 +47,6 @@ INIT_NOISE = 1e-3
 
 NO_IMPROVE_LIMIT = 200
 IMPROVE_TOL = 1e-6
-
-_DB_PER_LN = 10.0 / math.log(10.0)  # d(10 log10 p)/dp = _DB_PER_LN / p
 
 
 @dataclass(frozen=True)
@@ -190,35 +179,13 @@ class DesignLoss(float):
         return self._backward(*seeds)
 
 
-class _Forward(NamedTuple):
-    """Forward intermediates the reverse pass reads (bands on axis 0)."""
-
-    v: np.ndarray  # (bands, rings) width parameters
-    weights: np.ndarray  # (bands, rings)
-    sigmas: np.ndarray  # (bands, rings)
-    taps: np.ndarray  # (bands, mics)
-    gains: np.ndarray  # (bands, mics)
-    a_gains: np.ndarray  # (bands, mics) diffuse form times gains
-    total: np.ndarray  # (bands,) sum of gains
-    filter_power: np.ndarray
-    floored: np.ndarray  # DF denominator held at its floor
-    denom: np.ndarray
-    df: np.ndarray
-    wng: np.ndarray
-    response: np.ndarray  # (bands, re/im, cut, samples)
-    cut_power: np.ndarray  # (bands, cut, samples)
-    slopes: np.ndarray  # (bands, cut) d width / d curvature
-
-
 class DesignPipeline:
     """Map from unconstrained parameters to the design loss and its gradient.
 
-    All geometry-dependent quantities (window distances, steering phases
-    along the fit cuts, diffuse-coherence quadratic forms, parabola-fit
-    coefficients) are constant per direction-of-arrival and are
-    precomputed once, stacked over bands.  The cuts of all bands are
-    zero-padded to a common length; a padded sample has a zero fit
-    coefficient, so it does not reach the widths.
+    Parameters map to real per-mic gains (:func:`ring_gains`); ``tables``,
+    the :class:`BandTables` that score every reported filter, map the gains
+    of all bands to DF, WNG and widths and the metrics' adjoints back; and
+    :func:`total_loss` assembles the loss.
     """
 
     def __init__(
@@ -239,41 +206,11 @@ class DesignPipeline:
                     f"({self.frequencies[i]:g} Hz) follows {self.frequencies[i - 1]:g} Hz"
                 )
         self.geometry = geometry
-        self.doa = doa
         self.loss_config = loss_config
-
-        rings = range(geometry.ring_count)
-        self._ring_starts = np.array([geometry.ring_slice(r).start for r in rings])
-        self._ring_of_mic = np.repeat(rings, [ring.mic_count for ring in geometry.rings])
-        self._delta_sq = np.concatenate([ring_distances(geometry, r, doa) ** 2 for r in rings])
-
-        bands = [self._band_data(f, grid_resolution) for f in self.frequencies]
-        self._samples = max(len(c) for _, cuts, _ in bands for c in cuts)
-        self._a_gamma = np.stack([a_gamma for a_gamma, _, _ in bands])
-        # rows per band: real parts of both cuts, then imaginary parts
-        self._cut_rows = np.stack(
-            [
-                np.concatenate([self._pad(part(c)) for part in (np.real, np.imag) for c in cuts])
-                for _, cuts, _ in bands
-            ]
-        )
-        self._fit = np.stack([[self._pad(c) for c in fits] for _, _, fits in bands])
-
-    def _pad(self, rows: np.ndarray) -> np.ndarray:
-        pad = [(0, self._samples - len(rows))] + [(0, 0)] * (rows.ndim - 1)
-        return np.pad(rows, pad)
-
-    def _band_data(self, frequency: float, grid_resolution: float):
-        geometry = self.geometry
-        d = steering_vector(geometry, frequency, self.doa)
-        a_gamma = gamma_matrix(geometry, frequency) * np.real(np.outer(np.conj(d), d))
-        cuts = build_fit_cuts(geometry, self.doa, frequency, grid_resolution)
-        responses = [
-            steering_matrix(geometry, frequency, c.elevations, c.azimuths) * np.conj(d)[None, :]
-            for c in cuts
-        ]
-        fits = [fit_coefficients(c.x, c.doa_index, c.sigma) for c in cuts]
-        return a_gamma, responses, fits
+        self._ring_starts = np.array([s.start for s in geometry.ring_slices])
+        self._layout = mic_layout(geometry, doa)
+        self._delta_sq = self._layout[1] ** 2
+        self.tables = BandTables(geometry, doa, self.frequencies, grid_resolution)
 
     def _ring_sum(self, values: np.ndarray) -> np.ndarray:
         """Per-ring sums over the mic axis: (bands, mics) -> (bands, rings)."""
@@ -295,84 +232,38 @@ class DesignPipeline:
         uv = np.asarray(x, dtype=float).reshape(len(self.frequencies), 2, -1)
         return DesignParams.from_unconstrained(self.frequencies, uv[:, 0], uv[:, 1])
 
-    def build_loss(self, x: Sequence[float]) -> tuple[DesignLoss, BandLossTerms]:
-        """Loss of a flat parameter vector, all bands at once.
-
-        Layout per band: ring-weight parameters, then width parameters.
-        Returns (loss, BandLossTerms); ``loss.gradient()`` is the reverse
-        pass of this evaluation.
-        """
+    def _gains(self, x: Sequence[float]):
+        """(width parameters, weights, widths, taps, gains) of a flat vector,
+        bands on axis 0.  Layout per band: ring-weight, then width parameters."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.param_count,):
             raise ValueError(f"expected {self.param_count} parameters, got {x.size}")
-        bands = len(self.frequencies)
-        uv = x.reshape(bands, 2, -1)
+        uv = x.reshape(len(self.frequencies), 2, -1)
         weights, sigmas = constrain_band(uv[:, 0], uv[:, 1])
-        mic_ring = self._ring_of_mic
-        taps = np.exp(self._delta_sq * (-0.5 / (sigmas * sigmas))[:, mic_ring])
-        gains = weights[:, mic_ring] * taps
+        return (uv[:, 1], weights, sigmas, *ring_gains(self._layout, weights, sigmas))
 
-        total = gains.sum(axis=1)
-        power = total * total
-        filter_power = np.einsum("bm,bm->b", gains, gains)
-        a_gains = np.matmul(self._a_gamma, gains[:, :, None])[:, :, 0]
-        diffuse = np.einsum("bm,bm->b", gains, a_gains)
-        # floor matching directivity_factor: guards an indefinite form
-        # without biasing the well-conditioned case
-        floor = GAMMA_DIAGONAL_REG * filter_power
-        floored = diffuse < floor
-        denom = np.where(floored, floor, diffuse)
-        df = power / denom
-        wng = power / filter_power
+    def build_loss(self, x: Sequence[float]) -> tuple[DesignLoss, BandLossTerms]:
+        """Loss of a flat parameter vector, all bands at once.
 
-        response = np.matmul(self._cut_rows, gains[:, :, None]).reshape(bands, 2, 2, -1)
-        cut_power = response[:, 0] ** 2 + response[:, 1] ** 2 + PATTERN_POWER_FLOOR
-        # the fit coefficients sum to zero, so the curvature ignores the dB
-        # offset of normalizing the cuts to the look direction
-        curvature = np.einsum("bcs,bcs->bc", self._fit, 10.0 * np.log10(cut_power))
-        widths, slopes, _ = curvature_width(curvature)
-
+        Returns (loss, BandLossTerms); ``loss.gradient()`` is the reverse
+        pass of this evaluation.
+        """
+        v, weights, sigmas, taps, gains = self._gains(x)
+        df, wng, widths, _, pullback = self.tables.forward(gains)
         value, terms = total_loss(widths[:, 0], widths[:, 1], df, wng, self.loss_config)
-        state = _Forward(
-            uv[:, 1], weights, sigmas, taps, gains, a_gains, total, filter_power,
-            floored, denom, df, wng, response, cut_power, slopes,
-        )
-        return DesignLoss(value, functools.partial(self._backward, state), terms), terms
 
-    def _backward(
-        self, fw: _Forward, g_theta: np.ndarray, g_phi: np.ndarray, g_df: np.ndarray, g_wng: np.ndarray
-    ) -> np.ndarray:
-        """Reverse pass of :meth:`build_loss`: adjoints flow from the band
-        metrics back through each forward step in turn."""
-        g_widths = np.column_stack([g_theta, g_phi])
+        def backward(*metric_adjoints) -> np.ndarray:
+            g_gains = pullback(*metric_adjoints)
+            # gains = weight * exp(-delta^2 / (2 sigma^2))
+            g_weights = self._ring_sum(g_gains * taps)
+            g_sigmas = self._ring_sum(g_gains * gains * self._delta_sq) / sigmas**3
+            # softplus' = logistic sigmoid; softmax Jacobian-vector product
+            e = np.exp(-np.abs(v))
+            g_v = g_sigmas * np.where(v >= 0.0, 1.0, e) / (1.0 + e)
+            g_u = weights * (g_weights - np.sum(weights * g_weights, axis=1, keepdims=True))
+            return np.stack([g_u, g_v], axis=1).reshape(-1)
 
-        # widths -> curvatures -> dB cut samples -> cut responses
-        g_db = (g_widths * fw.slopes)[:, :, None] * self._fit
-        g_response = 2.0 * fw.response * (_DB_PER_LN * g_db / fw.cut_power)[:, None]
-        bands = len(g_df)
-        g_gains = np.matmul(g_response.reshape(bands, 1, -1), self._cut_rows)[:, 0]
-
-        # DF = power / max(diffuse, floor), WNG = power / filter_power
-        g_power = g_df / fw.denom + g_wng / fw.filter_power
-        g_denom = -g_df * fw.df / fw.denom
-        g_filter_power = -g_wng * fw.wng / fw.filter_power
-        g_filter_power += np.where(fw.floored, GAMMA_DIAGONAL_REG * g_denom, 0.0)
-        g_diffuse = np.where(fw.floored, 0.0, g_denom)
-        g_gains += (
-            (2.0 * fw.total * g_power)[:, None]
-            + 2.0 * fw.gains * g_filter_power[:, None]
-            + 2.0 * fw.a_gains * g_diffuse[:, None]  # the diffuse form is symmetric
-        )
-
-        # gains = weight * exp(delta^2 * scale), scale = -1 / (2 sigma^2)
-        g_weights = self._ring_sum(g_gains * fw.taps)
-        g_scale = self._ring_sum(g_gains * fw.gains * self._delta_sq)
-        g_sigmas = g_scale / fw.sigmas**3
-        # softplus' = logistic sigmoid; softmax Jacobian-vector product
-        e = np.exp(-np.abs(fw.v))
-        g_v = g_sigmas * np.where(fw.v >= 0.0, 1.0, e) / (1.0 + e)
-        g_u = fw.weights * (g_weights - np.sum(fw.weights * g_weights, axis=1, keepdims=True))
-        return np.stack([g_u, g_v], axis=1).reshape(-1)
+        return DesignLoss(value, backward, terms), terms
 
 
 class OptimizeResult(NamedTuple):
@@ -421,7 +312,7 @@ def optimize(
             IterationRow(
                 iteration=it,
                 loss=current,
-                # reported like evaluate_filter_bank; the loss keeps the raw width
+                # reported like BandTables.curves; the loss keeps the raw width
                 theta=tuple(np.minimum(snap.theta, math.pi)),
                 phi=tuple(np.minimum(snap.phi, math.pi)),
                 df=tuple(snap.df.tolist()),
@@ -448,6 +339,6 @@ def optimize(
             reason = "numerical_failure"
             break
     params = pipeline.params_from_vector(best_x)
-    curves = evaluate_params(geometry, doa, params, grid_resolution)
+    curves = pipeline.tables.curves(pipeline._gains(best_x)[-1])
     record = RunRecord(pipeline.frequencies, rows, reason)
     return OptimizeResult(params=params, curves=curves, record=record)

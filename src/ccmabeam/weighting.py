@@ -24,7 +24,9 @@ __all__ = [
     "DegenerateFilterError",
     "DesignParams",
     "ring_distances",
+    "mic_layout",
     "gaussian_window",
+    "ring_gains",
     "assemble_filter",
     "constrain_band",
     "softplus",
@@ -66,14 +68,30 @@ def ring_distances(geometry: ArrayGeometry, ring: int, doa: Direction) -> np.nda
     return (raw - raw.min()) / spread
 
 
-def gaussian_window(delta, sigma: float):
-    """exp(-delta^2 / (2 sigma^2)) for a distance (or array of distances) and sigma > 0."""
-    if not sigma > 0.0:
+def mic_layout(geometry: ArrayGeometry, doa: Direction) -> tuple[np.ndarray, np.ndarray]:
+    """(ring index, :func:`ring_distances` value) of every mic, in mic order."""
+    rings = range(geometry.ring_count)
+    ring_of_mic = np.repeat(rings, [ring.mic_count for ring in geometry.rings])
+    return ring_of_mic, np.concatenate([ring_distances(geometry, r, doa) for r in rings])
+
+
+def gaussian_window(delta, sigma):
+    """exp(-delta^2 / (2 sigma^2)) elementwise, for distances and widths sigma > 0."""
+    if not np.all(np.asarray(sigma) > 0.0):
         raise ValueError("window width sigma must be positive")
     # for a tiny sigma (delta / sigma)^2 overflows to inf, and exp(-inf) = 0
     # is the exact limit; squaring sigma instead would underflow to 0 / 0
     with np.errstate(over="ignore"):
         return np.exp(-0.5 * np.square(np.asarray(delta, dtype=float) / sigma))
+
+
+def ring_gains(layout: tuple[np.ndarray, np.ndarray], ring_weights, window_widths):
+    """(taps, gains) of every mic: tap = gaussian_window(distance, ring width), gain = ring
+    weight * tap.  ``layout`` is :func:`mic_layout`; weights and widths run along the last
+    axis, for one band (rings,) or a stack (bands, rings)."""
+    ring_of_mic, delta = layout
+    taps = gaussian_window(delta, window_widths[..., ring_of_mic])
+    return taps, ring_weights[..., ring_of_mic] * taps
 
 
 def softplus(v):
@@ -231,11 +249,7 @@ def assemble_filter(
             f"expected {geometry.ring_count} ring weights and widths, "
             f"got {len(w)} and {len(s)}"
         )
-    gains = np.empty(geometry.total_mics)
-    for r in range(geometry.ring_count):
-        gains[geometry.ring_slice(r)] = w[r] * gaussian_window(
-            ring_distances(geometry, r, doa), s[r]
-        )
+    _, gains = ring_gains(mic_layout(geometry, doa), w, s)
     d = steering_vector(geometry, frequency, doa)
     h = gains * d
     response = np.vdot(h, d)  # equals sum(gains), real for unit-modulus steering

@@ -1,6 +1,9 @@
+import concurrent.futures
 import csv
+import functools
 import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ from ccmabeam.cli import ConfigError, load_config, main, parse_config
 from ccmabeam.geometry import build_geometry
 from ccmabeam.metrics import NumericalError
 from ccmabeam.optimizer import DesignPipeline
-from ccmabeam.weighting import DesignParams
+from ccmabeam.weighting import DegenerateFilterError, DesignParams
 
 
 def small_config(out_dir, **overrides):
@@ -275,6 +278,21 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(path), "--params", str(bad)]) == 1
         assert "band 1: window_widths must be finite" in capsys.readouterr().err
 
+    def test_tiny_window_widths_give_finite_metrics(self, tmp_path):
+        """Widths whose square underflows keep the taps at the arrival
+        direction on the route from params.json to metrics.csv."""
+        params = tmp_path / "tiny.json"
+        DesignParams(
+            (2000.0, 3000.0), (np.array([0.5, 0.5]),) * 2, (np.full(2, 1e-200),) * 2
+        ).save(params)
+        out = tmp_path / "eval"
+        path = write_config(tmp_path, small_config(out))
+        assert main(["eval", "--config", str(path), "--params", str(params)]) == 0
+        with open(out / "metrics.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 2
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
     def test_requires_exactly_one_source(self, tmp_path):
         path = write_config(tmp_path, small_config(tmp_path / "out"))
         assert main(["eval", "--config", str(path)]) == 1
@@ -356,9 +374,10 @@ class TestSweepCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == [
             "alpha", "lambda1", "lambda2", "lambda3",
-            "frequency_hz", "df_db", "wng_db", "theta_deg", "phi_deg",
+            "frequency_hz", "df_db", "wng_db", "theta_deg", "phi_deg", "status",
         ]
         assert len(rows) == 1 + 5 * 2  # five points, two bands each
+        assert all(row[-1] == "ok" for row in rows[1:])
         assert all((p / "manifest.json").exists() for p in out.iterdir() if p.is_dir())
 
     def test_lambda3_sweep_with_fixed_alpha(self, tmp_path):
@@ -427,12 +446,42 @@ class TestSweepCommand:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         path = self.sweep_config(tmp_path, {"alpha": [0.0, 1.0]})
         assert main(["sweep", "--config", str(path), "--workers", "5000"]) == 0
         assert sizes == [2]
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "b"), "--workers", "2"]) == 0
         assert sizes == [2, 2]
+
+    @pytest.mark.parametrize("error", [NumericalError, DegenerateFilterError])
+    @pytest.mark.parametrize("workers", ["1", "2"], ids=["serial", "pooled"])
+    def test_failed_point_gets_a_status_row(self, tmp_path, monkeypatch, capsys, error, workers):
+        """A point that fails at run time keeps its rows, with empty metric
+        cells and the error class as status; the other points finish, the
+        summary is written and the sweep exits 2."""
+        real = cli.optimize
+
+        def fail_alpha_one(geometry, doa, frequencies, loss, **kwargs):
+            if loss.alpha == 1.0:
+                raise error("synthetic failure")
+            return real(geometry, doa, frequencies, loss, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize", fail_alpha_one)
+        # the pooled points must see the patched optimize: fork the workers
+        fork_pool = functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+        )
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fork_pool)
+        path = self.sweep_config(tmp_path, {"alpha": [0.0, 1.0, 0.5]})
+        assert main(["sweep", "--config", str(path), "--workers", workers]) == 2
+        assert "sweep: 1 of 3 points failed" in capsys.readouterr().err
+        with open(tmp_path / "sweep" / "summary.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 3 * 2
+        assert [row[-1] for row in rows[1:]] == ["ok", "ok", error.__name__, error.__name__, "ok", "ok"]
+        assert rows[3][:5] == ["1", "0", "0", "0", "2000"] and rows[3][5:9] == [""] * 4
+        assert all(cell for row in rows[1:3] + rows[5:] for cell in row)
+        assert (tmp_path / "sweep" / "alpha=0.5" / "metrics.csv").exists()
 
 
 @pytest.fixture

@@ -87,7 +87,7 @@ class TestBuildGeometry:
 
     def test_positions_follow_ring_coordinates(self, array_16k):
         for r, ring in enumerate(array_16k.rings):
-            block = array_16k.positions[array_16k.ring_slice(r)]
+            block = array_16k.positions[array_16k.ring_slices[r]]
             expect = np.column_stack(
                 (
                     ring.radius * np.cos(ring.angles),

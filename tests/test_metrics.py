@@ -6,6 +6,9 @@ import pytest
 
 import ccmabeam as cb
 from ccmabeam import autodiff as ad
+from ccmabeam import metrics
+from ccmabeam.baselines import evaluate_baseline
+from ccmabeam.loss import LossConfig
 from ccmabeam.metrics import (
     DELTA_L_DB,
     ORACLE_DELTA_L_DB,
@@ -17,12 +20,16 @@ from ccmabeam.metrics import (
     curvature_width,
     directivity_factor,
     evaluate_filter_bank,
+    evaluate_params,
     fit_coefficients,
     gamma_matrix,
+    params_filter_fn,
     sigma_schedule,
     white_noise_gain,
 )
-from ccmabeam.wavefield import Direction, steering_vector
+from ccmabeam.optimizer import DesignPipeline
+from ccmabeam.wavefield import Direction, beampattern, pattern_db, steering_matrix, steering_vector
+from ccmabeam.weighting import DesignParams
 
 
 def single_mic_array():
@@ -336,3 +343,100 @@ class TestEvaluateFilterBank:
             assert phi_cut.x[phi_cut.doa_index] == pytest.approx(0.0, abs=1e-12)
             assert theta_cut.elevations.min() >= 0.0
             assert theta_cut.elevations.max() <= math.pi / 2.0 + 1e-12
+
+    def test_complex_filter_rejected_naming_the_band(self, array_16k, doa45):
+        """A superdirective filter (Gamma + 1e-4 I)^-1 d is complex relative
+        to the look-direction phases, outside the real-gain form."""
+
+        def superdirective(f):
+            if f < 2000.0:
+                return cb.das_filter(array_16k, f, doa45)
+            gamma = gamma_matrix(array_16k, f) + 1e-4 * np.eye(array_16k.total_mics)
+            return np.linalg.solve(gamma, steering_vector(array_16k, f, doa45))
+
+        with pytest.raises(ValueError, match=r"band 1 \(2000 Hz\)"):
+            evaluate_filter_bank(array_16k, doa45, (1000.0, 2000.0), superdirective)
+
+    def test_non_positive_diffuse_form_raises(self, toy_array, doa45, monkeypatch):
+        """The loss floors the DF denominator; a reported metric must not."""
+        monkeypatch.setattr(metrics, "gamma_matrix", lambda geometry, f: -np.eye(geometry.total_mics))
+        with pytest.raises(NumericalError, match=r"band 0 \(2000 Hz\).*not positive"):
+            evaluate_filter_bank(
+                toy_array, doa45, (2000.0,), lambda f: cb.das_filter(toy_array, f, doa45)
+            )
+
+
+ORACLE_BANDS = (1000.0, 2500.0, 4000.0, 5500.0)
+
+
+def per_band_oracle(geometry, doa, frequencies, filter_fn):
+    """(df, wng, theta, phi) lists from the per-filter oracles, band by band:
+    DF and WNG of the complex filter, and the parabola widths of its dB fit
+    cuts, clamped to pi as reported."""
+    df, wng, theta, phi = [], [], [], []
+    for f in frequencies:
+        h = filter_fn(f)
+        d = steering_vector(geometry, f, doa)
+        df.append(directivity_factor(h, d, gamma_matrix(geometry, f)))
+        wng.append(white_noise_gain(h, d))
+        widths = []
+        for cut in build_fit_cuts(geometry, doa, f, math.radians(1.0)):
+            steering = steering_matrix(geometry, f, cut.elevations, cut.azimuths)
+            cut_db = pattern_db(beampattern(h, steering))
+            width, _ = beamwidth_parabola(cut.x, cut_db, cut.doa_index, cut.sigma)
+            widths.append(min(width, math.pi))
+        theta.append(widths[0])
+        phi.append(widths[1])
+    return {"df": df, "wng": wng, "theta": theta, "phi": phi}
+
+
+def random_params(geometry, seed):
+    rng = np.random.default_rng(seed)
+    u = [rng.uniform(-1.0, 1.0, geometry.ring_count) for _ in ORACLE_BANDS]
+    v = [rng.uniform(-1.0, 1.0, geometry.ring_count) for _ in ORACLE_BANDS]
+    return DesignParams.from_unconstrained(ORACLE_BANDS, u, v)
+
+
+def assert_matches_oracle(metrics, expected):
+    for name, values in expected.items():
+        assert list(getattr(metrics, name)) == pytest.approx(values, rel=1e-9), name
+
+
+class TestPerBandOracle:
+    """Every production route scores filters through BandTables; the
+    per-band path, filter by filter through the public oracles, must agree."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("array", ["toy_array", "array_16k"])
+    def test_evaluate_params(self, request, doa45, array, seed):
+        geometry = request.getfixturevalue(array)
+        params = random_params(geometry, seed)
+        expected = per_band_oracle(
+            geometry, doa45, ORACLE_BANDS, params_filter_fn(geometry, doa45, params)
+        )
+        assert_matches_oracle(evaluate_params(geometry, doa45, params), expected)
+
+    @pytest.mark.parametrize("array", ["toy_array", "array_16k"])
+    def test_evaluate_baseline(self, request, doa45, array):
+        geometry = request.getfixturevalue(array)
+        expected = per_band_oracle(
+            geometry, doa45, ORACLE_BANDS, lambda f: cb.das_filter(geometry, f, doa45)
+        )
+        assert_matches_oracle(evaluate_baseline(geometry, doa45, ORACLE_BANDS), expected)
+
+    def test_pipeline_snapshot(self, array_16k, doa45):
+        """The loss terms the optimizer sees are the reported metrics."""
+        cfg = LossConfig(variant="L1", target_theta=math.radians(40.0), target_phi=math.radians(40.0))
+        pipeline = DesignPipeline(array_16k, doa45, ORACLE_BANDS, cfg)
+        for seed in (0, 1, 2):
+            params = random_params(array_16k, seed)
+            x = np.stack([params.unconstrained_weights, params.unconstrained_widths], axis=1)
+            _, snap = pipeline.build_loss(x.reshape(-1))
+            expected = per_band_oracle(
+                array_16k, doa45, ORACLE_BANDS, params_filter_fn(array_16k, doa45, params)
+            )
+            reported = MetricCurves(
+                ORACLE_BANDS, snap.df, snap.wng,
+                np.minimum(snap.theta, math.pi), np.minimum(snap.phi, math.pi),
+            )
+            assert_matches_oracle(reported, expected)
