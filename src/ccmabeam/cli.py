@@ -26,7 +26,10 @@ from .autodiff import gradcheck
 from .baselines import das_filter, evaluate_baseline
 from .geometry import ArrayConfig, ArrayGeometry, GeometryError, build_geometry
 from .loss import VARIANTS, LossConfig
-from .metrics import MetricCurves, NumericalError, evaluate_params, metric_cells, params_filter_fn
+from .metrics import (
+    BandTables, MetricCurves, NumericalError, evaluate_params, filter_bank_gains, metric_cells,
+    params_filter_fn, params_gains,
+)
 from .optimizer import DesignPipeline, optimize
 from .wavefield import AngularGrid, Direction, beampattern_grid, export_beampattern_csv, pattern_db
 from .weighting import DegenerateFilterError, DesignParams
@@ -428,8 +431,13 @@ def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str 
     geometry = build_geometry(cfg.array)
     _check_baseline(baseline)
     params = DesignParams.load(params_path)
-    designed = evaluate_params(geometry, cfg.doa, params, cfg.grid_resolution)
-    reference = evaluate_baseline(geometry, cfg.doa, params.frequencies, cfg.grid_resolution)
+    # one table build scores both filters
+    tables = BandTables(geometry, cfg.doa, params.frequencies, cfg.grid_resolution)
+    designed = tables.curves(params_gains(geometry, cfg.doa, params))
+    das_gains = filter_bank_gains(
+        geometry, cfg.doa, tables.frequencies, lambda f: das_filter(geometry, f, cfg.doa)
+    )
+    reference = tables.curves(das_gains)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "compare.csv", "w", newline="") as fh:

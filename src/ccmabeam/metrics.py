@@ -27,10 +27,9 @@ from .wavefield import (
     PATTERN_POWER_FLOOR,
     Direction,
     snapped_range,
-    steering_matrix,
     steering_vector,
 )
-from .weighting import DesignParams, assemble_filter, mic_layout, ring_gains
+from .weighting import DesignParams, mic_layout, normalized_filter, ring_gains
 
 __all__ = [
     "NumericalError",
@@ -51,7 +50,9 @@ __all__ = [
     "MetricCurves",
     "metric_cells",
     "BandTables",
+    "filter_bank_gains",
     "evaluate_filter_bank",
+    "params_gains",
     "params_filter_fn",
     "evaluate_params",
 ]
@@ -336,26 +337,50 @@ class BandTables:
     the real, then the imaginary parts of both fit cuts' steering times
     conj(d); ``fit`` the cuts' parabola-fit coefficients.  Cuts are
     zero-padded to the longest, with zero fit coefficients on the padding.
+
+    A cut row is e^{j phase} with the phase in closed form.  The steering
+    phase -k r_m sin(theta) cos(phi - psi_m), k = 2 pi f / c, less the
+    DoA's is, with a_m = phi0 - psi_m,
+    k r_m cos(a_m) (sin theta0 - sin theta_i) on the elevation cut and
+    k r_m sin(theta0) ((1 - cos x_i) cos(a_m) + sin(x_i) sin(a_m)) on the
+    azimuth cut at phi0 + x_i.
     """
 
     def __init__(self, geometry: ArrayGeometry, doa: Direction, frequencies, grid_resolution):
         self.frequencies = tuple(float(f) for f in frequencies)
         cuts = [build_fit_cuts(geometry, doa, f, grid_resolution) for f in self.frequencies]
+        for f, pair in zip(self.frequencies, cuts):
+            for axis, cut in zip(("elevation", "azimuth"), pair):
+                if len(cut.x) < 3:
+                    raise ValueError(
+                        f"grid_resolution_deg: a {math.degrees(grid_resolution):g} degree grid "
+                        f"leaves {len(cut.x)} sample(s) on the {axis} fit cut of the {f:g} Hz "
+                        "band; the parabola fit needs at least 3"
+                    )
         samples = max(len(cut.x) for pair in cuts for cut in pair)
         bands, mics = len(self.frequencies), geometry.total_mics
         # filled band by band in place: padded per-band copies would hold the tables twice
         self.a_gamma = np.empty((bands, mics, mics))
         cut_rows = _untouched_zeros((bands, 2, 2, samples, mics))  # (band, re/im, cut, sample, mic)
         self.fit = np.zeros((bands, 2, samples))
+        offset = doa.azimuth - geometry.mic_angles
+        radial_cos = geometry.mic_radii * np.cos(offset)  # r_m cos(a_m)
+        radial_sin = geometry.mic_radii * np.sin(offset)
+        sin_el = math.sin(doa.elevation)
         for b, f in enumerate(self.frequencies):
             d = steering_vector(geometry, f, doa)
             self.a_gamma[b] = gamma_matrix(geometry, f) * np.real(np.outer(np.conj(d), d))
-            for c, cut in enumerate(cuts[b]):
+            k = 2.0 * math.pi * f / geometry.sound_speed
+            theta_cut, phi_cut = cuts[b]
+            phases = (
+                np.multiply.outer(sin_el - np.sin(theta_cut.elevations), k * radial_cos),
+                np.multiply.outer(1.0 - np.cos(phi_cut.x), k * sin_el * radial_cos)
+                + np.multiply.outer(np.sin(phi_cut.x), k * sin_el * radial_sin),
+            )
+            for c, (cut, phase) in enumerate(zip(cuts[b], phases)):
                 n = len(cut.x)
-                rows = steering_matrix(geometry, f, cut.elevations, cut.azimuths)
-                rows *= np.conj(d)
-                cut_rows[b, 0, c, :n] = rows.real
-                cut_rows[b, 1, c, :n] = rows.imag
+                np.cos(phase, out=cut_rows[b, 0, c, :n])
+                np.sin(phase, out=cut_rows[b, 1, c, :n])
                 self.fit[b, c, :n] = fit_coefficients(cut.x, cut.doa_index, cut.sigma)
         self.cut_rows = cut_rows.reshape(bands, 4 * samples, mics)
 
@@ -417,6 +442,24 @@ class BandTables:
         return MetricCurves(self.frequencies, df, wng, widths[:, 0], widths[:, 1])
 
 
+def filter_bank_gains(
+    geometry: ArrayGeometry, doa: Direction, frequencies, filter_fn: Callable[[float], np.ndarray]
+) -> np.ndarray:
+    """Real gains g = h * conj(d) (bands, mics) of a per-frequency filter factory.
+
+    Each filter h must be real gains times the look-direction phases d: a
+    band where h * conj(d) has an imaginary part above 1e-9 of its largest
+    modulus raises ValueError.
+    """
+    gains = np.empty((len(frequencies), geometry.total_mics))
+    for b, f in enumerate(frequencies):
+        g = filter_fn(f) * np.conj(steering_vector(geometry, f, doa))
+        if np.max(np.abs(g.imag)) > 1e-9 * np.max(np.abs(g)):
+            raise ValueError(f"band {b} ({f:g} Hz): filter is not real gains times the DoA phases")
+        gains[b] = g.real
+    return gains
+
+
 def evaluate_filter_bank(
     geometry: ArrayGeometry,
     doa: Direction,
@@ -424,31 +467,32 @@ def evaluate_filter_bank(
     filter_fn: Callable[[float], np.ndarray],
     grid_resolution: float = math.radians(1.0),
 ) -> MetricCurves:
-    """Metric curves of a per-frequency filter factory, scored by :class:`BandTables`.
-
-    Each filter h must be real gains times the look-direction phases d: a
-    band where h * conj(d) has an imaginary part above 1e-9 of its largest
-    modulus raises ValueError.
-    """
+    """Metric curves of a per-frequency filter factory (see :func:`filter_bank_gains`),
+    scored by :class:`BandTables`."""
     tables = BandTables(geometry, doa, frequencies, grid_resolution)
-    gains = np.empty((len(tables.frequencies), geometry.total_mics))
-    for b, f in enumerate(tables.frequencies):
-        g = filter_fn(f) * np.conj(steering_vector(geometry, f, doa))
-        if np.max(np.abs(g.imag)) > 1e-9 * np.max(np.abs(g)):
-            raise ValueError(f"band {b} ({f:g} Hz): filter is not real gains times the DoA phases")
-        gains[b] = g.real
-    return tables.curves(gains)
+    return tables.curves(filter_bank_gains(geometry, doa, tables.frequencies, filter_fn))
+
+
+def params_gains(geometry: ArrayGeometry, doa: Direction, params: DesignParams) -> np.ndarray:
+    """Real per-mic gains (bands, mics) of a designed parameter set."""
+    if params.ring_count != geometry.ring_count:
+        raise ValueError(f"params: the parameters cover {params.ring_count} rings "
+                         f"but the array has {geometry.ring_count}")
+    _, gains = ring_gains(
+        mic_layout(geometry, doa), np.stack(params.ring_weights), np.stack(params.window_widths)
+    )
+    return gains
 
 
 def params_filter_fn(
     geometry: ArrayGeometry, doa: Direction, params: DesignParams
 ) -> Callable[[float], np.ndarray]:
     """Filter factory of a designed parameter set: band frequency -> filter."""
+    gains = params_gains(geometry, doa, params)
     lookup = {f: b for b, f in enumerate(params.frequencies)}
 
     def filter_fn(f: float) -> np.ndarray:
-        b = lookup[f]
-        return assemble_filter(geometry, f, doa, params.ring_weights[b], params.window_widths[b])
+        return normalized_filter(gains[lookup[f]], steering_vector(geometry, f, doa))
 
     return filter_fn
 
@@ -460,10 +504,5 @@ def evaluate_params(
     grid_resolution: float = math.radians(1.0),
 ) -> MetricCurves:
     """Metric curves of a designed parameter set, scored by :class:`BandTables`."""
-    if params.ring_count != geometry.ring_count:
-        raise ValueError(f"params: the parameters cover {params.ring_count} rings "
-                         f"but the array has {geometry.ring_count}")
-    _, gains = ring_gains(
-        mic_layout(geometry, doa), np.stack(params.ring_weights), np.stack(params.window_widths)
-    )
+    gains = params_gains(geometry, doa, params)
     return BandTables(geometry, doa, params.frequencies, grid_resolution).curves(gains)

@@ -159,6 +159,20 @@ def _phasors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _harmonic_phasors(order: int, angles: np.ndarray) -> np.ndarray:
+    """e^{j n a_k} for n = -order..order, shape (2*order + 1, angles.size).
+
+    Only the orders n >= 0 are computed; n < 0 are their conjugates, which
+    is exact: (-n) a = -(n a) in floating point, cos is even and sin odd.
+    """
+    out = np.empty((2 * order + 1, len(angles)), dtype=complex)
+    phase = np.outer(np.arange(order + 1), angles)
+    np.cos(phase, out=out[order:].real)
+    np.sin(phase, out=out[order:].imag)
+    np.conjugate(out[:order:-1], out=out[:order])
+    return out
+
+
 def bessel_table(x: np.ndarray, order: int) -> np.ndarray:
     """Bessel functions J_n(x) for n = -order..order, shape x.shape + (2*order + 1,).
 
@@ -187,7 +201,8 @@ def beampattern_grid(
     C[el, n] = (-j)^n sum_r J_n(k r sin el) H[r, n] and ring harmonics
     H[r, n] = sum_{m in ring r} conj(h_m) e^{-j n psi_m}, which hold for any
     mic angles.  |n| runs to _harmonic_order(k * r_max); one Bessel table
-    per ring keeps the temporaries small.
+    per ring keeps the temporaries small.  The phasors of orders n < 0 are
+    the conjugates of those of -n (:func:`_harmonic_phasors`).
     """
     _check_frequency(geometry, frequency)
     h = np.asarray(h)
@@ -197,14 +212,14 @@ def beampattern_grid(
     wavenumber = 2.0 * math.pi * frequency / geometry.sound_speed
     order = _harmonic_order(wavenumber * max(ring.radius for ring in geometry.rings))
     n = np.arange(-order, order + 1)
-    mic_phasors = _phasors(n, geometry.mic_angles)
+    mic_phasors = _harmonic_phasors(order, geometry.mic_angles)
     sign = np.array([1.0, -1j, -1.0, 1j])[n % 4]  # (-j)^n
     sin_el = np.sin(grid.elevations)
     coeffs = np.zeros((len(sin_el), len(n)), dtype=complex)
     for ring, s in zip(geometry.rings, geometry.ring_slices):
         ring_harmonics = sign * np.conj(mic_phasors[:, s] @ h[s])
         coeffs += bessel_table(wavenumber * ring.radius * sin_el, order) * ring_harmonics
-    return coeffs @ _phasors(n, grid.azimuths)
+    return coeffs @ _harmonic_phasors(order, grid.azimuths)
 
 
 def pattern_db(values: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ __all__ = [
     "mic_layout",
     "gaussian_window",
     "ring_gains",
+    "normalized_filter",
     "assemble_filter",
     "constrain_band",
     "softplus",
@@ -250,7 +251,12 @@ def assemble_filter(
             f"got {len(w)} and {len(s)}"
         )
     _, gains = ring_gains(mic_layout(geometry, doa), w, s)
-    d = steering_vector(geometry, frequency, doa)
+    return normalized_filter(gains, steering_vector(geometry, frequency, doa))
+
+
+def normalized_filter(gains: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The filter gains * d, scaled so its response toward the steering
+    phases ``d`` is exactly 1."""
     h = gains * d
     response = np.vdot(h, d)  # equals sum(gains), real for unit-modulus steering
     if abs(response) < 1e-300:

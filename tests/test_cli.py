@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccmabeam import cli, optimizer
+from ccmabeam import cli, metrics, optimizer
 from ccmabeam.cli import ConfigError, load_config, main, parse_config
 from ccmabeam.geometry import build_geometry
 from ccmabeam.metrics import NumericalError
@@ -356,6 +356,25 @@ class TestFailedRunsCreateNoDirectory:
         assert not (tmp_path / "out").exists()
 
 
+class TestCoarseGrid:
+    """A grid that leaves a fit cut fewer than 3 samples is a config error
+    naming grid_resolution_deg and the band."""
+
+    @pytest.mark.parametrize(
+        "args", [["design"], ["eval", "--baseline", "das"]], ids=["design", "eval"]
+    )
+    def test_names_the_field_and_band(self, tmp_path, capsys, args):
+        cfg = small_config(tmp_path / "out", grid_resolution_deg=30.0)
+        cfg["array"]["ring_radii_m"] = [0.0, 0.05, 0.10, 0.15, 0.20]
+        cfg["frequencies_hz"] = [2000.0, 6000.0]  # the 6 kHz elevation cut holds 1 sample
+        path = write_config(tmp_path, cfg)
+        assert main([args[0], "--config", str(path), *args[1:]]) == 1
+        err = capsys.readouterr().err
+        assert "grid_resolution_deg" in err and "elevation fit cut of the 6000 Hz band" in err
+        assert "2000 Hz" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweepCommand:
     def sweep_config(self, tmp_path, sweep):
         cfg = small_config(tmp_path / "sweep")
@@ -602,6 +621,44 @@ class TestCompareCommand:
         assert rows[0][0] == "frequency_hz"
         assert "designed_df_db" in rows[0] and "das_df_db" in rows[0]
         assert len(rows) == 3
+
+    def test_one_table_scores_both_filters(self, tmp_path, monkeypatch):
+        """compare builds one BandTables, and its cells are those of eval
+        --params and eval --baseline das."""
+        out = tmp_path / "design"
+        path = write_config(tmp_path, small_config(out))
+        assert main(["design", "--config", str(path)]) == 0
+        params = str(out / "params.json")
+        assert main(["eval", "--config", str(path), "--params", params,
+                     "--out", str(tmp_path / "eval")]) == 0
+        assert main(["eval", "--config", str(path), "--baseline", "das",
+                     "--out", str(tmp_path / "das")]) == 0
+
+        builds = []
+
+        class CountingTables(metrics.BandTables):
+            def __init__(self, *args, **kwargs):
+                builds.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "BandTables", CountingTables)
+        monkeypatch.setattr(cli, "BandTables", CountingTables)
+        assert main(["compare", "--config", str(path), "--params", params,
+                     "--out", str(tmp_path / "cmp")]) == 0
+        assert len(builds) == 1
+
+        def read(path):
+            with open(path) as fh:
+                return list(csv.DictReader(fh))
+
+        compared = read(tmp_path / "cmp" / "compare.csv")
+        for prefix, source in (("designed", "eval"), ("das", "das")):
+            expected = read(tmp_path / source / "metrics.csv")
+            assert len(compared) == len(expected) == 2
+            for row, want in zip(compared, expected):
+                assert row["frequency_hz"] == want["frequency_hz"]
+                for column in ("df_db", "wng_db", "theta_deg", "phi_deg"):
+                    assert row[f"{prefix}_{column}"] == want[column], (prefix, column)
 
 
 class TestGradcheckCommand:

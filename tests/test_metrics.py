@@ -440,3 +440,32 @@ class TestPerBandOracle:
                 np.minimum(snap.theta, math.pi), np.minimum(snap.phi, math.pi),
             )
             assert_matches_oracle(reported, expected)
+
+
+class TestBandTablesCutRows:
+    """The closed-form cut phases give the rows of the steering matrix
+    times conj(d), and the padding past each cut stays zero."""
+
+    @pytest.mark.parametrize(
+        "doa_deg", [(45.0, 45.0), (0.0, 30.0), (60.0, 359.5)],
+        ids=["doa45", "broadside", "azimuth-cut-crosses-2pi"],
+    )
+    @pytest.mark.parametrize("array", ["toy_array", "array_16k"])
+    def test_rows_match_steering_matrix(self, request, array, doa_deg):
+        geometry = request.getfixturevalue(array)
+        doa = Direction.from_degrees(*doa_deg)
+        resolution = math.radians(1.0)
+        tables = metrics.BandTables(geometry, doa, ORACLE_BANDS, resolution)
+        samples = tables.fit.shape[2]
+        rows = tables.cut_rows.reshape(len(ORACLE_BANDS), 2, 2, samples, geometry.total_mics)
+        for b, f in enumerate(ORACLE_BANDS):
+            d = steering_vector(geometry, f, doa)
+            for c, cut in enumerate(build_fit_cuts(geometry, doa, f, resolution)):
+                n = len(cut.x)
+                expected = steering_matrix(geometry, f, cut.elevations, cut.azimuths) * np.conj(d)
+                np.testing.assert_allclose(rows[b, 0, c, :n], expected.real, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(rows[b, 1, c, :n], expected.imag, rtol=0, atol=1e-13)
+                assert not np.any(rows[b, :, c, n:])
+        if doa_deg[1] == 359.5:  # the azimuth cut runs past 2 pi
+            cut = build_fit_cuts(geometry, doa, ORACLE_BANDS[0], resolution)[1]
+            assert cut.azimuths.max() > 2.0 * math.pi

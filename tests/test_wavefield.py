@@ -231,6 +231,20 @@ class TestBeampatternGrid:
             b = beampattern_grid(g, h, f, grid)
             assert np.max(np.abs(b - grid_reference(g, h, f, grid))) < 1e-12
 
+    @given(
+        order=st.integers(0, 250),
+        angles=st.lists(
+            st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False), min_size=1, max_size=40
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mirrored_phasors_match_every_order_bit_for_bit(self, order, angles):
+        """Orders n < 0 are filled as conjugates of -n: exactly the phasors
+        e^{j n a} computed for n = -order..order."""
+        angles = np.array(angles)
+        expected = wavefield._phasors(np.arange(-order, order + 1), angles)
+        assert np.array_equal(wavefield._harmonic_phasors(order, angles), expected)
+
     def test_rejects_bad_filter_and_frequency(self, array_16k, doa45):
         grid = AngularGrid.build(math.radians(15.0), doa45)
         with pytest.raises(ValueError):
