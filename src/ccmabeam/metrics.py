@@ -304,11 +304,12 @@ class MetricCurves:
                 writer.writerow([f"{f:g}", *metric_cells(self, b)])
 
 
-def metric_cells(metrics, b: int) -> list[str]:
+def metric_cells(metrics, b) -> list[str]:
     """CSV cells of band ``b``: DF and WNG in dB, then theta and phi in degrees.
 
-    ``metrics`` holds per-band ``df``/``wng`` (linear) and ``theta``/``phi``
-    (radians), as :class:`MetricCurves` and ``IterationRow`` do.
+    ``metrics`` holds ``df``/``wng`` (linear) and ``theta``/``phi`` (radians)
+    indexed by ``b``: a band of :class:`MetricCurves`, or an (iteration, band)
+    pair of ``RunRecord``.
     """
     return [
         f"{10.0 * math.log10(metrics.df[b]):.6f}",
@@ -478,9 +479,7 @@ def params_gains(geometry: ArrayGeometry, doa: Direction, params: DesignParams) 
     if params.ring_count != geometry.ring_count:
         raise ValueError(f"params: the parameters cover {params.ring_count} rings "
                          f"but the array has {geometry.ring_count}")
-    _, gains = ring_gains(
-        mic_layout(geometry, doa), np.stack(params.ring_weights), np.stack(params.window_widths)
-    )
+    _, gains = ring_gains(mic_layout(geometry, doa), params.ring_weights, params.window_widths)
     return gains
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "RPropConfig",
     "RPropState",
     "rprop_step",
-    "IterationRow",
     "RunRecord",
     "OptimizeResult",
     "DesignLoss",
@@ -100,33 +99,26 @@ def rprop_step(
     return new_params
 
 
-@dataclass(frozen=True)
-class IterationRow:
-    iteration: int
-    loss: float
-    theta: tuple[float, ...]
-    phi: tuple[float, ...]
-    df: tuple[float, ...]
-    wng: tuple[float, ...]
-
-
 @dataclass
 class RunRecord:
-    """Loss and metric trace of one optimization run."""
+    """Loss and metric trace of one optimization run: ``loss`` has shape
+    (iterations,), and ``theta``/``phi`` (radians) and ``df``/``wng`` (linear)
+    have shape (iterations, bands)."""
 
     frequencies: tuple[float, ...]
-    rows: list[IterationRow]
+    loss: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+    df: np.ndarray
+    wng: np.ndarray
     stopping_reason: str
 
     @property
     def iteration_count(self) -> int:
-        return len(self.rows)
-
-    def losses(self) -> np.ndarray:
-        return np.array([row.loss for row in self.rows])
+        return len(self.loss)
 
     def best_so_far(self) -> np.ndarray:
-        return np.minimum.accumulate(self.losses())
+        return np.minimum.accumulate(self.loss)
 
     def to_csv(self, path: str | Path) -> None:
         header = ["iteration", "loss"]
@@ -141,10 +133,10 @@ class RunRecord:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in self.rows:
-                cells = [str(row.iteration), f"{row.loss:.9e}"]
+            for i, loss in enumerate(self.loss):
+                cells = [str(i + 1), f"{loss:.9e}"]
                 for b in range(len(self.frequencies)):
-                    df_db, wng_db, theta_deg, phi_deg = metric_cells(row, b)
+                    df_db, wng_db, theta_deg, phi_deg = metric_cells(self, (i, b))
                     cells += [theta_deg, phi_deg, df_db, wng_db]
                 writer.writerow(cells)
 
@@ -295,7 +287,7 @@ def optimize(
     pipeline = DesignPipeline(geometry, doa, frequencies, loss_config, grid_resolution)
     x = pipeline.initial_params(seed)
     state = RPropState.create(len(x))
-    rows: list[IterationRow] = []
+    trace = []  # per iteration: loss, theta, phi, df, wng
     best_loss = math.inf
     best_x = x.copy()
     no_improve = 0
@@ -308,17 +300,9 @@ def optimize(
                 raise NumericalError(f"loss became non-finite at iteration {it}")
             reason = "numerical_failure"
             break
-        rows.append(
-            IterationRow(
-                iteration=it,
-                loss=current,
-                # reported like BandTables.curves; the loss keeps the raw width
-                theta=tuple(np.minimum(snap.theta, math.pi)),
-                phi=tuple(np.minimum(snap.phi, math.pi)),
-                df=tuple(snap.df.tolist()),
-                wng=tuple(snap.wng.tolist()),
-            )
-        )
+        # widths reported like BandTables.curves; the loss keeps the raw width
+        theta, phi = np.minimum(snap.theta, math.pi), np.minimum(snap.phi, math.pi)
+        trace.append((current, theta, phi, snap.df, snap.wng))
         if current < best_loss - IMPROVE_TOL:
             no_improve = 0
         else:
@@ -340,5 +324,5 @@ def optimize(
             break
     params = pipeline.params_from_vector(best_x)
     curves = pipeline.tables.curves(pipeline._gains(best_x)[-1])
-    record = RunRecord(pipeline.frequencies, rows, reason)
+    record = RunRecord(pipeline.frequencies, *map(np.array, zip(*trace)), reason)
     return OptimizeResult(params=params, curves=curves, record=record)

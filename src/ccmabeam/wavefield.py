@@ -245,21 +245,11 @@ def _csv_cell_tables() -> tuple[np.ndarray, np.ndarray]:
     heads[1000 * negative + i] holds ``,`` [``-``] i ``.`` in 8 bytes and
     digits[k] the 3 digits of k in 4; as integers, so one lookup places them.
     """
-    k = np.arange(1000)
-    digits = (k[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
-    src = np.zeros((2, 1000, 8), dtype=np.uint8)
-    src[..., 0] = ord(",")
-    src[1, :, 1] = ord("-")
-    src[..., 2:5] = digits
-    src[..., 5] = ord(".")
-    keep = src != 0
-    keep[..., 2] &= k >= 100  # no leading zeros, but always a units digit
-    keep[..., 3] &= k >= 10
-    order = np.argsort(~keep, axis=-1, kind="stable")  # kept bytes first, in order
-    heads = np.take_along_axis(np.where(keep, src, 0), order, axis=-1)
-    padded = np.zeros((1000, 4), dtype=np.uint8)
-    padded[:, :3] = digits
-    return heads.reshape(2000, 8).view(np.uint64)[:, 0], padded.view(np.uint32)[:, 0]
+    heads = b"".join(
+        (b",%s%d." % (sign, i)).ljust(8, b"\0") for sign in (b"", b"-") for i in range(1000)
+    )
+    digits = b"".join(b"%03d\0" % k for k in range(1000))
+    return np.frombuffer(heads, dtype=np.uint64), np.frombuffer(digits, dtype=np.uint32)
 
 
 def export_beampattern_csv(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,41 +128,93 @@ def constrain_band(u, v):
     return weights, widths
 
 
+def _band_array(name: str, values, bands: int, rings: int | None = None) -> np.ndarray:
+    """``values``, one flat list of numbers per band (``rings`` long, where
+    given), as a float (bands, rings) array; any other shape is a ValueError
+    naming the field and, where there is one, the band."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # the bands differ in shape
+        array = np.empty(0)
+    if array.ndim == 2 and len(array) == bands and array.dtype.kind in "iuf":
+        if rings is None or array.shape[1] == rings:
+            return array.astype(float)
+    try:
+        rows = list(values)
+    except TypeError:  # a scalar
+        rows = []
+    if len(rows) != bands:
+        raise ValueError(f"{name}: expected one list of ring values for each of the {bands} bands")
+    for b, raw in enumerate(rows):
+        try:
+            row = np.asarray(raw)
+        except ValueError:  # ragged within the band
+            row = np.empty((0, 0))
+        if row.ndim != 1:
+            raise ValueError(
+                f"band {b}: {name} must be a flat list of one number per ring, got {raw!r}"
+            )
+        if row.dtype.kind not in "iuf":
+            raise ValueError(f"band {b}: {name} must hold numbers, got {raw!r}")
+        rings = len(row) if rings is None else rings
+        if len(row) != rings:
+            raise ValueError(
+                f"band {b}: {name} holds {len(row)} values, not one per ring ({rings})"
+            )
+    raise ValueError(f"{name}: expected a (bands, rings) list of numbers")
+
+
 @dataclass
 class DesignParams:
-    """Per-band ring weights and window widths, plus their unconstrained forms."""
+    """Ring weights and window widths, plus their unconstrained forms, as
+    float (bands, rings) arrays; any array-like of that shape is accepted."""
 
     frequencies: tuple[float, ...]
-    ring_weights: tuple[np.ndarray, ...]
-    window_widths: tuple[np.ndarray, ...]
-    unconstrained_weights: tuple[np.ndarray, ...] | None = None
-    unconstrained_widths: tuple[np.ndarray, ...] | None = None
+    ring_weights: np.ndarray
+    window_widths: np.ndarray
+    unconstrained_weights: np.ndarray | None = None
+    unconstrained_widths: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (
-            len(self.frequencies) == len(self.ring_weights) == len(self.window_widths)
-        ):
-            raise ValueError("band counts of frequencies, weights, and widths differ")
-        if len(set(self.frequencies)) != len(self.frequencies):
+        bands = len(self.frequencies)
+        if bands == 0:
+            raise ValueError("bands: a parameter set needs at least one band")
+        for b, f in enumerate(self.frequencies):
+            number = isinstance(f, numbers.Real) and not isinstance(f, bool)
+            # the float bound also rejects NaN, and integers float() cannot hold
+            if not (number and abs(f) <= sys.float_info.max):
+                raise ValueError(f"band {b}: frequency_hz must be a finite number, got {f!r}")
+        self.frequencies = tuple(float(f) for f in self.frequencies)
+        if len(set(self.frequencies)) != bands:
             # bands are looked up by frequency: a repeat would report another band
             raise ValueError(
                 f"frequencies: each band needs its own frequency, got {self.frequencies}"
             )
-        rings = {len(w) for w in self.ring_weights} | {len(s) for s in self.window_widths}
-        if len(rings) != 1:
-            raise ValueError("every band must carry one weight and one width per ring")
-        for b, (w, s) in enumerate(zip(self.ring_weights, self.window_widths)):
-            w = np.asarray(w, dtype=float)
-            s = np.asarray(s, dtype=float)
-            for name, values in (("ring_weights", w), ("window_widths", s)):
-                if not np.all(np.isfinite(values)):
-                    raise ValueError(f"band {b}: {name} must be finite, got {values.tolist()}")
-            if np.any(w < 0.0) or np.any(w > 1.0):
-                raise ValueError(f"band {b}: weights must lie in [0, 1]")
-            if abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError(f"band {b}: weights must sum to 1, got {w.sum()!r}")
-            if np.any(s <= 0.0):
-                raise ValueError(f"band {b}: window widths must be positive")
+        fields = ["ring_weights", "window_widths"]
+        if self.unconstrained_weights is not None or self.unconstrained_widths is not None:
+            fields += ["unconstrained_weights", "unconstrained_widths"]  # both, or neither
+        rings = None  # as many as ring_weights holds
+        for name in fields:
+            values = _band_array(name, getattr(self, name), bands, rings)
+            rings = values.shape[1]
+            finite = np.isfinite(values).all(axis=1)
+            if not finite.all():
+                b = np.argmin(finite)
+                raise ValueError(f"band {b}: {name} must be finite, got {values[b].tolist()}")
+            setattr(self, name, values)
+        w, s = self.ring_weights, self.window_widths
+        # the first failing band of each check is reported
+        outside = ((w < 0.0) | (w > 1.0)).any(axis=1)
+        if outside.any():
+            raise ValueError(f"band {np.argmax(outside)}: weights must lie in [0, 1]")
+        sums = w.sum(axis=1)
+        off = np.abs(sums - 1.0) > 1e-12
+        if off.any():
+            b = np.argmax(off)
+            raise ValueError(f"band {b}: weights must sum to 1, got {sums[b]!r}")
+        non_positive = (s <= 0.0).any(axis=1)
+        if non_positive.any():
+            raise ValueError(f"band {np.argmax(non_positive)}: window widths must be positive")
 
     @property
     def band_count(self) -> int:
@@ -168,20 +222,12 @@ class DesignParams:
 
     @property
     def ring_count(self) -> int:
-        return len(self.ring_weights[0])
+        return self.ring_weights.shape[1]
 
     @classmethod
     def from_unconstrained(cls, frequencies, u_bands, v_bands) -> "DesignParams":
-        u = np.asarray(u_bands, dtype=float)
-        v = np.asarray(v_bands, dtype=float)
-        weights, widths = constrain_band(u, v)
-        return cls(
-            frequencies=tuple(float(f) for f in frequencies),
-            ring_weights=tuple(weights),
-            window_widths=tuple(widths),
-            unconstrained_weights=tuple(u),
-            unconstrained_widths=tuple(v),
-        )
+        """The parameters :func:`constrain_band` maps (bands, rings) ``u`` and ``v`` to."""
+        return cls(frequencies, *constrain_band(u_bands, v_bands), u_bands, v_bands)
 
     def select(self, frequencies) -> "DesignParams":
         """Weights and widths of the bands at ``frequencies``, in that order."""
@@ -189,23 +235,19 @@ class DesignParams:
         if missing:
             raise ValueError(f"params: no saved band for frequencies {missing}")
         index = [self.frequencies.index(f) for f in frequencies]
-        return DesignParams(
-            frequencies=tuple(frequencies),
-            ring_weights=tuple(self.ring_weights[b] for b in index),
-            window_widths=tuple(self.window_widths[b] for b in index),
-        )
+        return DesignParams(frequencies, self.ring_weights[index], self.window_widths[index])
 
     def save(self, path: str | Path) -> None:
         bands = []
-        for b in range(self.band_count):
+        for b, f in enumerate(self.frequencies):
             entry = {
-                "frequency_hz": self.frequencies[b],
-                "ring_weights": [float(x) for x in self.ring_weights[b]],
-                "window_widths": [float(x) for x in self.window_widths[b]],
+                "frequency_hz": f,
+                "ring_weights": self.ring_weights[b].tolist(),
+                "window_widths": self.window_widths[b].tolist(),
             }
             if self.unconstrained_weights is not None:
-                entry["u"] = [float(x) for x in self.unconstrained_weights[b]]
-                entry["v"] = [float(x) for x in self.unconstrained_widths[b]]
+                entry["u"] = self.unconstrained_weights[b].tolist()
+                entry["v"] = self.unconstrained_widths[b].tolist()
             bands.append(entry)
         Path(path).write_text(json.dumps({"bands": bands}, indent=2) + "\n")
 
@@ -217,18 +259,15 @@ class DesignParams:
             raise ValueError(f"parameter file {path}: {err.strerror}") from None
         except ValueError as err:  # not JSON, or not text
             raise ValueError(f"parameter file {path} is not valid JSON: {err}") from None
+        keys = ["frequency_hz", "ring_weights", "window_widths"]
         try:
             bands = payload["bands"]
-            freqs = tuple(float(b["frequency_hz"]) for b in bands)
-            weights = tuple(np.asarray(b["ring_weights"], dtype=float) for b in bands)
-            widths = tuple(np.asarray(b["window_widths"], dtype=float) for b in bands)
-            u = v = None
             if bands and "u" in bands[0]:
-                u = tuple(np.asarray(b["u"], dtype=float) for b in bands)
-                v = tuple(np.asarray(b["v"], dtype=float) for b in bands)
+                keys += ["u", "v"]
+            columns = [[band[key] for band in bands] for key in keys]
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed parameter file {path}: {err}") from None
-        return cls(freqs, weights, widths, u, v)
+        return cls(*columns)
 
 
 def assemble_filter(

@@ -329,6 +329,13 @@ class TestParamsFileErrors:
         assert main([command, "--config", str(path), "--params", str(broken)]) == 1
         assert f"parameter file {broken} is not valid JSON" in capsys.readouterr().err
 
+    def test_malformed_params_name_the_field(self, tmp_path, capsys, command, malformed_params):
+        path = write_config(tmp_path, small_config(tmp_path / "out"))
+        bad, needle = malformed_params
+        assert main([command, "--config", str(path), "--params", str(bad)]) == 1
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFailedRunsCreateNoDirectory:
     def test_design(self, tmp_path, capsys):

@@ -281,7 +281,8 @@ class TestOptimize:
     def test_same_seed_bit_identical(self, toy_array, doa45):
         a = optimize(toy_array, doa45, (2000.0, 4000.0), L1_CFG, budget=15, seed=7)
         b = optimize(toy_array, doa45, (2000.0, 4000.0), L1_CFG, budget=15, seed=7)
-        assert a.record.rows == b.record.rows
+        for name in ("loss", "theta", "phi", "df", "wng"):
+            assert np.array_equal(getattr(a.record, name), getattr(b.record, name)), name
         assert a.record.stopping_reason == b.record.stopping_reason
         for wa, wb in zip(a.params.ring_weights, b.params.ring_weights):
             assert np.array_equal(wa, wb)
@@ -294,8 +295,7 @@ class TestOptimize:
             assert np.all((w >= 0.0) & (w <= 1.0))
         for s in result.params.window_widths:
             assert np.all(s > 0.0)
-        losses = result.record.losses()
-        assert result.record.best_so_far()[-1] == losses.min()
+        assert result.record.best_so_far()[-1] == result.record.loss.min()
 
     def test_l2_broadens_where_l1_narrows(self, array_16k, doa45):
         """At 4 kHz the directivity-maximizing branch of L1 leaves a narrow
@@ -350,10 +350,10 @@ class TestOptimize:
         self.fail_at(monkeypatch, 6, where)
         failed = optimize(toy_array, doa45, (2000.0, 3000.0), L1_CFG, budget=20, seed=4)
         assert failed.record.stopping_reason == "numerical_failure"
-        assert failed.record.rows == clean.record.rows
-        for a, b in zip(failed.params.unconstrained_weights + failed.params.unconstrained_widths,
-                        clean.params.unconstrained_weights + clean.params.unconstrained_widths):
-            assert np.array_equal(a, b)
+        for name in ("loss", "theta", "phi", "df", "wng"):
+            assert np.array_equal(getattr(failed.record, name), getattr(clean.record, name)), name
+        for name in ("unconstrained_weights", "unconstrained_widths"):
+            assert np.array_equal(getattr(failed.params, name), getattr(clean.params, name)), name
         assert np.array_equal(failed.curves.df, clean.curves.df)
 
     @pytest.mark.parametrize("where", ["loss", "gradient"])

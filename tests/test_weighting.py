@@ -273,6 +273,11 @@ class TestDesignParams:
             assert np.array_equal(q.window_widths[b], p.window_widths[b])
             assert np.array_equal(q.unconstrained_weights[b], p.unconstrained_weights[b])
 
+    def test_load_names_the_malformed_field(self, malformed_params):
+        path, needle = malformed_params
+        with pytest.raises(ValueError, match=needle):
+            DesignParams.load(path)
+
     def test_load_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"bands": [{"frequency_hz": 1000.0}]}')
