@@ -7,15 +7,20 @@ import math
 import numpy as np
 
 from .geometry import ArrayGeometry
-from .metrics import MetricCurves, evaluate_filter_bank
+from .metrics import BandTables, MetricCurves
 from .wavefield import Direction, steering_vector
 
-__all__ = ["das_filter", "evaluate_baseline"]
+__all__ = ["das_filter", "das_gains", "evaluate_baseline"]
 
 
 def das_filter(geometry: ArrayGeometry, frequency: float, doa: Direction) -> np.ndarray:
     """Delay-and-sum filter d(DoA) / M, distortionless by construction."""
     return steering_vector(geometry, frequency, doa) / geometry.total_mics
+
+
+def das_gains(geometry: ArrayGeometry, frequencies) -> np.ndarray:
+    """Real per-mic gains (bands, mics) of delay-and-sum: 1/M at every mic."""
+    return np.full((len(frequencies), geometry.total_mics), 1.0 / geometry.total_mics)
 
 
 def evaluate_baseline(
@@ -24,7 +29,6 @@ def evaluate_baseline(
     frequencies,
     grid_resolution: float = math.radians(1.0),
 ) -> MetricCurves:
-    """Metric curves of the delay-and-sum baseline."""
-    return evaluate_filter_bank(
-        geometry, doa, frequencies, lambda f: das_filter(geometry, f, doa), grid_resolution
-    )
+    """Metric curves of the delay-and-sum baseline, scored by :class:`BandTables`."""
+    tables = BandTables(geometry, doa, frequencies, grid_resolution)
+    return tables.curves(das_gains(geometry, tables.frequencies))

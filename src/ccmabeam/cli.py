@@ -23,16 +23,15 @@ import numpy as np
 
 from . import __version__
 from .autodiff import gradcheck
-from .baselines import das_filter, evaluate_baseline
+from .baselines import das_gains
 from .geometry import ArrayConfig, ArrayGeometry, GeometryError, build_geometry
 from .loss import VARIANTS, LossConfig
-from .metrics import (
-    BandTables, MetricCurves, NumericalError, evaluate_params, filter_bank_gains, metric_cells,
-    params_filter_fn, params_gains,
-)
+from .metrics import BandTables, MetricCurves, NumericalError, metric_cells, params_gains
 from .optimizer import DesignPipeline, optimize
-from .wavefield import AngularGrid, Direction, beampattern_grid, export_beampattern_csv, pattern_db
-from .weighting import DegenerateFilterError, DesignParams
+from .wavefield import (
+    AngularGrid, Direction, beampattern_grid, export_beampattern_csv, pattern_db, steering_vector,
+)
+from .weighting import DegenerateFilterError, DesignParams, normalized_filter
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
@@ -215,6 +214,7 @@ def parse_config(raw: dict) -> RunConfig:
     seed = opt_raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"optimizer.seed: expected an integer, got {seed!r}")
+    _check_seed(seed, "optimizer.seed")
 
     sweep = raw.get("sweep")
     if sweep is not None:
@@ -254,6 +254,11 @@ def parse_config(raw: dict) -> RunConfig:
         output_dir=output_dir,
         sweep=sweep,
     )
+
+
+def _check_seed(seed: int, field: str) -> None:
+    if seed < 0:  # numpy's generator seeds take non-negative integers only
+        raise ConfigError(f"{field}: must be at least 0, got {seed}")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -308,10 +313,12 @@ def _write_manifest(cfg: RunConfig, out: Path) -> None:
     (out / "manifest.json").write_text(json.dumps(cfg.resolved(), indent=2) + "\n")
 
 
-def _write_beampatterns(cfg: RunConfig, geometry: ArrayGeometry, out: Path, filter_fn) -> None:
+def _write_beampatterns(cfg: RunConfig, geometry: ArrayGeometry, out: Path, gains) -> None:
+    """Write each band's beampattern CSV for the filter of its real gains,
+    one row of ``gains`` (bands, mics) per band."""
     grid = AngularGrid.build(cfg.grid_resolution, cfg.doa)
-    for f in cfg.frequencies:
-        h = filter_fn(f)
+    for f, band_gains in zip(cfg.frequencies, gains):
+        h = normalized_filter(band_gains, steering_vector(geometry, f, cfg.doa))
         grid_db = pattern_db(beampattern_grid(geometry, h, f, grid))
         export_beampattern_csv(
             out / f"beampattern_{f:g}.csv", grid.elevations, grid.azimuths, grid_db
@@ -340,7 +347,7 @@ def cmd_design(cfg: RunConfig, out_dir: str | Path) -> MetricCurves:
     result.params.save(out / "params.json")
     result.curves.to_csv(out / "metrics.csv")
     result.record.to_csv(out / "run_record.csv")
-    _write_beampatterns(cfg, geometry, out, params_filter_fn(geometry, cfg.doa, result.params))
+    _write_beampatterns(cfg, geometry, out, params_gains(geometry, cfg.doa, result.params))
     _write_manifest(cfg, out)
     print(
         f"design finished after {result.record.iteration_count} iterations "
@@ -362,16 +369,15 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path, params_path=None, baseline=Non
         raise ConfigError("eval: provide exactly one of --params or --baseline")
     if baseline is not None:
         _check_baseline(baseline)
-        filter_fn = lambda f: das_filter(geometry, f, cfg.doa)
-        curves = evaluate_baseline(geometry, cfg.doa, cfg.frequencies, cfg.grid_resolution)
+        gains = das_gains(geometry, cfg.frequencies)
     else:
         params = DesignParams.load(params_path).select(cfg.frequencies)
-        curves = evaluate_params(geometry, cfg.doa, params, cfg.grid_resolution)
-        filter_fn = params_filter_fn(geometry, cfg.doa, params)
+        gains = params_gains(geometry, cfg.doa, params)
+    curves = BandTables(geometry, cfg.doa, cfg.frequencies, cfg.grid_resolution).curves(gains)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     curves.to_csv(out / "metrics.csv")
-    _write_beampatterns(cfg, geometry, out, filter_fn)
+    _write_beampatterns(cfg, geometry, out, gains)
     print(f"eval wrote metrics and beampattern grids to {out}")
     return curves
 
@@ -434,10 +440,7 @@ def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str 
     # one table build scores both filters
     tables = BandTables(geometry, cfg.doa, params.frequencies, cfg.grid_resolution)
     designed = tables.curves(params_gains(geometry, cfg.doa, params))
-    das_gains = filter_bank_gains(
-        geometry, cfg.doa, tables.frequencies, lambda f: das_filter(geometry, f, cfg.doa)
-    )
-    reference = tables.curves(das_gains)
+    reference = tables.curves(das_gains(geometry, tables.frequencies))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "compare.csv", "w", newline="") as fh:
@@ -459,6 +462,9 @@ def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str 
 @_one_blas_thread()
 def cmd_gradcheck(seed: int = 0, points: int = 5) -> float:
     """Self-test: pipeline gradient vs. finite differences on a small array."""
+    _check_seed(seed, "--seed")
+    if points < 1:
+        raise ConfigError(f"--points: must be at least 1, got {points}")
     geometry = build_geometry(ArrayConfig(ring_radii=(0.0, 0.05), sample_rate=16000.0))
     doa = Direction.from_degrees(45.0, 45.0)
     loss = LossConfig(
@@ -531,6 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
+        _check_seed(args.seed, "--seed")
         cfg.seed = args.seed
     if getattr(args, "grid_deg", None) is not None:
         cfg.grid_resolution_deg = _number(args.grid_deg, "--grid-deg", 0.0, strict=True)

@@ -17,7 +17,6 @@ import math
 import mmap
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .wavefield import (
     snapped_range,
     steering_vector,
 )
-from .weighting import DesignParams, mic_layout, normalized_filter, ring_gains
+from .weighting import DesignParams, mic_layout, ring_gains
 
 __all__ = [
     "NumericalError",
@@ -50,10 +49,7 @@ __all__ = [
     "MetricCurves",
     "metric_cells",
     "BandTables",
-    "filter_bank_gains",
-    "evaluate_filter_bank",
     "params_gains",
-    "params_filter_fn",
     "evaluate_params",
 ]
 
@@ -443,37 +439,6 @@ class BandTables:
         return MetricCurves(self.frequencies, df, wng, widths[:, 0], widths[:, 1])
 
 
-def filter_bank_gains(
-    geometry: ArrayGeometry, doa: Direction, frequencies, filter_fn: Callable[[float], np.ndarray]
-) -> np.ndarray:
-    """Real gains g = h * conj(d) (bands, mics) of a per-frequency filter factory.
-
-    Each filter h must be real gains times the look-direction phases d: a
-    band where h * conj(d) has an imaginary part above 1e-9 of its largest
-    modulus raises ValueError.
-    """
-    gains = np.empty((len(frequencies), geometry.total_mics))
-    for b, f in enumerate(frequencies):
-        g = filter_fn(f) * np.conj(steering_vector(geometry, f, doa))
-        if np.max(np.abs(g.imag)) > 1e-9 * np.max(np.abs(g)):
-            raise ValueError(f"band {b} ({f:g} Hz): filter is not real gains times the DoA phases")
-        gains[b] = g.real
-    return gains
-
-
-def evaluate_filter_bank(
-    geometry: ArrayGeometry,
-    doa: Direction,
-    frequencies,
-    filter_fn: Callable[[float], np.ndarray],
-    grid_resolution: float = math.radians(1.0),
-) -> MetricCurves:
-    """Metric curves of a per-frequency filter factory (see :func:`filter_bank_gains`),
-    scored by :class:`BandTables`."""
-    tables = BandTables(geometry, doa, frequencies, grid_resolution)
-    return tables.curves(filter_bank_gains(geometry, doa, tables.frequencies, filter_fn))
-
-
 def params_gains(geometry: ArrayGeometry, doa: Direction, params: DesignParams) -> np.ndarray:
     """Real per-mic gains (bands, mics) of a designed parameter set."""
     if params.ring_count != geometry.ring_count:
@@ -481,19 +446,6 @@ def params_gains(geometry: ArrayGeometry, doa: Direction, params: DesignParams) 
                          f"but the array has {geometry.ring_count}")
     _, gains = ring_gains(mic_layout(geometry, doa), params.ring_weights, params.window_widths)
     return gains
-
-
-def params_filter_fn(
-    geometry: ArrayGeometry, doa: Direction, params: DesignParams
-) -> Callable[[float], np.ndarray]:
-    """Filter factory of a designed parameter set: band frequency -> filter."""
-    gains = params_gains(geometry, doa, params)
-    lookup = {f: b for b, f in enumerate(params.frequencies)}
-
-    def filter_fn(f: float) -> np.ndarray:
-        return normalized_filter(gains[lookup[f]], steering_vector(geometry, f, doa))
-
-    return filter_fn
 
 
 def evaluate_params(

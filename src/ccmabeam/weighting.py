@@ -128,15 +128,26 @@ def constrain_band(u, v):
     return weights, widths
 
 
+def _holds_bool(values) -> bool:
+    """Whether nested lists hold a bool, which numpy reads as a number
+    beside numbers."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind == "b"
+    if isinstance(values, (list, tuple)):
+        return any(_holds_bool(v) for v in values)
+    return isinstance(values, (bool, np.bool_))
+
+
 def _band_array(name: str, values, bands: int, rings: int | None = None) -> np.ndarray:
     """``values``, one flat list of numbers per band (``rings`` long, where
-    given), as a float (bands, rings) array; any other shape is a ValueError
-    naming the field and, where there is one, the band."""
+    given), as a float (bands, rings) array; any other shape, or a bool, is a
+    ValueError naming the field and, where there is one, the band."""
     try:
         array = np.asarray(values)
     except ValueError:  # the bands differ in shape
         array = np.empty(0)
-    if array.ndim == 2 and len(array) == bands and array.dtype.kind in "iuf":
+    numeric = array.dtype.kind in "iuf" and not _holds_bool(values)
+    if array.ndim == 2 and len(array) == bands and numeric:
         if rings is None or array.shape[1] == rings:
             return array.astype(float)
     try:
@@ -154,7 +165,7 @@ def _band_array(name: str, values, bands: int, rings: int | None = None) -> np.n
             raise ValueError(
                 f"band {b}: {name} must be a flat list of one number per ring, got {raw!r}"
             )
-        if row.dtype.kind not in "iuf":
+        if row.dtype.kind not in "iuf" or _holds_bool(raw):
             raise ValueError(f"band {b}: {name} must hold numbers, got {raw!r}")
         rings = len(row) if rings is None else rings
         if len(row) != rings:

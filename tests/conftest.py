@@ -46,6 +46,18 @@ MALFORMED_PARAMS = {
     "widths-per-ring-differ": (_set(0, 1, window_widths=[0.5] * 3), "band 0: window_widths"),
     "no-bands": (lambda p: p.update(bands=[]), "bands:"),
     "non-numeric-weight": (_set(0, ring_weights=["a", 0.5]), "band 0: ring_weights"),
+    # numpy reads a bool beside numbers as 0 or 1
+    "bool-in-weights": (
+        _set(0, ring_weights=[True, 0.0]), "band 0: ring_weights must hold numbers, got [True, 0.0]"
+    ),
+    "bool-in-widths": (
+        _set(1, window_widths=[0.5, False]),
+        "band 1: window_widths must hold numbers, got [0.5, False]",
+    ),
+    "bool-in-v": (
+        lambda p: (_set(0, 1, u=[0.0, 0.0], v=[0.0, 0.0])(p), _set(1, v=[0.0, True])(p)),
+        "band 1: unconstrained_widths must hold numbers, got [0.0, True]",
+    ),
     "bool-frequency": (_set(0, frequency_hz=True), "band 0: frequency_hz"),
     "string-frequency": (_set(0, frequency_hz="2000"), "band 0: frequency_hz"),
     "nan-frequency": (_set(1, frequency_hz=math.nan), "band 1: frequency_hz"),

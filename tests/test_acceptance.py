@@ -23,14 +23,14 @@ from ccmabeam.metrics import (
     beamwidth_parabola,
     curvature_width,
     directivity_factor,
-    evaluate_filter_bank,
+    evaluate_params,
     fit_coefficients,
     gamma_matrix,
     white_noise_gain,
 )
 from ccmabeam.optimizer import DesignPipeline, RPropConfig, RPropState, optimize, rprop_step
 from ccmabeam.wavefield import steering_matrix, steering_vector
-from ccmabeam.weighting import assemble_filter
+from ccmabeam.weighting import DesignParams
 
 L1_CFG = LossConfig(
     variant="L1", target_theta=math.radians(40.0), target_phi=math.radians(40.0)
@@ -251,14 +251,11 @@ def narrowest_feasible_widths(geometry, doa, frequencies):
         (rng.dirichlet(np.ones(rings)), 10.0 ** rng.uniform(-1.0, 2.0, rings))
         for _ in range(WITNESS_SAMPLES)
     ]
-    narrowest = np.full(len(frequencies), math.pi)
+    bands = len(frequencies)
+    narrowest = np.full(bands, math.pi)
     for weights, widths in points:
-        curves = evaluate_filter_bank(
-            geometry,
-            doa,
-            frequencies,
-            lambda f, w=weights, s=widths: assemble_filter(geometry, f, doa, w, s),
-        )
+        params = DesignParams(frequencies, [weights] * bands, [widths] * bands)
+        curves = evaluate_params(geometry, doa, params)
         narrowest = np.minimum(narrowest, np.maximum(curves.theta, curves.phi))
     return np.degrees(narrowest)
 

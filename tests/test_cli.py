@@ -12,9 +12,11 @@ import pytest
 from ccmabeam import cli, metrics, optimizer
 from ccmabeam.cli import ConfigError, load_config, main, parse_config
 from ccmabeam.geometry import build_geometry
+from ccmabeam.baselines import das_filter
 from ccmabeam.metrics import NumericalError
 from ccmabeam.optimizer import DesignPipeline
-from ccmabeam.weighting import DegenerateFilterError, DesignParams
+from ccmabeam.wavefield import AngularGrid, beampattern_grid, pattern_db
+from ccmabeam.weighting import DegenerateFilterError, DesignParams, assemble_filter
 
 
 def small_config(out_dir, **overrides):
@@ -62,6 +64,7 @@ class TestConfigParsing:
             (lambda c: c["loss"].update(lambda1=5.0), "loss: lambda1"),
             (lambda c: c["loss"].update(variant="L2", alpha=0.2), "loss: alpha"),
             (lambda c: c["optimizer"].update(budget=0), "optimizer.budget"),
+            (lambda c: c["optimizer"].update(seed=-1), "optimizer.seed: must be at least 0, got -1"),
             (lambda c: c.update(grid_resolution_deg=-1.0), "grid_resolution_deg"),
             (lambda c: c.update(sweep={"bogus": [1.0]}), "sweep.bogus"),
             (lambda c: c.update(sweep={"alpha": []}), "sweep.alpha"),
@@ -77,6 +80,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(cfg)
         assert needle in str(err.value)
+
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    def test_negative_seed_override(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, small_config(tmp_path / "out"))
+        assert main([command, "--config", str(path), "--seed", "-5"]) == 1
+        assert "--seed: must be at least 0, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -253,6 +263,38 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(path), "--baseline", "das"]) == 0
         assert (out / "metrics.csv").exists()
         assert (out / "beampattern_2000.csv").exists()
+
+    @pytest.mark.parametrize("source", ["params", "baseline"])
+    def test_beampatterns_hold_the_filter(self, tmp_path, source):
+        """Every beampattern cell is the dB grid of the intended filter:
+        das_filter for the baseline, assemble_filter of each saved band."""
+        out = tmp_path / "eval"
+        path = write_config(tmp_path, small_config(out))
+        params = DesignParams((2000.0, 3000.0), [[0.3, 0.7], [0.8, 0.2]], [[0.4, 2.0], [1.5, 0.2]])
+        saved = tmp_path / "params.json"
+        params.save(saved)
+        args = ["--baseline", "das"] if source == "baseline" else ["--params", str(saved)]
+        assert main(["eval", "--config", str(path), *args]) == 0
+        cfg = load_config(path)
+        geometry = build_geometry(cfg.array)
+        grid = AngularGrid.build(cfg.grid_resolution, cfg.doa)
+        for b, f in enumerate(cfg.frequencies):
+            if source == "baseline":
+                h = das_filter(geometry, f, cfg.doa)
+            else:
+                w, s = params.ring_weights[b], params.window_widths[b]
+                h = assemble_filter(geometry, f, cfg.doa, w, s)
+            expected = pattern_db(beampattern_grid(geometry, h, f, grid))
+            with open(out / f"beampattern_{f:g}.csv") as fh:
+                header, *rows = list(csv.reader(fh))
+            np.testing.assert_allclose(
+                [float(c) for c in header[1:]], np.degrees(grid.azimuths), rtol=0, atol=5e-4
+            )
+            np.testing.assert_allclose(
+                [float(row[0]) for row in rows], np.degrees(grid.elevations), rtol=0, atol=5e-4
+            )
+            cells = np.array([[float(c) for c in row[1:]] for row in rows])
+            np.testing.assert_allclose(cells, expected, rtol=0, atol=2e-6)
 
     def test_ring_count_mismatch(self, tmp_path, capsys):
         out = tmp_path / "design"
@@ -672,6 +714,22 @@ class TestGradcheckCommand:
     def test_self_test_passes(self, capsys):
         assert main(["gradcheck", "--points", "1"]) == 0
         assert "gradcheck OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--points", "0"], "--points: must be at least 1, got 0"),
+            (["--points", "-2"], "--points: must be at least 1, got -2"),
+            (["--seed", "-1"], "--seed: must be at least 0, got -1"),
+        ],
+    )
+    def test_rejects_out_of_range_arguments(self, capsys, args, message):
+        """Zero points would check nothing and report OK; a negative seed
+        would fail inside numpy without naming the flag."""
+        assert main(["gradcheck", *args]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "gradcheck" not in captured.out
 
 
 class TestExitCodes:

@@ -19,17 +19,15 @@ from ccmabeam.metrics import (
     build_fit_cuts,
     curvature_width,
     directivity_factor,
-    evaluate_filter_bank,
     evaluate_params,
     fit_coefficients,
     gamma_matrix,
-    params_filter_fn,
     sigma_schedule,
     white_noise_gain,
 )
 from ccmabeam.optimizer import DesignPipeline
 from ccmabeam.wavefield import Direction, beampattern, pattern_db, steering_matrix, steering_vector
-from ccmabeam.weighting import DesignParams
+from ccmabeam.weighting import DesignParams, assemble_filter
 
 
 def single_mic_array():
@@ -323,9 +321,7 @@ class TestMetricCurves:
 class TestEvaluateFilterBank:
     def test_matches_direct_computation(self, array_16k, doa45):
         freqs = (1000.0, 3000.0)
-        curves = evaluate_filter_bank(
-            array_16k, doa45, freqs, lambda f: cb.das_filter(array_16k, f, doa45)
-        )
+        curves = evaluate_baseline(array_16k, doa45, freqs)
         for b, f in enumerate(freqs):
             h = cb.das_filter(array_16k, f, doa45)
             d = steering_vector(array_16k, f, doa45)
@@ -344,26 +340,11 @@ class TestEvaluateFilterBank:
             assert theta_cut.elevations.min() >= 0.0
             assert theta_cut.elevations.max() <= math.pi / 2.0 + 1e-12
 
-    def test_complex_filter_rejected_naming_the_band(self, array_16k, doa45):
-        """A superdirective filter (Gamma + 1e-4 I)^-1 d is complex relative
-        to the look-direction phases, outside the real-gain form."""
-
-        def superdirective(f):
-            if f < 2000.0:
-                return cb.das_filter(array_16k, f, doa45)
-            gamma = gamma_matrix(array_16k, f) + 1e-4 * np.eye(array_16k.total_mics)
-            return np.linalg.solve(gamma, steering_vector(array_16k, f, doa45))
-
-        with pytest.raises(ValueError, match=r"band 1 \(2000 Hz\)"):
-            evaluate_filter_bank(array_16k, doa45, (1000.0, 2000.0), superdirective)
-
     def test_non_positive_diffuse_form_raises(self, toy_array, doa45, monkeypatch):
         """The loss floors the DF denominator; a reported metric must not."""
         monkeypatch.setattr(metrics, "gamma_matrix", lambda geometry, f: -np.eye(geometry.total_mics))
         with pytest.raises(NumericalError, match=r"band 0 \(2000 Hz\).*not positive"):
-            evaluate_filter_bank(
-                toy_array, doa45, (2000.0,), lambda f: cb.das_filter(toy_array, f, doa45)
-            )
+            evaluate_baseline(toy_array, doa45, (2000.0,))
 
 
 ORACLE_BANDS = (1000.0, 2500.0, 4000.0, 5500.0)
@@ -390,6 +371,17 @@ def per_band_oracle(geometry, doa, frequencies, filter_fn):
     return {"df": df, "wng": wng, "theta": theta, "phi": phi}
 
 
+def assembled_filters(geometry, doa, params):
+    """Band frequency -> :func:`assemble_filter` of that band's parameters."""
+    bands = {f: b for b, f in enumerate(params.frequencies)}
+
+    def filter_of(f):
+        b = bands[f]
+        return assemble_filter(geometry, f, doa, params.ring_weights[b], params.window_widths[b])
+
+    return filter_of
+
+
 def random_params(geometry, seed):
     rng = np.random.default_rng(seed)
     u = [rng.uniform(-1.0, 1.0, geometry.ring_count) for _ in ORACLE_BANDS]
@@ -412,7 +404,7 @@ class TestPerBandOracle:
         geometry = request.getfixturevalue(array)
         params = random_params(geometry, seed)
         expected = per_band_oracle(
-            geometry, doa45, ORACLE_BANDS, params_filter_fn(geometry, doa45, params)
+            geometry, doa45, ORACLE_BANDS, assembled_filters(geometry, doa45, params)
         )
         assert_matches_oracle(evaluate_params(geometry, doa45, params), expected)
 
@@ -433,7 +425,7 @@ class TestPerBandOracle:
             x = np.stack([params.unconstrained_weights, params.unconstrained_widths], axis=1)
             _, snap = pipeline.build_loss(x.reshape(-1))
             expected = per_band_oracle(
-                array_16k, doa45, ORACLE_BANDS, params_filter_fn(array_16k, doa45, params)
+                array_16k, doa45, ORACLE_BANDS, assembled_filters(array_16k, doa45, params)
             )
             reported = MetricCurves(
                 ORACLE_BANDS, snap.df, snap.wng,
