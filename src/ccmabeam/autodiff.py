@@ -17,6 +17,11 @@ import numpy as np
 
 __all__ = ["GradcheckResult", "gradcheck"]
 
+# step relative to max(1, |coordinate|), and the relative gap between the
+# step-h and step-h/2 differences that marks a branch boundary
+REL_STEP = 1e-4
+BOUNDARY_RTOL = 1e-3
+
 
 @dataclass(frozen=True)
 class GradcheckResult:
@@ -36,8 +41,6 @@ def gradcheck(
     f: Callable[[list[float]], float],
     point: Sequence[float],
     gradient: Sequence[float],
-    rel_step: float = 1e-4,
-    boundary_rtol: float = 1e-3,
 ) -> GradcheckResult:
     """Compare ``gradient`` (the analytic gradient of ``f`` at ``point``)
     against central finite differences.
@@ -62,10 +65,10 @@ def gradcheck(
     errors = np.zeros(len(point))
     excluded: list[int] = []
     for k in range(len(point)):
-        h = rel_step * max(1.0, abs(point[k]))
+        h = REL_STEP * max(1.0, abs(point[k]))
         fd_h = fd(k, h)
         fd_h2 = fd(k, h / 2.0)
-        if abs(fd_h - fd_h2) > boundary_rtol * max(1.0, abs(fd_h), abs(fd_h2)):
+        if abs(fd_h - fd_h2) > BOUNDARY_RTOL * max(1.0, abs(fd_h), abs(fd_h2)):
             errors[k] = math.nan
             excluded.append(k)
             continue

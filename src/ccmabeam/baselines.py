@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .geometry import ArrayGeometry
-from .metrics import BandTables, MetricCurves
+from .metrics import GRID_RESOLUTION, BandTables, MetricCurves
 from .wavefield import Direction, steering_vector
 
 __all__ = ["das_filter", "das_gains", "evaluate_baseline"]
@@ -27,7 +25,7 @@ def evaluate_baseline(
     geometry: ArrayGeometry,
     doa: Direction,
     frequencies,
-    grid_resolution: float = math.radians(1.0),
+    grid_resolution: float = GRID_RESOLUTION,
 ) -> MetricCurves:
     """Metric curves of the delay-and-sum baseline, scored by :class:`BandTables`."""
     tables = BandTables(geometry, doa, frequencies, grid_resolution)

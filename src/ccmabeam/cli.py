@@ -26,7 +26,9 @@ from .autodiff import gradcheck
 from .baselines import das_gains
 from .geometry import ArrayConfig, ArrayGeometry, GeometryError, build_geometry
 from .loss import VARIANTS, LossConfig
-from .metrics import BandTables, MetricCurves, NumericalError, metric_cells, params_gains
+from .metrics import (
+    GRID_RESOLUTION, BandTables, MetricCurves, NumericalError, metric_cells, params_gains,
+)
 from .optimizer import DesignPipeline, optimize
 from .wavefield import (
     AngularGrid, Direction, beampattern_grid, export_beampattern_csv, pattern_db, steering_vector,
@@ -140,8 +142,8 @@ def parse_config(raw: dict) -> RunConfig:
                 array_raw.get("sound_speed_mps", 343.0), "array.sound_speed_mps", 0.0, strict=True
             ),
         )
-    except GeometryError as err:
-        raise ConfigError(f"array: {err}") from None
+    except GeometryError as err:  # the rates passed _number; only the radii are left
+        raise ConfigError(f"array.ring_radii_m: {err}") from None
 
     doa_raw = _require(raw, "doa_deg")
     if not isinstance(doa_raw, dict):
@@ -182,14 +184,13 @@ def parse_config(raw: dict) -> RunConfig:
     variant = loss_raw.get("variant", "L1")
     if variant not in VARIANTS:
         raise ConfigError(f"loss.variant: must be one of {list(VARIANTS)}, got {variant!r}")
-    target_theta = _number(
-        loss_raw.get("target_theta_deg", 40.0), "loss.target_theta_deg", 0.0, strict=True
-    )
-    target_phi = _number(
-        loss_raw.get("target_phi_deg", 40.0), "loss.target_phi_deg", 0.0, strict=True
-    )
-    if target_theta > 180.0 or target_phi > 180.0:
-        raise ConfigError("loss targets: beamwidth targets cannot exceed 180 degrees")
+    targets = []
+    for key in ("target_theta_deg", "target_phi_deg"):
+        target = _number(loss_raw.get(key, 40.0), f"loss.{key}", 0.0, strict=True)
+        if target > 180.0:
+            raise ConfigError(f"loss.{key}: must be at most 180 degrees, got {target}")
+        targets.append(target)
+    target_theta, target_phi = targets
     try:
         loss = LossConfig(
             variant=variant,
@@ -203,7 +204,8 @@ def parse_config(raw: dict) -> RunConfig:
     except ValueError as err:
         raise ConfigError(f"loss: {err}") from None
 
-    grid_deg = _number(raw.get("grid_resolution_deg", 1.0), "grid_resolution_deg", 0.0, strict=True)
+    grid_raw = raw.get("grid_resolution_deg", math.degrees(GRID_RESOLUTION))
+    grid_deg = _number(grid_raw, "grid_resolution_deg", 0.0, strict=True)
 
     opt_raw = raw.get("optimizer", {})
     if not isinstance(opt_raw, dict):
@@ -436,9 +438,9 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
 def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str = "das") -> None:
     geometry = build_geometry(cfg.array)
     _check_baseline(baseline)
-    params = DesignParams.load(params_path)
+    params = DesignParams.load(params_path).select(cfg.frequencies)
     # one table build scores both filters
-    tables = BandTables(geometry, cfg.doa, params.frequencies, cfg.grid_resolution)
+    tables = BandTables(geometry, cfg.doa, cfg.frequencies, cfg.grid_resolution)
     designed = tables.curves(params_gains(geometry, cfg.doa, params))
     reference = tables.curves(das_gains(geometry, tables.frequencies))
     out = Path(out_dir)
@@ -508,11 +510,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--grid-deg", type=float, default=None, help="grid resolution override")
 
     p = sub.add_parser("design", help="optimize a filter set and write artifacts")
     common(p)
-    p.add_argument("--seed", type=int, default=None, help="optimizer seed override")
 
     p = sub.add_parser("eval", help="recompute metrics from saved params or a baseline")
     common(p)
@@ -521,7 +521,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the config's sweep grid")
     common(p)
-    p.add_argument("--seed", type=int, default=None, help="optimizer seed override")
     p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("compare", help="designed params vs. a baseline")
@@ -535,24 +534,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        _check_seed(args.seed, "--seed")
-        cfg.seed = args.seed
-    if getattr(args, "grid_deg", None) is not None:
-        cfg.grid_resolution_deg = _number(args.grid_deg, "--grid-deg", 0.0, strict=True)
-    if getattr(args, "out", None):
-        cfg.output_dir = args.out
-    return cfg
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gradcheck":
             worst = cmd_gradcheck(seed=args.seed, points=args.points)
             return 0 if worst < GRADCHECK_TOLERANCE else 2
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config)
+        cfg.output_dir = args.out or cfg.output_dir
         out = cfg.output_dir
         if args.command == "design":
             cmd_design(cfg, out)

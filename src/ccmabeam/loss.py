@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LossConfig", "BandLossTerms", "loss_l1", "loss_l3", "total_loss"]
+__all__ = ["LossConfig", "BandLossTerms", "loss_l1", "total_loss"]
 
 VARIANTS = ("L1", "L2", "L3")
 
@@ -190,8 +190,3 @@ def loss_l1(theta, phi, df, cfg: LossConfig) -> float:
     """One band's L1 value: its overshooting width (the sum when both
     overshoot, so each keeps a descent direction), otherwise -log10 DF."""
     return total_loss([theta], [phi], [df], [1.0], cfg)[0]
-
-
-def loss_l3(thetas, phis, dfs, wngs, cfg: LossConfig):
-    """The banded L3 loss; :func:`total_loss` under an L3 config."""
-    return total_loss(thetas, phis, dfs, wngs, cfg)

@@ -32,6 +32,7 @@ from .weighting import DesignParams, mic_layout, ring_gains
 
 __all__ = [
     "NumericalError",
+    "GRID_RESOLUTION",
     "DELTA_L_DB",
     "ORACLE_DELTA_L_DB",
     "GAMMA_DIAGONAL_REG",
@@ -52,6 +53,9 @@ __all__ = [
     "params_gains",
     "evaluate_params",
 ]
+
+# default spacing of the fit cuts and of the beampattern grid (radians)
+GRID_RESOLUTION = math.radians(1.0)
 
 # level drop defining the optimized beamwidth, and the half-amplitude drop
 # used by the crossing-search reference
@@ -109,20 +113,19 @@ def white_noise_gain(h: np.ndarray, d_doa: np.ndarray) -> float:
     return abs(np.vdot(h, d_doa)) ** 2 / power
 
 
-def sigma_schedule(frequency: float, diameter: float, sound_speed: float) -> tuple[float, float]:
-    """Frequency-dependent fit-mask width, narrower at higher frequencies.
+def sigma_schedule(frequency: float, diameter: float, sound_speed: float) -> float:
+    """Fit-mask width of both cuts (radians), narrower at higher frequencies.
 
-    Returns (sigma_theta, sigma_phi) in radians: SCHEDULE_K * c / (f D),
-    clamped to [SCHEDULE_SIGMA_MIN, SCHEDULE_SIGMA_MAX].  A zero-aperture
-    array pins the width to SCHEDULE_SIGMA_MAX.
+    SCHEDULE_K * c / (f D), clamped to [SCHEDULE_SIGMA_MIN,
+    SCHEDULE_SIGMA_MAX].  A zero-aperture array pins the width to
+    SCHEDULE_SIGMA_MAX.
     """
     if frequency <= 0.0:
         raise ValueError("frequency must be positive")
     if diameter <= 0.0:
-        return SCHEDULE_SIGMA_MAX, SCHEDULE_SIGMA_MAX
+        return SCHEDULE_SIGMA_MAX
     sigma = SCHEDULE_K * sound_speed / (frequency * diameter)
-    sigma = min(max(sigma, SCHEDULE_SIGMA_MIN), SCHEDULE_SIGMA_MAX)
-    return sigma, sigma
+    return min(max(sigma, SCHEDULE_SIGMA_MIN), SCHEDULE_SIGMA_MAX)
 
 
 @dataclass(frozen=True)
@@ -149,10 +152,10 @@ def build_fit_cuts(
     geometry: ArrayGeometry, doa: Direction, frequency: float, grid_resolution: float
 ) -> tuple[FitCut, FitCut]:
     """Elevation and azimuth cuts snapped to the DoA, trimmed to the mask support."""
-    sigma_theta, sigma_phi = sigma_schedule(frequency, geometry.diameter(), geometry.sound_speed)
+    sigma = sigma_schedule(frequency, geometry.diameter(), geometry.sound_speed)
+    support = MASK_SUPPORT_SIGMAS * sigma
 
     lo, hi = ELEVATION_RANGE
-    support = MASK_SUPPORT_SIGMAS * sigma_theta
     thetas = snapped_range(
         max(lo, doa.elevation - support), min(hi, doa.elevation + support),
         doa.elevation, grid_resolution,
@@ -163,10 +166,9 @@ def build_fit_cuts(
         elevations=thetas,
         azimuths=np.full_like(thetas, doa.azimuth),
         doa_index=int(np.argmin(np.abs(x_theta))),
-        sigma=sigma_theta,
+        sigma=sigma,
     )
 
-    support = MASK_SUPPORT_SIGMAS * sigma_phi
     steps = int(math.floor(support / grid_resolution + 1e-9))
     half_circle = int(math.ceil(math.pi / grid_resolution - 1e-9))
     kmin = -min(steps, half_circle - 1)
@@ -177,7 +179,7 @@ def build_fit_cuts(
         elevations=np.full_like(x_phi, doa.elevation),
         azimuths=doa.azimuth + x_phi,
         doa_index=int(-kmin),
-        sigma=sigma_phi,
+        sigma=sigma,
     )
     return theta_cut, phi_cut
 
@@ -452,7 +454,7 @@ def evaluate_params(
     geometry: ArrayGeometry,
     doa: Direction,
     params: DesignParams,
-    grid_resolution: float = math.radians(1.0),
+    grid_resolution: float = GRID_RESOLUTION,
 ) -> MetricCurves:
     """Metric curves of a designed parameter set, scored by :class:`BandTables`."""
     gains = params_gains(geometry, doa, params)

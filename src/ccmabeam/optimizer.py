@@ -24,14 +24,13 @@ import numpy as np
 
 from .geometry import ArrayGeometry
 from .loss import BandLossTerms, LossConfig, total_loss
-from .metrics import BandTables, MetricCurves, NumericalError, metric_cells
+from .metrics import GRID_RESOLUTION, BandTables, MetricCurves, NumericalError, metric_cells
 from .wavefield import Direction
 from .weighting import (
     DesignParams, SIGMA_FLOOR, constrain_band, mic_layout, ring_gains, softplus_inverse,
 )
 
 __all__ = [
-    "RPropConfig",
     "RPropState",
     "rprop_step",
     "RunRecord",
@@ -47,20 +46,12 @@ INIT_NOISE = 1e-3
 NO_IMPROVE_LIMIT = 200
 IMPROVE_TOL = 1e-6
 
-
-@dataclass(frozen=True)
-class RPropConfig:
-    initial_step: float = 0.1
-    grow: float = 1.2
-    shrink: float = 0.5
-    step_min: float = 1e-6
-    step_max: float = 50.0
-
-    def __post_init__(self):
-        if not (self.grow > 1.0 > self.shrink > 0.0):
-            raise ValueError("rprop scale factors must satisfy grow > 1 > shrink > 0")
-        if not (0.0 < self.step_min <= self.initial_step <= self.step_max):
-            raise ValueError("rprop step bounds must satisfy min <= initial <= max")
+# Rprop step factors and bounds (Riedmiller & Braun, 1993; Igel & Huesken, 2000)
+RPROP_INITIAL_STEP = 0.1
+RPROP_GROW = 1.2
+RPROP_SHRINK = 0.5
+RPROP_STEP_MIN = 1e-6
+RPROP_STEP_MAX = 50.0
 
 
 @dataclass
@@ -71,16 +62,11 @@ class RPropState:
     prev_grad: np.ndarray
 
     @classmethod
-    def create(cls, n: int, config: RPropConfig = RPropConfig()) -> "RPropState":
-        return cls(steps=np.full(n, config.initial_step), prev_grad=np.zeros(n))
+    def create(cls, n: int) -> "RPropState":
+        return cls(steps=np.full(n, RPROP_INITIAL_STEP), prev_grad=np.zeros(n))
 
 
-def rprop_step(
-    state: RPropState,
-    gradient: np.ndarray,
-    params: np.ndarray,
-    config: RPropConfig = RPropConfig(),
-) -> np.ndarray:
+def rprop_step(state: RPropState, gradient: np.ndarray, params: np.ndarray) -> np.ndarray:
     """One sign-based update; returns the new parameter vector."""
     g = np.array(gradient, dtype=float)
     if g.shape != state.steps.shape:
@@ -91,8 +77,8 @@ def rprop_step(
     product = g * state.prev_grad
     grew = product > 0.0
     flipped = product < 0.0
-    state.steps[grew] = np.minimum(state.steps[grew] * config.grow, config.step_max)
-    state.steps[flipped] = np.maximum(state.steps[flipped] * config.shrink, config.step_min)
+    state.steps[grew] = np.minimum(state.steps[grew] * RPROP_GROW, RPROP_STEP_MAX)
+    state.steps[flipped] = np.maximum(state.steps[flipped] * RPROP_SHRINK, RPROP_STEP_MIN)
     g[flipped] = 0.0  # skip flipped coordinates this iteration, reset their sign
     new_params = params - np.sign(g) * state.steps
     state.prev_grad = g
@@ -186,7 +172,7 @@ class DesignPipeline:
         doa: Direction,
         frequencies: Sequence[float],
         loss_config: LossConfig,
-        grid_resolution: float = math.radians(1.0),
+        grid_resolution: float = GRID_RESOLUTION,
     ):
         if len(frequencies) == 0:
             raise ValueError("at least one frequency band is required")
@@ -271,7 +257,7 @@ def optimize(
     loss_config: LossConfig,
     budget: int,
     seed: int = 0,
-    grid_resolution: float = math.radians(1.0),
+    grid_resolution: float = GRID_RESOLUTION,
 ) -> OptimizeResult:
     """Jointly optimize all bands; returns the best parameters seen.
 

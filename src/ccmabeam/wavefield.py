@@ -55,7 +55,8 @@ class Direction:
 
     @classmethod
     def from_degrees(cls, elevation_deg: float, azimuth_deg: float) -> "Direction":
-        return cls(math.radians(elevation_deg), math.radians(azimuth_deg % 360.0))
+        # a hair below 0 wraps to exactly 360.0; the second % takes that to 0
+        return cls(math.radians(elevation_deg), math.radians(azimuth_deg % 360.0 % 360.0))
 
     def unit_vector(self) -> np.ndarray:
         s = math.sin(self.elevation)

@@ -16,7 +16,7 @@ import ccmabeam as cb
 from ccmabeam import autodiff as ad
 from ccmabeam.baselines import evaluate_baseline
 from ccmabeam.cli import main as cli_main
-from ccmabeam.loss import LossConfig, loss_l1, loss_l3
+from ccmabeam.loss import LossConfig, loss_l1, total_loss
 from ccmabeam.metrics import (
     DELTA_L_DB,
     beamwidth_oracle,
@@ -28,7 +28,17 @@ from ccmabeam.metrics import (
     gamma_matrix,
     white_noise_gain,
 )
-from ccmabeam.optimizer import DesignPipeline, RPropConfig, RPropState, optimize, rprop_step
+from ccmabeam.optimizer import (
+    RPROP_GROW,
+    RPROP_INITIAL_STEP,
+    RPROP_SHRINK,
+    RPROP_STEP_MAX,
+    RPROP_STEP_MIN,
+    DesignPipeline,
+    RPropState,
+    optimize,
+    rprop_step,
+)
 from ccmabeam.wavefield import steering_matrix, steering_vector
 from ccmabeam.weighting import DesignParams
 
@@ -99,7 +109,7 @@ def test_criterion_2_gradient_correctness(toy_array, doa45):
         )
         loss, _ = pipeline.build_loss(point)
         result = ad.gradcheck(
-            lambda xs: pipeline.build_loss(xs)[0], point, loss.gradient(), rel_step=1e-4
+            lambda xs: pipeline.build_loss(xs)[0], point, loss.gradient()
         )
         worst = max(worst, result.max_rel_error)
         excluded_total += len(result.excluded)
@@ -220,7 +230,6 @@ def test_criterion_5_beamwidth_estimator():
         lambda samples: beamwidth_parabola(x, samples, 60, sigma_g)[0],
         list(base),
         slope * coeffs,
-        rel_step=1e-4,
     )
     ok = exact_err < 1e-9 and agree_err <= 0.15 and grad.max_rel_error < 1e-5
     report(
@@ -378,7 +387,7 @@ def test_criterion_7_l3_reduction_identity():
         phis = list(rng.uniform(math.radians(10.0), math.radians(80.0), n))
         dfs = list(rng.uniform(0.5, 500.0, n))
         wngs = list(rng.uniform(0.5, 200.0, n))
-        l3_total, _ = loss_l3(thetas, phis, dfs, wngs, reduced)
+        l3_total, _ = total_loss(thetas, phis, dfs, wngs, reduced)
         l1_sum = sum(loss_l1(t, p, d, L1_CFG) for t, p, d in zip(thetas, phis, dfs))
         if l3_total != l1_sum:
             identical = False
@@ -412,34 +421,32 @@ def test_criterion_8_invariance_regularizer_effect(array_16k, doa45):
 
 
 def test_criterion_9_rprop_unit_behavior():
-    cfg = RPropConfig()
-
     # quadratic bowl convergence
-    state = RPropState.create(1, cfg)
+    state = RPropState.create(1)
     x = np.array([10.0])
     hit = None
     bounded = True
     for step in range(200):
-        x = rprop_step(state, 2.0 * x, x, cfg)
-        bounded &= bool(cfg.step_min <= state.steps[0] <= cfg.step_max)
+        x = rprop_step(state, 2.0 * x, x)
+        bounded &= bool(RPROP_STEP_MIN <= state.steps[0] <= RPROP_STEP_MAX)
         if hit is None and abs(x[0]) < 1e-3:
             hit = step + 1
     converged = hit is not None
 
     # coordinate-wise shrink on flip, growth on repeat
-    state = RPropState.create(2, cfg)
+    state = RPropState.create(2)
     p = np.zeros(2)
-    p = rprop_step(state, np.array([1.0, 1.0]), p, cfg)
-    p = rprop_step(state, np.array([-1.0, 1.0]), p, cfg)
-    shrink_ok = state.steps[0] == pytest.approx(cfg.initial_step * cfg.shrink)
-    grow_ok = state.steps[1] == pytest.approx(cfg.initial_step * cfg.grow)
+    p = rprop_step(state, np.array([1.0, 1.0]), p)
+    p = rprop_step(state, np.array([-1.0, 1.0]), p)
+    shrink_ok = state.steps[0] == pytest.approx(RPROP_INITIAL_STEP * RPROP_SHRINK)
+    grow_ok = state.steps[1] == pytest.approx(RPROP_INITIAL_STEP * RPROP_GROW)
 
     ok = converged and bounded and shrink_ok and grow_ok
     report(
         9,
         ok,
         f"bowl |x|<1e-3 after {hit} steps, steps stayed in "
-        f"[{cfg.step_min:g}, {cfg.step_max:g}]: {bounded}, "
+        f"[{RPROP_STEP_MIN:g}, {RPROP_STEP_MAX:g}]: {bounded}, "
         f"flip shrink x0.5: {shrink_ok}, repeat growth x1.2: {grow_ok}",
     )
     assert converged

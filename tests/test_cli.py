@@ -55,6 +55,9 @@ class TestConfigParsing:
             (lambda c: c.update(frequencies_hz=[]), "frequencies_hz"),
             (lambda c: c.update(frequencies_hz=[9000.0]), "frequencies_hz[0]"),
             (lambda c: c["array"].update(ring_radii_m=[]), "array.ring_radii_m"),
+            (lambda c: c["array"].update(ring_radii_m=[0.0, -0.05]), "array.ring_radii_m: ring"),
+            (lambda c: c["array"].update(ring_radii_m=[0.05, 0.05]), "array.ring_radii_m: ring"),
+            (lambda c: c["loss"].update(target_phi_deg=180.5), "loss.target_phi_deg: must be at most"),
             (lambda c: c["array"].pop("sample_rate_hz"), "sample_rate_hz"),
             (lambda c: c.pop("doa_deg"), "doa_deg"),
             (lambda c: c["doa_deg"].update(elevation=200.0), "doa_deg.elevation"),
@@ -81,12 +84,28 @@ class TestConfigParsing:
             parse_config(cfg)
         assert needle in str(err.value)
 
-    @pytest.mark.parametrize("command", ["design", "sweep"])
-    def test_negative_seed_override(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "args",
+        [["design", "--seed", "3"], ["sweep", "--seed", "3"], ["design", "--grid-deg", "2"],
+         ["eval", "--baseline", "das", "--grid-deg", "2"]],
+        ids=["design-seed", "sweep-seed", "design-grid", "eval-grid"],
+    )
+    def test_config_fields_have_no_flags(self, tmp_path, capsys, args):
+        """The seed and the grid are set in the config only; a flag for
+        either is a usage error."""
         path = write_config(tmp_path, small_config(tmp_path / "out"))
-        assert main([command, "--config", str(path), "--seed", "-5"]) == 1
-        assert "--seed: must be at least 0, got -5" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exits:
+            main([args[0], "--config", str(path), *args[1:]])
+        assert exits.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"unrecognized arguments: {args[-2]}" in err
         assert not (tmp_path / "out").exists()
+
+    def test_azimuth_a_hair_below_zero(self, tmp_path, capsys):
+        """-1e-14 % 360 is 360.0; the azimuth wraps to 0 and the design runs."""
+        cfg = small_config(tmp_path / "out", doa_deg={"elevation": 45.0, "azimuth": -1e-14})
+        assert main(["design", "--config", str(write_config(tmp_path, cfg))]) == 0
+        assert (tmp_path / "out" / "params.json").exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -147,13 +166,6 @@ class TestNonFiniteNumbers:
         cfg["array"]["sample_rate_hz"] = 10**400
         assert main(["design", "--config", str(write_config(tmp_path, cfg))]) == 1
         assert "array.sample_rate_hz: expected a finite number" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_grid_override(self, tmp_path, capsys, value):
-        path = write_config(tmp_path, small_config(tmp_path / "out"))
-        assert main(["design", "--config", str(path), f"--grid-deg={value}"]) == 1
-        assert "--grid-deg: expected a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -708,6 +720,36 @@ class TestCompareCommand:
                 assert row["frequency_hz"] == want["frequency_hz"]
                 for column in ("df_db", "wng_db", "theta_deg", "phi_deg"):
                     assert row[f"{prefix}_{column}"] == want[column], (prefix, column)
+
+    def test_scores_the_configured_bands(self, tmp_path):
+        """Params that hold more bands than the config: compare, like eval,
+        scores the configured bands only."""
+        design = tmp_path / "design"
+        assert main(["design", "--config", str(write_config(tmp_path, small_config(design)))]) == 0
+        path = write_config(tmp_path, small_config(tmp_path / "x", frequencies_hz=[2000.0]), "one.json")
+        params = str(design / "params.json")
+        assert main(["eval", "--config", str(path), "--params", params,
+                     "--out", str(tmp_path / "eval")]) == 0
+        assert main(["compare", "--config", str(path), "--params", params,
+                     "--out", str(tmp_path / "cmp")]) == 0
+        with open(tmp_path / "eval" / "metrics.csv") as fh:
+            expected = list(csv.reader(fh))
+        with open(tmp_path / "cmp" / "compare.csv") as fh:
+            compared = list(csv.reader(fh))
+        assert len(compared) == len(expected) == 2
+        assert [c.removeprefix("designed_") for c in compared[0][:5]] == expected[0]
+        assert compared[1][:5] == expected[1]
+
+    def test_missing_configured_band(self, tmp_path, capsys):
+        """Params that lack a configured band: compare fails as eval does."""
+        design = tmp_path / "design"
+        cfg = small_config(design, frequencies_hz=[2000.0])
+        assert main(["design", "--config", str(write_config(tmp_path, cfg))]) == 0
+        path = write_config(tmp_path, small_config(tmp_path / "cmp"), "two.json")
+        capsys.readouterr()
+        assert main(["compare", "--config", str(path), "--params", str(design / "params.json")]) == 1
+        assert "params: no saved band for frequencies [3000.0]" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestGradcheckCommand:

@@ -11,8 +11,10 @@ from ccmabeam.autodiff import gradcheck
 from ccmabeam.loss import LossConfig
 from ccmabeam.metrics import NumericalError, build_fit_cuts
 from ccmabeam.optimizer import (
+    RPROP_INITIAL_STEP,
+    RPROP_STEP_MAX,
+    RPROP_STEP_MIN,
     DesignPipeline,
-    RPropConfig,
     RPropState,
     optimize,
     rprop_step,
@@ -24,20 +26,13 @@ L1_CFG = LossConfig(
 
 
 class TestRProp:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RPropConfig(grow=0.9)
-        with pytest.raises(ValueError):
-            RPropConfig(step_min=1.0, initial_step=0.1)
-
     def test_quadratic_bowl_converges(self):
-        cfg = RPropConfig()
-        state = RPropState.create(1, cfg)
+        state = RPropState.create(1)
         x = np.array([10.0])
         best = abs(x[0])
         hit = None
         for step in range(200):
-            x = rprop_step(state, 2.0 * x, x, cfg)
+            x = rprop_step(state, 2.0 * x, x)
             best = min(best, abs(x[0]))
             if hit is None and abs(x[0]) < 1e-3:
                 hit = step
@@ -45,55 +40,50 @@ class TestRProp:
         assert abs(x[0]) < 1e-3
 
     def test_same_sign_growth_capped(self):
-        cfg = RPropConfig(initial_step=10.0)
-        state = RPropState.create(1, cfg)
+        state = RPropState.create(1)
         x = np.array([1000.0])
-        for _ in range(30):
-            x = rprop_step(state, np.array([1.0]), x, cfg)
-            assert state.steps[0] <= cfg.step_max
-        assert state.steps[0] == cfg.step_max
+        for _ in range(40):  # 0.1 * 1.2**k passes 50 at k = 35
+            x = rprop_step(state, np.array([1.0]), x)
+            assert state.steps[0] <= RPROP_STEP_MAX
+        assert state.steps[0] == RPROP_STEP_MAX
 
     def test_alternating_sign_shrinks_to_floor(self):
-        cfg = RPropConfig()
-        state = RPropState.create(1, cfg)
+        state = RPropState.create(1)
         x = np.array([0.0])
         sign = 1.0
         for _ in range(100):
-            x = rprop_step(state, np.array([sign]), x, cfg)
+            x = rprop_step(state, np.array([sign]), x)
             sign = -sign
-            assert state.steps[0] >= cfg.step_min
-        assert state.steps[0] == pytest.approx(cfg.step_min)
+            assert state.steps[0] >= RPROP_STEP_MIN
+        assert state.steps[0] == pytest.approx(RPROP_STEP_MIN)
 
     def test_sign_flip_skips_update_and_resets(self):
-        cfg = RPropConfig()
-        state = RPropState.create(1, cfg)
+        state = RPropState.create(1)
         x = np.array([5.0])
-        x = rprop_step(state, np.array([1.0]), x, cfg)  # moves by -0.1
+        x = rprop_step(state, np.array([1.0]), x)  # moves by -0.1
         assert x[0] == pytest.approx(4.9)
-        x = rprop_step(state, np.array([-1.0]), x, cfg)  # flip: no move, shrink
+        x = rprop_step(state, np.array([-1.0]), x)  # flip: no move, shrink
         assert x[0] == pytest.approx(4.9)
         assert state.steps[0] == pytest.approx(0.05)
         assert state.prev_grad[0] == 0.0  # stored sign reset
-        x = rprop_step(state, np.array([-1.0]), x, cfg)  # treated as fresh sign
+        x = rprop_step(state, np.array([-1.0]), x)  # treated as fresh sign
         assert x[0] == pytest.approx(4.95)
 
     def test_zero_gradient_coordinate_untouched(self):
-        cfg = RPropConfig()
-        state = RPropState.create(2, cfg)
+        state = RPropState.create(2)
         x = np.array([1.0, 2.0])
-        x = rprop_step(state, np.array([1.0, 0.0]), x, cfg)
+        x = rprop_step(state, np.array([1.0, 0.0]), x)
         assert x[1] == 2.0
-        assert state.steps[1] == cfg.initial_step
+        assert state.steps[1] == RPROP_INITIAL_STEP
 
     def test_steps_stay_bounded_forever(self):
-        cfg = RPropConfig()
-        state = RPropState.create(3, cfg)
+        state = RPropState.create(3)
         rng = np.random.default_rng(0)
         x = np.zeros(3)
         for _ in range(500):
-            x = rprop_step(state, rng.normal(size=3), x, cfg)
-            assert np.all(state.steps >= cfg.step_min)
-            assert np.all(state.steps <= cfg.step_max)
+            x = rprop_step(state, rng.normal(size=3), x)
+            assert np.all(state.steps >= RPROP_STEP_MIN)
+            assert np.all(state.steps <= RPROP_STEP_MAX)
 
     def test_nan_gradient_aborts(self):
         state = RPropState.create(2)

@@ -61,6 +61,16 @@ class TestDirection:
         d = Direction.from_degrees(45.0, 450.0)
         assert d.azimuth == pytest.approx(math.radians(90.0))
 
+    @pytest.mark.parametrize("azimuth", [-1e-14, -1e-300, -5e-324])
+    def test_azimuth_a_hair_below_zero_wraps_to_zero(self, azimuth):
+        assert azimuth % 360.0 == 360.0  # one wrap alone leaves the range
+        assert Direction.from_degrees(45.0, azimuth).azimuth == 0.0
+
+    @given(st.floats(0.0, 360.0, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_in_range_azimuth_keeps_its_bits(self, azimuth):
+        assert Direction.from_degrees(45.0, azimuth).azimuth == math.radians(azimuth)
+
     def test_unit_vector(self):
         d = Direction.from_degrees(90.0, 0.0)
         assert np.allclose(d.unit_vector(), [1.0, 0.0, 0.0], atol=1e-15)
