@@ -33,7 +33,7 @@ from .optimizer import DesignPipeline, optimize
 from .wavefield import (
     AngularGrid, Direction, beampattern_grid, export_beampattern_csv, pattern_db, steering_vector,
 )
-from .weighting import DegenerateFilterError, DesignParams, normalized_filter
+from .weighting import DesignParams, normalized_filter
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
@@ -389,7 +389,7 @@ def _sweep_point(cfg: RunConfig) -> list[list[str]]:
     knobs = [f"{getattr(cfg.loss, k):g}" for k in SWEEP_KEYS]
     try:
         curves = cmd_design(cfg, cfg.output_dir)
-    except (NumericalError, DegenerateFilterError) as err:
+    except NumericalError as err:
         return [[*knobs, f"{f:g}", "", "", "", "", type(err).__name__] for f in cfg.frequencies]
     bands = enumerate(curves.frequencies)
     return [[*knobs, f"{f:g}", *metric_cells(curves, b), "ok"] for b, f in bands]

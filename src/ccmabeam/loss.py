@@ -10,9 +10,9 @@ conversion to degrees is an I/O concern.
 The loss is assembled over all bands at once on arrays.  Its sums over
 bands (the band total, the standard deviations, the opposing-pair term)
 use the builtin ``sum`` over Python floats in band order, so L3 with
-alpha 1 and zero lambdas equals the ``sum`` of per-band :func:`loss_l1`
-values bit for bit on every Python version (``np.sum`` adds pairwise
-from 8 values on, which would break that).
+alpha 1 and zero lambdas equals the ``sum`` of the one-band L1 values
+bit for bit on every Python version (``np.sum`` adds pairwise from 8
+values on, which would break that).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LossConfig", "BandLossTerms", "loss_l1", "total_loss"]
+__all__ = ["LossConfig", "BandLossTerms", "total_loss"]
 
 VARIANTS = ("L1", "L2", "L3")
 
@@ -184,9 +184,3 @@ def total_loss(thetas, phis, dfs, wngs, cfg: LossConfig):
         d_wng=d_wng,
     )
     return total, snapshot
-
-
-def loss_l1(theta, phi, df, cfg: LossConfig) -> float:
-    """One band's L1 value: its overshooting width (the sum when both
-    overshoot, so each keeps a descent direction), otherwise -log10 DF."""
-    return total_loss([theta], [phi], [df], [1.0], cfg)[0]

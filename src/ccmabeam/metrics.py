@@ -1,13 +1,12 @@
 """Beamformer quality metrics.
 
 Directivity factor (DF) against an isotropic diffuse field, white noise
-gain (WNG), and two beamwidth estimators: a weighted least-squares
-parabola fit whose curvature is linear in the dB beampattern samples (so
-the width is differentiable through them), and a plain level-crossing
-search used as a non-differentiable reference.
+gain (WNG), and the beamwidth of a weighted least-squares parabola fit
+whose curvature is linear in the dB beampattern samples (so the width is
+differentiable through them).
 
 Every filter is scored by :class:`BandTables`, whose adjoint also serves
-the design gradient; the per-filter functions are reference oracles.
+the design gradient.
 """
 
 from __future__ import annotations
@@ -34,33 +33,25 @@ __all__ = [
     "NumericalError",
     "GRID_RESOLUTION",
     "DELTA_L_DB",
-    "ORACLE_DELTA_L_DB",
     "GAMMA_DIAGONAL_REG",
     "MASK_SUPPORT_SIGMAS",
     "gamma_matrix",
-    "directivity_factor",
-    "white_noise_gain",
     "sigma_schedule",
     "FitCut",
     "build_fit_cuts",
     "fit_coefficients",
     "curvature_width",
-    "beamwidth_parabola",
-    "beamwidth_oracle",
     "MetricCurves",
     "metric_cells",
     "BandTables",
     "params_gains",
-    "evaluate_params",
 ]
 
 # default spacing of the fit cuts and of the beampattern grid (radians)
 GRID_RESOLUTION = math.radians(1.0)
 
-# level drop defining the optimized beamwidth, and the half-amplitude drop
-# used by the crossing-search reference
+# level drop defining the optimized beamwidth
 DELTA_L_DB = 6.0
-ORACLE_DELTA_L_DB = 20.0 * math.log10(2.0)
 
 GAMMA_DIAGONAL_REG = 1e-10
 MASK_SUPPORT_SIGMAS = 3.0
@@ -82,35 +73,6 @@ def gamma_matrix(geometry: ArrayGeometry, frequency: float) -> np.ndarray:
         raise ValueError("frequency must be positive")
     x = 2.0 * math.pi * frequency * geometry.distances / geometry.sound_speed
     return np.sinc(x / math.pi)  # numpy sinc is sin(pi t)/(pi t)
-
-
-def directivity_factor(h: np.ndarray, d_doa: np.ndarray, gamma: np.ndarray) -> float:
-    """|h^H d|^2 / (h^H Gamma h), with the denominator floored away from zero.
-
-    The floor is GAMMA_DIAGONAL_REG times the filter power, which guards
-    against a numerically indefinite coherence matrix without biasing the
-    well-conditioned case (a plain diagonal offset would shift the
-    single-microphone identity DF = 1 by the offset itself).
-    """
-    h = np.asarray(h)
-    num = abs(np.vdot(h, d_doa)) ** 2
-    power = float(np.real(np.vdot(h, h)))
-    denom = float(np.real(np.vdot(h, gamma @ h)))
-    if denom <= 0.0:
-        raise NumericalError(
-            f"diffuse-noise power h^H Gamma h = {denom} is not positive; "
-            "the coherence matrix lost positive semidefiniteness"
-        )
-    return num / max(denom, GAMMA_DIAGONAL_REG * power)
-
-
-def white_noise_gain(h: np.ndarray, d_doa: np.ndarray) -> float:
-    """|h^H d|^2 / (h^H h)."""
-    h = np.asarray(h)
-    power = float(np.real(np.vdot(h, h)))
-    if power == 0.0:
-        raise ValueError("white noise gain is undefined for an all-zero filter")
-    return abs(np.vdot(h, d_doa)) ** 2 / power
 
 
 def sigma_schedule(frequency: float, diameter: float, sound_speed: float) -> float:
@@ -224,49 +186,6 @@ def curvature_width(a):
     width = np.where(concave, 2.0 * np.sqrt(DELTA_L_DB / neg_a), math.pi)
     slope = np.where(concave, width / (2.0 * neg_a), 0.0)
     return width, slope, concave
-
-
-def beamwidth_parabola(x, cut_db, doa_index: int, sigma_window: float):
-    """Mainlobe width from a mask-weighted quadratic fit to a dB cut.
-
-    Fits cut_db[i] ~ a x_i^2 + b (see :func:`fit_coefficients`) and
-    returns (2 * sqrt(DELTA_L_DB / |a|), True).  A non-concave fit
-    (a >= 0) returns the sentinel (pi, False).
-    """
-    a = fit_coefficients(x, doa_index, sigma_window) @ np.asarray(cut_db, dtype=float)
-    width, _, concave = curvature_width(a)
-    return float(width), bool(concave)
-
-
-def beamwidth_oracle(x, cut_db, doa_index: int, delta_l: float = ORACLE_DELTA_L_DB):
-    """Level-crossing beamwidth reference (not differentiable).
-
-    Walks outward from the DoA sample to the first crossing of -delta_l
-    dB on each side, interpolating linearly between samples.  A side with
-    no crossing contributes the distance to the cut edge, and the
-    returned flag is False.
-    """
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(cut_db, dtype=float)
-    n = len(x)
-    if not 0 <= doa_index < n:
-        raise ValueError(f"doa_index {doa_index} outside the cut of length {n}")
-    level = -abs(delta_l)
-    rel = b - b[doa_index]
-
-    def half_width(step: int) -> tuple[float, bool]:
-        i = doa_index
-        while 0 <= i + step < n:
-            j = i + step
-            if rel[j] <= level:
-                t = (level - rel[i]) / (rel[j] - rel[i])
-                return abs((x[i] + t * (x[j] - x[i])) - x[doa_index]), True
-            i = j
-        return abs(x[i] - x[doa_index]), False
-
-    right, right_ok = half_width(+1)
-    left, left_ok = half_width(-1)
-    return left + right, left_ok and right_ok
 
 
 @dataclass
@@ -388,8 +307,10 @@ class BandTables:
 
         ``widths`` (bands, 2) are the raw parabola widths; ``pullback(g_theta,
         g_phi, g_df, g_wng)`` is the gradient in the gains of the metrics
-        weighted by those per-band adjoints.  DF is floored as in
-        :func:`directivity_factor`.
+        weighted by those per-band adjoints.  DF's denominator h^H Gamma h is
+        floored at GAMMA_DIAGONAL_REG times the filter power h^H h: that guards
+        against a numerically indefinite coherence matrix without biasing the
+        well-conditioned case, as a diagonal offset would.
         """
         bands = len(gains)
         total = gains.sum(axis=1)
@@ -448,14 +369,3 @@ def params_gains(geometry: ArrayGeometry, doa: Direction, params: DesignParams) 
                          f"but the array has {geometry.ring_count}")
     _, gains = ring_gains(mic_layout(geometry, doa), params.ring_weights, params.window_widths)
     return gains
-
-
-def evaluate_params(
-    geometry: ArrayGeometry,
-    doa: Direction,
-    params: DesignParams,
-    grid_resolution: float = GRID_RESOLUTION,
-) -> MetricCurves:
-    """Metric curves of a designed parameter set, scored by :class:`BandTables`."""
-    gains = params_gains(geometry, doa, params)
-    return BandTables(geometry, doa, params.frequencies, grid_resolution).curves(gains)

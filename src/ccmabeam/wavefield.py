@@ -22,8 +22,6 @@ __all__ = [
     "Direction",
     "AngularGrid",
     "steering_vector",
-    "steering_matrix",
-    "beampattern",
     "beampattern_grid",
     "bessel_table",
     "pattern_db",
@@ -110,35 +108,6 @@ def steering_vector(
         * np.cos(direction.azimuth - geometry.mic_angles)
     )
     return np.exp(2j * math.pi * frequency * tau)
-
-
-def steering_matrix(
-    geometry: ArrayGeometry,
-    frequency: float,
-    elevations: np.ndarray,
-    azimuths: np.ndarray,
-) -> np.ndarray:
-    """Steering vectors for paired (elevation, azimuth) arrays, shape (n, total_mics)."""
-    _check_frequency(geometry, frequency)
-    elevations = np.atleast_1d(np.asarray(elevations, dtype=float))
-    azimuths = np.atleast_1d(np.asarray(azimuths, dtype=float))
-    tau = (
-        -(geometry.mic_radii[None, :] / geometry.sound_speed)
-        * np.sin(elevations)[:, None]
-        * np.cos(azimuths[:, None] - geometry.mic_angles[None, :])
-    )
-    return np.exp(2j * math.pi * frequency * tau)
-
-
-def beampattern(h: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    """Array response h^H d per direction; ``steering`` is (n, mics) or (mics,)."""
-    h = np.asarray(h)
-    steering = np.asarray(steering)
-    if steering.shape[-1] != h.shape[0]:
-        raise ValueError(
-            f"filter length {h.shape[0]} does not match steering width {steering.shape[-1]}"
-        )
-    return steering @ np.conj(h)
 
 
 def _harmonic_order(x: float) -> int:

@@ -19,28 +19,22 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import ArrayGeometry
-from .wavefield import Direction, steering_vector
+from .wavefield import Direction
 
 __all__ = [
     "SIGMA_FLOOR",
-    "DegenerateFilterError",
     "DesignParams",
     "ring_distances",
     "mic_layout",
     "gaussian_window",
     "ring_gains",
     "normalized_filter",
-    "assemble_filter",
     "constrain_band",
     "softplus",
     "softplus_inverse",
 ]
 
 SIGMA_FLOOR = 1e-3
-
-
-class DegenerateFilterError(ValueError):
-    """All combined weights vanished; the filter cannot be normalized."""
 
 
 def ring_distances(geometry: ArrayGeometry, ring: int, doa: Direction) -> np.ndarray:
@@ -217,19 +211,17 @@ class DesignParams:
         # the first failing band of each check is reported
         outside = ((w < 0.0) | (w > 1.0)).any(axis=1)
         if outside.any():
-            raise ValueError(f"band {np.argmax(outside)}: weights must lie in [0, 1]")
+            b = np.argmax(outside)
+            raise ValueError(f"band {b}: ring_weights must lie in [0, 1], got {w[b].tolist()}")
         sums = w.sum(axis=1)
         off = np.abs(sums - 1.0) > 1e-12
         if off.any():
             b = np.argmax(off)
-            raise ValueError(f"band {b}: weights must sum to 1, got {sums[b]!r}")
+            raise ValueError(f"band {b}: ring_weights must sum to 1, got {float(sums[b])}")
         non_positive = (s <= 0.0).any(axis=1)
         if non_positive.any():
-            raise ValueError(f"band {np.argmax(non_positive)}: window widths must be positive")
-
-    @property
-    def band_count(self) -> int:
-        return len(self.frequencies)
+            b = np.argmax(non_positive)
+            raise ValueError(f"band {b}: window_widths must be positive, got {s[b].tolist()}")
 
     @property
     def ring_count(self) -> int:
@@ -281,36 +273,8 @@ class DesignParams:
         return cls(*columns)
 
 
-def assemble_filter(
-    geometry: ArrayGeometry,
-    frequency: float,
-    doa: Direction,
-    ring_weights,
-    window_widths,
-) -> np.ndarray:
-    """Combine ring weights, window taps, and steering phases into the filter.
-
-    Per microphone the coefficient is w_r * s_rm * d_rm(DoA); the result
-    is scaled so the response toward the arrival direction is exactly 1.
-    """
-    w = np.asarray(ring_weights, dtype=float)
-    s = np.asarray(window_widths, dtype=float)
-    if len(w) != geometry.ring_count or len(s) != geometry.ring_count:
-        raise ValueError(
-            f"expected {geometry.ring_count} ring weights and widths, "
-            f"got {len(w)} and {len(s)}"
-        )
-    _, gains = ring_gains(mic_layout(geometry, doa), w, s)
-    return normalized_filter(gains, steering_vector(geometry, frequency, doa))
-
-
 def normalized_filter(gains: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The filter gains * d, scaled so its response toward the steering
     phases ``d`` is exactly 1."""
     h = gains * d
-    response = np.vdot(h, d)  # equals sum(gains), real for unit-modulus steering
-    if abs(response) < 1e-300:
-        raise DegenerateFilterError(
-            "all ring weight x window products vanished; cannot normalize filter"
-        )
-    return h / response
+    return h / np.vdot(h, d)  # sum(gains), real for unit-modulus steering

@@ -62,6 +62,18 @@ MALFORMED_PARAMS = {
     "string-frequency": (_set(0, frequency_hz="2000"), "band 0: frequency_hz"),
     "nan-frequency": (_set(1, frequency_hz=math.nan), "band 1: frequency_hz"),
     "huge-frequency": (_set(1, frequency_hz=10**400), "band 1: frequency_hz"),
+    "weights-sum-above-one": (
+        _set(1, ring_weights=[0.6, 0.5]), "band 1: ring_weights must sum to 1, got 1.1"
+    ),
+    "all-zero-weights": (
+        _set(1, ring_weights=[0.0, 0.0]), "band 1: ring_weights must sum to 1, got 0.0"
+    ),
+    "weight-outside-unit-interval": (
+        _set(0, ring_weights=[1.5, -0.5]), "band 0: ring_weights must lie in [0, 1], got [1.5, -0.5]"
+    ),
+    "zero-width": (
+        _set(1, window_widths=[0.5, 0.0]), "band 1: window_widths must be positive, got [0.5, 0.0]"
+    ),
 }
 
 

@@ -24,20 +24,13 @@ from ccmabeam.metrics import (
     GAMMA_DIAGONAL_REG,
     NumericalError,
     curvature_width,
-    directivity_factor,
     fit_coefficients,
     gamma_matrix,
-    white_noise_gain,
 )
 from ccmabeam.optimizer import DesignLoss, DesignPipeline, RPropState, rprop_step
 from ccmabeam.wavefield import steering_vector
-from ccmabeam.weighting import (
-    SIGMA_FLOOR,
-    assemble_filter,
-    constrain_band,
-    gaussian_window,
-    ring_distances,
-)
+from ccmabeam.weighting import SIGMA_FLOOR, constrain_band, gaussian_window, ring_distances
+from oracles import assemble_filter, directivity_factor, white_noise_gain
 
 METRICS = ("theta", "phi", "df", "wng")
 

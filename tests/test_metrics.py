@@ -7,27 +7,33 @@ import pytest
 import ccmabeam as cb
 from ccmabeam import autodiff as ad
 from ccmabeam import metrics
-from ccmabeam.baselines import evaluate_baseline
 from ccmabeam.loss import LossConfig
 from ccmabeam.metrics import (
     DELTA_L_DB,
-    ORACLE_DELTA_L_DB,
     MetricCurves,
     NumericalError,
-    beamwidth_oracle,
-    beamwidth_parabola,
     build_fit_cuts,
     curvature_width,
-    directivity_factor,
-    evaluate_params,
     fit_coefficients,
     gamma_matrix,
     sigma_schedule,
-    white_noise_gain,
 )
 from ccmabeam.optimizer import DesignPipeline
-from ccmabeam.wavefield import Direction, beampattern, pattern_db, steering_matrix, steering_vector
-from ccmabeam.weighting import DesignParams, assemble_filter
+from ccmabeam.wavefield import Direction, pattern_db, steering_vector
+from ccmabeam.weighting import DesignParams
+from oracles import (
+    ORACLE_DELTA_L_DB,
+    assemble_filter,
+    beampattern,
+    beamwidth_oracle,
+    beamwidth_parabola,
+    das_filter,
+    directivity_factor,
+    evaluate_baseline,
+    evaluate_params,
+    steering_matrix,
+    white_noise_gain,
+)
 
 
 def single_mic_array():
@@ -91,13 +97,13 @@ class TestDirectivityAndNoiseGain:
 
     def test_das_wng_equals_mic_count(self, array_16k, doa45):
         f = 2000.0
-        h = cb.das_filter(array_16k, f, doa45)
+        h = das_filter(array_16k, f, doa45)
         d = steering_vector(array_16k, f, doa45)
         assert white_noise_gain(h, d) == pytest.approx(array_16k.total_mics, abs=1e-9)
 
     def test_scaling_invariance(self, array_16k, doa45):
         f = 2000.0
-        h = cb.das_filter(array_16k, f, doa45)
+        h = das_filter(array_16k, f, doa45)
         d = steering_vector(array_16k, f, doa45)
         g = gamma_matrix(array_16k, f)
         base_df = directivity_factor(h, d, g)
@@ -108,13 +114,11 @@ class TestDirectivityAndNoiseGain:
 
     def test_quadratic_form_matches_spherical_integral(self, array_16k, doa45):
         f = 2000.0
-        h = cb.das_filter(array_16k, f, doa45)
+        h = das_filter(array_16k, f, doa45)
         d = steering_vector(array_16k, f, doa45)
         quad = directivity_factor(h, d, gamma_matrix(array_16k, f))
         # independent oracle: 1 degree Riemann sum over the sphere with the
         # sin(theta) solid-angle weight
-        from ccmabeam.wavefield import steering_matrix
-
         th = np.radians(np.arange(0.5, 180.0, 1.0))
         ph = np.radians(np.arange(0.0, 360.0, 1.0))
         tg, pg = np.meshgrid(th, ph, indexing="ij")
@@ -319,7 +323,7 @@ class TestEvaluateFilterBank:
         freqs = (1000.0, 3000.0)
         curves = evaluate_baseline(array_16k, doa45, freqs)
         for b, f in enumerate(freqs):
-            h = cb.das_filter(array_16k, f, doa45)
+            h = das_filter(array_16k, f, doa45)
             d = steering_vector(array_16k, f, doa45)
             assert curves.df[b] == pytest.approx(
                 directivity_factor(h, d, gamma_matrix(array_16k, f)), rel=1e-12
@@ -408,7 +412,7 @@ class TestPerBandOracle:
     def test_evaluate_baseline(self, request, doa45, array):
         geometry = request.getfixturevalue(array)
         expected = per_band_oracle(
-            geometry, doa45, ORACLE_BANDS, lambda f: cb.das_filter(geometry, f, doa45)
+            geometry, doa45, ORACLE_BANDS, lambda f: das_filter(geometry, f, doa45)
         )
         assert_matches_oracle(evaluate_baseline(geometry, doa45, ORACLE_BANDS), expected)
 

@@ -109,7 +109,7 @@ class TestDesignPipeline:
         u = params.unconstrained_weights
         assert len(u) == 2 and len(u[0]) == 2
         assert np.array_equal(np.stack([u, params.unconstrained_widths], axis=1).reshape(-1), x)
-        assert params.band_count == 2
+        assert len(params.frequencies) == 2
         assert params.ring_count == 2
 
     def test_initial_params_deterministic(self, pipeline):
