@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .autodiff import gradcheck
 from .baselines import das_gains
-from .geometry import ArrayConfig, ArrayGeometry, GeometryError, build_geometry
+from .geometry import ArrayConfig, ArrayGeometry, GeometryError, build_geometry, mics_per_ring
 from .loss import VARIANTS, LossConfig
 from .metrics import (
     GRID_RESOLUTION, BandTables, MetricCurves, NumericalError, metric_cells, params_gains,
@@ -40,6 +40,19 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 DEFAULT_FREQUENCIES = tuple(float(f) for f in range(500, 7501, 500))
 SWEEP_KEYS = ("alpha", "lambda1", "lambda2", "lambda3")
 GRADCHECK_TOLERANCE = 1e-4
+GRADCHECK_POINTS = 5
+
+# the fields of each config object, by its path ("" is the root)
+FIELDS = {
+    "": ("array", "doa_deg", "frequencies_hz", "loss", "grid_resolution_deg", "optimizer",
+         "output_dir", "sweep", "version"),
+    "array": ("ring_radii_m", "sample_rate_hz", "sound_speed_mps"),
+    "doa_deg": ("elevation", "azimuth"),
+    "loss": ("variant", "target_theta_deg", "target_phi_deg", "alpha", "lambda1", "lambda2",
+             "lambda3"),
+    "optimizer": ("budget", "seed"),
+    "sweep": SWEEP_KEYS,
+}
 
 
 class ConfigError(ValueError):
@@ -102,6 +115,17 @@ def _require(mapping: dict, field: str, context: str = ""):
     return mapping[field]
 
 
+def _object(value, path: str) -> dict:
+    """``value``, checked to be a JSON object holding only ``FIELDS[path]``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path or 'config root'}: expected a JSON object")
+    for key in value:
+        if key not in FIELDS[path]:
+            field = f"{path}.{key}" if path else key
+            raise ConfigError(f"{field}: unknown field, expected one of {list(FIELDS[path])}")
+    return value
+
+
 def _number(value, field: str, minimum=None, strict=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}: expected a number, got {value!r}")
@@ -118,12 +142,8 @@ def _number(value, field: str, minimum=None, strict=False) -> float:
 
 
 def parse_config(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root: expected a JSON object")
-
-    array_raw = _require(raw, "array")
-    if not isinstance(array_raw, dict):
-        raise ConfigError("array: expected an object")
+    _object(raw, "")
+    array_raw = _object(_require(raw, "array"), "array")
     radii = _require(array_raw, "ring_radii_m", "array.")
     if not isinstance(radii, list) or not radii:
         raise ConfigError("array.ring_radii_m: expected a non-empty list of radii")
@@ -142,12 +162,12 @@ def parse_config(raw: dict) -> RunConfig:
                 array_raw.get("sound_speed_mps", 343.0), "array.sound_speed_mps", 0.0, strict=True
             ),
         )
+        for r in array.ring_radii:
+            mics_per_ring(r, array.min_wavelength)
     except GeometryError as err:  # the rates passed _number; only the radii are left
         raise ConfigError(f"array.ring_radii_m: {err}") from None
 
-    doa_raw = _require(raw, "doa_deg")
-    if not isinstance(doa_raw, dict):
-        raise ConfigError("doa_deg: expected an object with elevation and azimuth")
+    doa_raw = _object(_require(raw, "doa_deg"), "doa_deg")
     elevation = _number(_require(doa_raw, "elevation", "doa_deg."), "doa_deg.elevation")
     azimuth = _number(_require(doa_raw, "azimuth", "doa_deg."), "doa_deg.azimuth")
     if not 0.0 <= elevation <= 90.0:
@@ -178,9 +198,7 @@ def parse_config(raw: dict) -> RunConfig:
             )
         frequencies.append(f)
 
-    loss_raw = raw.get("loss", {})
-    if not isinstance(loss_raw, dict):
-        raise ConfigError("loss: expected an object")
+    loss_raw = _object(raw.get("loss", {}), "loss")
     variant = loss_raw.get("variant", "L1")
     if variant not in VARIANTS:
         raise ConfigError(f"loss.variant: must be one of {list(VARIANTS)}, got {variant!r}")
@@ -207,24 +225,21 @@ def parse_config(raw: dict) -> RunConfig:
     grid_raw = raw.get("grid_resolution_deg", math.degrees(GRID_RESOLUTION))
     grid_deg = _number(grid_raw, "grid_resolution_deg", 0.0, strict=True)
 
-    opt_raw = raw.get("optimizer", {})
-    if not isinstance(opt_raw, dict):
-        raise ConfigError("optimizer: expected an object")
+    opt_raw = _object(raw.get("optimizer", {}), "optimizer")
     budget = opt_raw.get("budget", 2000)
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ConfigError(f"optimizer.budget: expected a positive integer, got {budget!r}")
     seed = opt_raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"optimizer.seed: expected an integer, got {seed!r}")
-    _check_seed(seed, "optimizer.seed")
+    if seed < 0:  # numpy's generator seeds take non-negative integers only
+        raise ConfigError(f"optimizer.seed: must be at least 0, got {seed}")
 
     sweep = raw.get("sweep")
     if sweep is not None:
-        if not isinstance(sweep, dict) or not sweep:
+        if not _object(sweep, "sweep"):
             raise ConfigError("sweep: expected a non-empty object of parameter value lists")
         for key, values in sweep.items():
-            if key not in SWEEP_KEYS:
-                raise ConfigError(f"sweep.{key}: unknown sweep parameter, expected {SWEEP_KEYS}")
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"sweep.{key}: expected a non-empty list of values")
             for i, v in enumerate(values):
@@ -256,11 +271,6 @@ def parse_config(raw: dict) -> RunConfig:
         output_dir=output_dir,
         sweep=sweep,
     )
-
-
-def _check_seed(seed: int, field: str) -> None:
-    if seed < 0:  # numpy's generator seeds take non-negative integers only
-        raise ConfigError(f"{field}: must be at least 0, got {seed}")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -462,11 +472,8 @@ def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str 
 
 
 @_one_blas_thread()
-def cmd_gradcheck(seed: int = 0, points: int = 5) -> float:
+def cmd_gradcheck() -> float:
     """Self-test: pipeline gradient vs. finite differences on a small array."""
-    _check_seed(seed, "--seed")
-    if points < 1:
-        raise ConfigError(f"--points: must be at least 1, got {points}")
     geometry = build_geometry(ArrayConfig(ring_radii=(0.0, 0.05), sample_rate=16000.0))
     doa = Direction.from_degrees(45.0, 45.0)
     loss = LossConfig(
@@ -479,10 +486,10 @@ def cmd_gradcheck(seed: int = 0, points: int = 5) -> float:
         lambda3=0.01,
     )
     pipeline = DesignPipeline(geometry, doa, (2000.0, 3000.0, 4000.0), loss)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for p in range(points):
-        x = pipeline.initial_params(seed) + rng.uniform(-0.5, 0.5, pipeline.param_count)
+    for p in range(GRADCHECK_POINTS):
+        x = pipeline.initial_params(0) + rng.uniform(-0.5, 0.5, pipeline.param_count)
         value, _ = pipeline.build_loss(x)
         result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], x, value.gradient())
         print(
@@ -528,9 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--baseline", default="das", choices=["das"])
 
-    p = sub.add_parser("gradcheck", help="gradient self-test on a small array")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=5)
+    sub.add_parser("gradcheck", help="gradient self-test on a small array")
     return parser
 
 
@@ -538,7 +543,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gradcheck":
-            worst = cmd_gradcheck(seed=args.seed, points=args.points)
+            worst = cmd_gradcheck()
             return 0 if worst < GRADCHECK_TOLERANCE else 2
         cfg = load_config(args.config)
         cfg.output_dir = args.out or cfg.output_dir

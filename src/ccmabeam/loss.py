@@ -97,12 +97,6 @@ class BandLossTerms:
 
 def _perf_term(df: np.ndarray, wng: np.ndarray, alpha: float):
     """-alpha log10 DF - (1 - alpha) log10 WNG, and its partials in DF and WNG."""
-    # exact shortcuts keep the alpha endpoints bit-compatible with L1/L2
-    zeros = np.zeros_like(df)
-    if alpha == 1.0:
-        return -np.log10(df), -1.0 / (df * _LN10), zeros
-    if alpha == 0.0:
-        return -np.log10(wng), zeros, -1.0 / (wng * _LN10)
     return (
         -(alpha * np.log10(df)) - ((1.0 - alpha) * np.log10(wng)),
         -alpha / (df * _LN10),
@@ -125,8 +119,8 @@ def total_loss(thetas, phis, dfs, wngs, cfg: LossConfig):
     that also carries the per-band partial derivatives.  L3 adds the
     population standard deviations of DF and WNG (weights lambda1,
     lambda2) and |P_i - P_(F-i+1)| over opposing band pairs (1-based i
-    from 2 to floor(F/2), weight lambda3); each is skipped exactly when
-    its weight is zero.
+    from 2 to floor(F/2), weight lambda3).  A term at zero weight is
+    skipped, which saves its work on L1 and L2.
     """
     thetas, phis, dfs, wngs = (np.asarray(a, dtype=float) for a in (thetas, phis, dfs, wngs))
     count = len(thetas)
@@ -157,7 +151,7 @@ def total_loss(thetas, phis, dfs, wngs, cfg: LossConfig):
         total = total + i_term
 
     delta_term = 0.0
-    if cfg.lambda3 > 0.0 and count >= 4:
+    if cfg.lambda3 > 0.0:
         lo = np.arange(1, count // 2)  # 0-based; the 1-based pairs are (i, F - i + 1)
         hi = count - 1 - lo
         gap = perf[lo] - perf[hi]

@@ -279,29 +279,26 @@ def optimize(
     no_improve = 0
     reason = "budget_exhausted"
     for it in range(1, budget + 1):
-        value, snap = pipeline.build_loss(x)
-        current = float(value)
-        if not math.isfinite(current):
-            if it == 1:
-                raise NumericalError(f"loss became non-finite at iteration {it}")
-            reason = "numerical_failure"
-            break
-        # widths reported like BandTables.curves; the loss keeps the raw width
-        theta, phi = np.minimum(snap.theta, math.pi), np.minimum(snap.phi, math.pi)
-        trace.append((current, theta, phi, snap.df, snap.wng))
-        if current < best_loss - IMPROVE_TOL:
-            no_improve = 0
-        else:
-            no_improve += 1
-        if current < best_loss:
-            best_loss = current
-            best_x = x.copy()
-        if no_improve >= NO_IMPROVE_LIMIT:
-            reason = "no_improvement"
-            break
-        if it == budget:
-            break
         try:
+            value, snap = pipeline.build_loss(x)
+            current = float(value)
+            if not math.isfinite(current):
+                raise NumericalError(f"loss became non-finite at iteration {it}")
+            # widths reported like BandTables.curves; the loss keeps the raw width
+            theta, phi = np.minimum(snap.theta, math.pi), np.minimum(snap.phi, math.pi)
+            trace.append((current, theta, phi, snap.df, snap.wng))
+            if current < best_loss - IMPROVE_TOL:
+                no_improve = 0
+            else:
+                no_improve += 1
+            if current < best_loss:
+                best_loss = current
+                best_x = x.copy()
+            if no_improve >= NO_IMPROVE_LIMIT:
+                reason = "no_improvement"
+                break
+            if it == budget:
+                break
             x = rprop_step(state, value.gradient(), x)
         except NumericalError:
             if it == 1:

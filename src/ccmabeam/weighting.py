@@ -45,12 +45,10 @@ def ring_distances(geometry: ArrayGeometry, ring: int, doa: Direction) -> np.nda
     by more than pi/2 are scored against the antipodal DoA vector and
     reflected (2*sqrt(2) minus that chord), which continues the front
     local behavior monotonically so rear microphones are always penalized.
-    The result is range-normalized to [0, 1] per ring; a single-mic ring
-    or a ring with no spread (zenith arrival) yields all zeros.
+    The result is range-normalized to [0, 1] per ring; a ring with no
+    spread (a single mic, or a zenith arrival) yields all zeros.
     """
     r = geometry.rings[ring]
-    if r.mic_count == 1:
-        return np.zeros(1)
     v_doa = doa.unit_vector()
     mics = np.column_stack(
         (np.cos(r.angles), np.sin(r.angles), np.zeros(r.mic_count))
@@ -137,14 +135,6 @@ def _band_array(name: str, values, bands: int, rings: int | None = None) -> np.n
     given), as a float (bands, rings) array; any other shape, or a bool, is a
     ValueError naming the field and, where there is one, the band."""
     try:
-        array = np.asarray(values)
-    except ValueError:  # the bands differ in shape
-        array = np.empty(0)
-    numeric = array.dtype.kind in "iuf" and not _holds_bool(values)
-    if array.ndim == 2 and len(array) == bands and numeric:
-        if rings is None or array.shape[1] == rings:
-            return array.astype(float)
-    try:
         rows = list(values)
     except TypeError:  # a scalar
         rows = []
@@ -166,7 +156,7 @@ def _band_array(name: str, values, bands: int, rings: int | None = None) -> np.n
             raise ValueError(
                 f"band {b}: {name} holds {len(row)} values, not one per ring ({rings})"
             )
-    raise ValueError(f"{name}: expected a (bands, rings) list of numbers")
+    return np.array(rows, dtype=float)
 
 
 @dataclass

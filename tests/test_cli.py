@@ -75,6 +75,13 @@ class TestConfigParsing:
             (lambda c: c.update(frequencies_hz=[2000.0, 3000.0, 3000.0]), "frequencies_hz[2]"),
             (lambda c: c.update(sweep={"alpha": [1.5]}), "sweep.alpha[0]"),
             (lambda c: c.update(sweep={"lambda3": [0.1, -0.5]}), "sweep.lambda3[1]"),
+            # a misspelled field would otherwise leave its default in force
+            (lambda c: c["loss"].update(target_theta=30.0), "loss.target_theta: unknown field"),
+            (lambda c: c.update(grid_resolution=2.0), "grid_resolution: unknown field"),
+            (lambda c: c["optimizer"].update(sed=3), "optimizer.sed: unknown field"),
+            # 1 mm cannot hold two mics half a wavelength apart
+            (lambda c: c["array"].update(ring_radii_m=[0.0, 0.001]),
+             "array.ring_radii_m: ring radius 0.001 m cannot hold two microphones"),
         ],
     )
     def test_field_level_errors(self, tmp_path, mutate, needle):
@@ -754,24 +761,20 @@ class TestCompareCommand:
 
 class TestGradcheckCommand:
     def test_self_test_passes(self, capsys):
-        assert main(["gradcheck", "--points", "1"]) == 0
-        assert "gradcheck OK" in capsys.readouterr().out
+        assert main(["gradcheck"]) == 0
+        out = capsys.readouterr().out
+        assert "gradcheck OK" in out
+        assert out.count("point ") == cli.GRADCHECK_POINTS
 
-    @pytest.mark.parametrize(
-        "args,message",
-        [
-            (["--points", "0"], "--points: must be at least 1, got 0"),
-            (["--points", "-2"], "--points: must be at least 1, got -2"),
-            (["--seed", "-1"], "--seed: must be at least 0, got -1"),
-        ],
-    )
-    def test_rejects_out_of_range_arguments(self, capsys, args, message):
-        """Zero points would check nothing and report OK; a negative seed
-        would fail inside numpy without naming the flag."""
-        assert main(["gradcheck", *args]) == 1
+    @pytest.mark.parametrize("args", [["--seed", "1"], ["--points", "2"]], ids=["seed", "points"])
+    def test_takes_no_flags(self, capsys, args):
+        """The self-test always checks the same points; a flag is a usage error."""
+        with pytest.raises(SystemExit) as exits:
+            main(["gradcheck", *args])
+        assert exits.value.code == 1
         captured = capsys.readouterr()
-        assert message in captured.err
-        assert "gradcheck" not in captured.out
+        assert f"unrecognized arguments: {' '.join(args)}" in captured.err
+        assert captured.out == ""
 
 
 class TestExitCodes:

@@ -48,9 +48,18 @@ BAD_VALUES = {
     ("optimizer", "seed"): [-1, 1.5, "0", True, None],
     ("sweep",): [{}, [], {"gamma": [1.0]}, {"alpha": []}, {"alpha": [2.0]}, {"lambda1": [-1.0]}],
     ("output_dir",): ["", 5, None],
+    # misspelled fields, none a substring of a field the config defines
+    ("array", "ring_radius_m"): [[0.0, 0.05]],
+    ("doa_deg", "elevaton"): [45.0],
+    ("freqs_hz",): [[2000.0]],
+    ("loss", "targt_phi_deg"): [40.0],
+    ("optimizer", "sed"): [3],
+    ("grid_deg",): [2.0],
 }
 
 CORRUPTIONS = [(field, value) for field, values in BAD_VALUES.items() for value in values]
+# a ring too small for two mics, appended so that the numbered ids above keep their numbers
+CORRUPTIONS.append((("array", "ring_radii_m"), [0.0, 0.001]))
 
 BANDS = [1000.0 * k for k in range(1, 8)]  # below the 8 kHz Nyquist frequency
 
