@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import ctypes
 import functools
 import itertools
@@ -27,7 +26,8 @@ from .baselines import das_gains
 from .geometry import ArrayConfig, ArrayGeometry, GeometryError, build_geometry, mics_per_ring
 from .loss import VARIANTS, LossConfig
 from .metrics import (
-    GRID_RESOLUTION, BandTables, MetricCurves, NumericalError, metric_cells, params_gains,
+    GRID_RESOLUTION, METRIC_COLUMNS, BandTables, MetricCurves, NumericalError, metric_cells,
+    params_gains, write_csv,
 )
 from .optimizer import DesignPipeline, optimize
 from .wavefield import (
@@ -37,21 +37,24 @@ from .weighting import DesignParams, normalized_filter
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
-DEFAULT_FREQUENCIES = tuple(float(f) for f in range(500, 7501, 500))
 SWEEP_KEYS = ("alpha", "lambda1", "lambda2", "lambda3")
 GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_POINTS = 5
+REQUIRED = object()  # the default of a field the config must give
 
-# the fields of each config object, by its path ("" is the root)
-FIELDS = {
-    "": ("array", "doa_deg", "frequencies_hz", "loss", "grid_resolution_deg", "optimizer",
-         "output_dir", "sweep", "version"),
-    "array": ("ring_radii_m", "sample_rate_hz", "sound_speed_mps"),
-    "doa_deg": ("elevation", "azimuth"),
-    "loss": ("variant", "target_theta_deg", "target_phi_deg", "alpha", "lambda1", "lambda2",
-             "lambda3"),
-    "optimizer": ("budget", "seed"),
-    "sweep": SWEEP_KEYS,
+# each config object's fields and their defaults, by its path ("" is the root),
+# in the order manifest.json writes them; a sweep gives only the fields it sweeps
+DEFAULTS = {
+    "": {"array": REQUIRED, "doa_deg": REQUIRED,
+         "frequencies_hz": [float(f) for f in range(500, 7501, 500)], "loss": {},
+         "grid_resolution_deg": math.degrees(GRID_RESOLUTION), "optimizer": {},
+         "output_dir": "out", "version": None, "sweep": None},
+    "array": {"ring_radii_m": REQUIRED, "sample_rate_hz": REQUIRED, "sound_speed_mps": 343.0},
+    "doa_deg": {"elevation": REQUIRED, "azimuth": REQUIRED},
+    "loss": {"variant": "L1", "alpha": 1.0, "lambda1": 0.0, "lambda2": 0.0, "lambda3": 0.0,
+             "target_theta_deg": 40.0, "target_phi_deg": 40.0},
+    "optimizer": {"budget": 2000, "seed": 0},
+    "sweep": dict.fromkeys(SWEEP_KEYS),
 }
 
 
@@ -59,71 +62,44 @@ class ConfigError(ValueError):
     """Config validation failure; the message names the offending field."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """A checked config; ``fields`` is its JSON with every default filled in."""
+
+    fields: dict
     array: ArrayConfig
-    doa_deg: tuple[float, float]  # (elevation, azimuth) as the config gave them
+    doa: Direction
     frequencies: tuple[float, ...]
     loss: LossConfig
-    targets_deg: tuple[float, float]  # the loss's (theta, phi) width targets, as given
-    grid_resolution_deg: float
+    grid_resolution: float
     budget: int
     seed: int
     output_dir: str
-    sweep: dict[str, list[float]] | None = None
-
-    @property
-    def doa(self) -> Direction:
-        return Direction.from_degrees(*self.doa_deg)
-
-    @property
-    def grid_resolution(self) -> float:
-        return math.radians(self.grid_resolution_deg)
+    sweep: dict[str, list[float]] | None
 
     def resolved(self) -> dict:
         """Full config echo; feeding this back through ``design`` reproduces the run."""
-        payload = {
-            "array": {
-                "ring_radii_m": list(self.array.ring_radii),
-                "sample_rate_hz": self.array.sample_rate,
-                "sound_speed_mps": self.array.sound_speed,
-            },
-            "doa_deg": {"elevation": self.doa_deg[0], "azimuth": self.doa_deg[1]},
-            "frequencies_hz": list(self.frequencies),
-            "loss": {
-                "variant": self.loss.variant,
-                "alpha": self.loss.alpha,
-                "lambda1": self.loss.lambda1,
-                "lambda2": self.loss.lambda2,
-                "lambda3": self.loss.lambda3,
-                "target_theta_deg": self.targets_deg[0],
-                "target_phi_deg": self.targets_deg[1],
-            },
-            "grid_resolution_deg": self.grid_resolution_deg,
-            "optimizer": {"budget": self.budget, "seed": self.seed},
-            "output_dir": self.output_dir,
-            "version": __version__,
-        }
-        if self.sweep is not None:
-            payload["sweep"] = self.sweep
-        return payload
+        # sweep is the one field that can hold None: an absent sweep stays absent
+        return {k: v for k, v in {**self.fields, "version": __version__}.items() if v is not None}
 
-
-def _require(mapping: dict, field: str, context: str = ""):
-    if field not in mapping:
-        raise ConfigError(f"{context}{field}: required field is missing")
-    return mapping[field]
+    def replaced(self, **root_fields) -> "RunConfig":
+        """This config with some root fields changed, checked as any config is."""
+        return parse_config({**self.fields, **root_fields})
 
 
 def _object(value, path: str) -> dict:
-    """``value``, checked to be a JSON object holding only ``FIELDS[path]``."""
+    """``value``, checked against ``DEFAULTS[path]``, as a copy with the defaults filled in."""
     if not isinstance(value, dict):
         raise ConfigError(f"{path or 'config root'}: expected a JSON object")
+    table = DEFAULTS[path]
+    prefix = f"{path}." if path else ""
     for key in value:
-        if key not in FIELDS[path]:
-            field = f"{path}.{key}" if path else key
-            raise ConfigError(f"{field}: unknown field, expected one of {list(FIELDS[path])}")
-    return value
+        if key not in table:
+            raise ConfigError(f"{prefix}{key}: unknown field, expected one of {list(table)}")
+    for key, default in table.items():
+        if default is REQUIRED and key not in value:
+            raise ConfigError(f"{prefix}{key}: required field is missing")
+    return {key: value.get(key, default) for key, default in table.items()}
 
 
 def _number(value, field: str, minimum=None, strict=False) -> float:
@@ -141,49 +117,45 @@ def _number(value, field: str, minimum=None, strict=False) -> float:
     return value
 
 
+def _numbers(obj: dict, path: str, keys, minimum=None, strict=False) -> None:
+    """Check each of ``obj``'s ``keys`` with ``_number`` and write it back as a float."""
+    for key in keys:
+        obj[key] = _number(obj[key], f"{path}.{key}", minimum, strict)
+
+
 def parse_config(raw: dict) -> RunConfig:
-    _object(raw, "")
-    array_raw = _object(_require(raw, "array"), "array")
-    radii = _require(array_raw, "ring_radii_m", "array.")
+    fields = _object(raw, "")
+    array_raw = fields["array"] = _object(fields["array"], "array")
+    radii = array_raw["ring_radii_m"]
     if not isinstance(radii, list) or not radii:
         raise ConfigError("array.ring_radii_m: expected a non-empty list of radii")
+    array_raw["ring_radii_m"] = [_number(r, f"array.ring_radii_m[{i}]") for i, r in enumerate(radii)]
+    _numbers(array_raw, "array", ("sample_rate_hz", "sound_speed_mps"), 0.0, strict=True)
     try:
         array = ArrayConfig(
-            ring_radii=tuple(
-                _number(r, f"array.ring_radii_m[{i}]") for i, r in enumerate(radii)
-            ),
-            sample_rate=_number(
-                _require(array_raw, "sample_rate_hz", "array."),
-                "array.sample_rate_hz",
-                0.0,
-                strict=True,
-            ),
-            sound_speed=_number(
-                array_raw.get("sound_speed_mps", 343.0), "array.sound_speed_mps", 0.0, strict=True
-            ),
+            tuple(array_raw["ring_radii_m"]), array_raw["sample_rate_hz"], array_raw["sound_speed_mps"]
         )
         for r in array.ring_radii:
             mics_per_ring(r, array.min_wavelength)
     except GeometryError as err:  # the rates passed _number; only the radii are left
         raise ConfigError(f"array.ring_radii_m: {err}") from None
 
-    doa_raw = _object(_require(raw, "doa_deg"), "doa_deg")
-    elevation = _number(_require(doa_raw, "elevation", "doa_deg."), "doa_deg.elevation")
-    azimuth = _number(_require(doa_raw, "azimuth", "doa_deg."), "doa_deg.azimuth")
-    if not 0.0 <= elevation <= 90.0:
+    doa_raw = fields["doa_deg"] = _object(fields["doa_deg"], "doa_deg")
+    _numbers(doa_raw, "doa_deg", ("elevation", "azimuth"))
+    if not 0.0 <= doa_raw["elevation"] <= 90.0:
         # a planar array cannot separate mirror directions; the fit sector
         # covers [0, 90] degrees only
-        raise ConfigError(f"doa_deg.elevation: must lie in [0, 90], got {elevation}")
+        raise ConfigError(f"doa_deg.elevation: must lie in [0, 90], got {doa_raw['elevation']}")
     try:
-        Direction.from_degrees(elevation, azimuth)
+        doa = Direction.from_degrees(doa_raw["elevation"], doa_raw["azimuth"])
     except ValueError as err:
         raise ConfigError(f"doa_deg: {err}") from None
 
-    freqs_raw = raw.get("frequencies_hz", list(DEFAULT_FREQUENCIES))
+    freqs_raw = fields["frequencies_hz"]
     if not isinstance(freqs_raw, list) or not freqs_raw:
         raise ConfigError("frequencies_hz: expected a non-empty list of frequencies")
     nyquist = array.sample_rate / 2.0
-    frequencies = []
+    frequencies = fields["frequencies_hz"] = []
     for i, f in enumerate(freqs_raw):
         f = _number(f, f"frequencies_hz[{i}]", 0.0, strict=True)
         if f > nyquist:
@@ -198,46 +170,42 @@ def parse_config(raw: dict) -> RunConfig:
             )
         frequencies.append(f)
 
-    loss_raw = _object(raw.get("loss", {}), "loss")
-    variant = loss_raw.get("variant", "L1")
+    loss_raw = fields["loss"] = _object(fields["loss"], "loss")
+    variant = loss_raw["variant"]
     if variant not in VARIANTS:
         raise ConfigError(f"loss.variant: must be one of {list(VARIANTS)}, got {variant!r}")
-    targets = []
     for key in ("target_theta_deg", "target_phi_deg"):
-        target = _number(loss_raw.get(key, 40.0), f"loss.{key}", 0.0, strict=True)
+        target = loss_raw[key] = _number(loss_raw[key], f"loss.{key}", 0.0, strict=True)
         if target > 180.0:
             raise ConfigError(f"loss.{key}: must be at most 180 degrees, got {target}")
-        targets.append(target)
-    target_theta, target_phi = targets
+    _numbers(loss_raw, "loss", ("alpha",))
+    _numbers(loss_raw, "loss", ("lambda1", "lambda2", "lambda3"), 0.0)
     try:
         loss = LossConfig(
             variant=variant,
-            target_theta=math.radians(target_theta),
-            target_phi=math.radians(target_phi),
-            alpha=_number(loss_raw.get("alpha", 1.0), "loss.alpha"),
-            lambda1=_number(loss_raw.get("lambda1", 0.0), "loss.lambda1", 0.0),
-            lambda2=_number(loss_raw.get("lambda2", 0.0), "loss.lambda2", 0.0),
-            lambda3=_number(loss_raw.get("lambda3", 0.0), "loss.lambda3", 0.0),
+            target_theta=math.radians(loss_raw["target_theta_deg"]),
+            target_phi=math.radians(loss_raw["target_phi_deg"]),
+            **{key: loss_raw[key] for key in SWEEP_KEYS},
         )
     except ValueError as err:
         raise ConfigError(f"loss: {err}") from None
 
-    grid_raw = raw.get("grid_resolution_deg", math.degrees(GRID_RESOLUTION))
-    grid_deg = _number(grid_raw, "grid_resolution_deg", 0.0, strict=True)
+    grid_deg = _number(fields["grid_resolution_deg"], "grid_resolution_deg", 0.0, strict=True)
+    fields["grid_resolution_deg"] = grid_deg
 
-    opt_raw = _object(raw.get("optimizer", {}), "optimizer")
-    budget = opt_raw.get("budget", 2000)
+    opt_raw = fields["optimizer"] = _object(fields["optimizer"], "optimizer")
+    budget, seed = opt_raw["budget"], opt_raw["seed"]
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ConfigError(f"optimizer.budget: expected a positive integer, got {budget!r}")
-    seed = opt_raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"optimizer.seed: expected an integer, got {seed!r}")
     if seed < 0:  # numpy's generator seeds take non-negative integers only
         raise ConfigError(f"optimizer.seed: must be at least 0, got {seed}")
 
-    sweep = raw.get("sweep")
+    sweep = fields["sweep"]
     if sweep is not None:
-        if not _object(sweep, "sweep"):
+        _object(sweep, "sweep")
+        if not sweep:
             raise ConfigError("sweep: expected a non-empty object of parameter value lists")
         for key, values in sweep.items():
             if not isinstance(values, list) or not values:
@@ -248,28 +216,20 @@ def parse_config(raw: dict) -> RunConfig:
                     replace(loss, variant="L3", **{key: _number(v, field)})
                 except ValueError as err:
                     raise ConfigError(f"{field}: {err}") from None
-        sweep = {k: [float(v) for v in vals] for k, vals in sweep.items()}
+        sweep = fields["sweep"] = {k: [float(v) for v in vals] for k, vals in sweep.items()}
     if (variant == "L3" or sweep is not None) and len(frequencies) < 2:
         raise ConfigError(
             "frequencies_hz: the L3 loss, which every sweep runs, needs at least 2 bands, "
             f"got {len(frequencies)}"
         )
 
-    output_dir = raw.get("output_dir", "out")
+    output_dir = fields["output_dir"]
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir: expected a non-empty string")
 
     return RunConfig(
-        array=array,
-        doa_deg=(elevation, azimuth),
-        frequencies=tuple(frequencies),
-        loss=loss,
-        targets_deg=(target_theta, target_phi),
-        grid_resolution_deg=grid_deg,
-        budget=budget,
-        seed=seed,
-        output_dir=output_dir,
-        sweep=sweep,
+        fields, array, doa, tuple(frequencies), loss, math.radians(grid_deg), budget, seed,
+        output_dir, sweep,
     )
 
 
@@ -400,7 +360,8 @@ def _sweep_point(cfg: RunConfig) -> list[list[str]]:
     try:
         curves = cmd_design(cfg, cfg.output_dir)
     except NumericalError as err:
-        return [[*knobs, f"{f:g}", "", "", "", "", type(err).__name__] for f in cfg.frequencies]
+        empty = [""] * len(METRIC_COLUMNS)
+        return [[*knobs, f"{f:g}", *empty, type(err).__name__] for f in cfg.frequencies]
     bands = enumerate(curves.frequencies)
     return [[*knobs, f"{f:g}", *metric_cells(curves, b), "ok"] for b, f in bands]
 
@@ -420,8 +381,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
     jobs = []
     for overrides in combos:
         tag = "_".join(f"{k}={overrides[k]:g}" for k in keys)
-        loss = replace(cfg.loss, **overrides)
-        jobs.append(replace(cfg, loss=loss, output_dir=str(out / tag), sweep=None))
+        loss = {**cfg.fields["loss"], **overrides}
+        jobs.append(cfg.replaced(loss=loss, output_dir=str(out / tag), sweep=None))
     workers = min(workers, len(jobs))  # a fork pool starts every worker at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays its import
@@ -430,13 +391,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
             results = list(pool.map(_sweep_point, jobs))
     else:
         results = [_sweep_point(job) for job in jobs]
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [*SWEEP_KEYS, "frequency_hz", "df_db", "wng_db", "theta_deg", "phi_deg", "status"]
-        )
-        for rows in results:
-            writer.writerows(rows)
+    header = [*SWEEP_KEYS, "frequency_hz", *METRIC_COLUMNS, "status"]
+    write_csv(out / "summary.csv", header, itertools.chain.from_iterable(results))
     failed = sum(rows[0][-1] != "ok" for rows in results)
     print(f"sweep finished: {len(combos)} points, summary in {out / 'summary.csv'}")
     if failed:
@@ -455,19 +411,10 @@ def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str 
     reference = tables.curves(das_gains(geometry, tables.frequencies))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "compare.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "frequency_hz",
-                "designed_df_db", "designed_wng_db", "designed_theta_deg", "designed_phi_deg",
-                f"{baseline}_df_db", f"{baseline}_wng_db", f"{baseline}_theta_deg", f"{baseline}_phi_deg",
-            ]
-        )
-        for b, f in enumerate(designed.frequencies):
-            writer.writerow(
-                [f"{f:g}", *metric_cells(designed, b), *metric_cells(reference, b)]
-            )
+    header = ["frequency_hz", *(f"{tag}_{c}" for tag in ("designed", baseline) for c in METRIC_COLUMNS)]
+    rows = ([f"{f:g}", *metric_cells(designed, b), *metric_cells(reference, b)]
+            for b, f in enumerate(designed.frequencies))
+    write_csv(out / "compare.csv", header, rows)
     print(f"comparison written to {out / 'compare.csv'}")
 
 
@@ -546,7 +493,8 @@ def main(argv=None) -> int:
             worst = cmd_gradcheck()
             return 0 if worst < GRADCHECK_TOLERANCE else 2
         cfg = load_config(args.config)
-        cfg.output_dir = args.out or cfg.output_dir
+        if args.out:
+            cfg = cfg.replaced(output_dir=args.out)
         out = cfg.output_dir
         if args.command == "design":
             cmd_design(cfg, out)

@@ -42,7 +42,9 @@ __all__ = [
     "fit_coefficients",
     "curvature_width",
     "MetricCurves",
+    "METRIC_COLUMNS",
     "metric_cells",
+    "write_csv",
     "BandTables",
     "params_gains",
 ]
@@ -214,11 +216,12 @@ class MetricCurves:
             raise ValueError("azimuth beamwidths must lie in (0, pi]")
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["frequency_hz", "df_db", "wng_db", "theta_deg", "phi_deg"])
-            for b, f in enumerate(self.frequencies):
-                writer.writerow([f"{f:g}", *metric_cells(self, b)])
+        rows = ([f"{f:g}", *metric_cells(self, b)] for b, f in enumerate(self.frequencies))
+        write_csv(path, ["frequency_hz", *METRIC_COLUMNS], rows)
+
+
+# the column names of metric_cells, in its order
+METRIC_COLUMNS = ("df_db", "wng_db", "theta_deg", "phi_deg")
 
 
 def metric_cells(metrics, b) -> list[str]:
@@ -234,6 +237,14 @@ def metric_cells(metrics, b) -> list[str]:
         f"{math.degrees(metrics.theta[b]):.6f}",
         f"{math.degrees(metrics.phi[b]):.6f}",
     ]
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write one header row, then ``rows``, with the csv module's CRLF line ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _untouched_zeros(shape: tuple[int, ...]) -> np.ndarray:

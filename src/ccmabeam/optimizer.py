@@ -14,7 +14,6 @@ Derivatives*, 2008).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,9 @@ import numpy as np
 
 from .geometry import ArrayGeometry
 from .loss import BandLossTerms, LossConfig, total_loss
-from .metrics import GRID_RESOLUTION, BandTables, MetricCurves, NumericalError, metric_cells
+from .metrics import (
+    GRID_RESOLUTION, METRIC_COLUMNS, BandTables, MetricCurves, NumericalError, metric_cells, write_csv,
+)
 from .wavefield import Direction
 from .weighting import (
     DesignParams, SIGMA_FLOOR, constrain_band, mic_layout, ring_gains, softplus_inverse,
@@ -107,24 +108,16 @@ class RunRecord:
         return np.minimum.accumulate(self.loss)
 
     def to_csv(self, path: str | Path) -> None:
+        order = (2, 3, 0, 1)  # per band: theta, phi, DF, WNG
         header = ["iteration", "loss"]
-        for f in self.frequencies:
-            tag = f"{f:g}"
-            header += [
-                f"theta_deg_{tag}",
-                f"phi_deg_{tag}",
-                f"df_db_{tag}",
-                f"wng_db_{tag}",
-            ]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i, loss in enumerate(self.loss):
-                cells = [str(i + 1), f"{loss:.9e}"]
-                for b in range(len(self.frequencies)):
-                    df_db, wng_db, theta_deg, phi_deg = metric_cells(self, (i, b))
-                    cells += [theta_deg, phi_deg, df_db, wng_db]
-                writer.writerow(cells)
+        header += [f"{METRIC_COLUMNS[c]}_{f:g}" for f in self.frequencies for c in order]
+        rows = []
+        for i, loss in enumerate(self.loss):
+            rows.append([str(i + 1), f"{loss:.9e}"])
+            for b in range(len(self.frequencies)):
+                cells = metric_cells(self, (i, b))
+                rows[-1] += [cells[c] for c in order]
+        write_csv(path, header, rows)
 
 
 class DesignLoss(float):

@@ -28,8 +28,8 @@ __all__ = [
     "export_beampattern_csv",
 ]
 
-# elevations of the beampattern grid and of the fit cuts: a planar array
-# cannot tell a direction from its mirror image below the array plane
+# elevations of a Direction, the beampattern grid and the fit cuts: a planar
+# array cannot tell a direction from its mirror image below the array plane
 ELEVATION_RANGE = (0.0, math.pi / 2.0)
 
 # added to |response|^2 before taking dB, so a null reads -300 dB, not -inf
@@ -38,7 +38,7 @@ PATTERN_POWER_FLOOR = 1e-30
 
 @dataclass(frozen=True)
 class Direction:
-    """Arrival direction (elevation in [0, pi], azimuth in [0, 2*pi))."""
+    """Arrival direction (elevation in ELEVATION_RANGE, azimuth in [0, 2*pi))."""
 
     elevation: float
     azimuth: float
@@ -46,8 +46,8 @@ class Direction:
     def __post_init__(self):
         object.__setattr__(self, "elevation", float(self.elevation))
         object.__setattr__(self, "azimuth", float(self.azimuth))
-        if not 0.0 <= self.elevation <= math.pi:
-            raise ValueError(f"elevation must lie in [0, pi], got {self.elevation}")
+        if not ELEVATION_RANGE[0] <= self.elevation <= ELEVATION_RANGE[1]:
+            raise ValueError(f"elevation must lie in [0, pi/2], got {self.elevation}")
         if not 0.0 <= self.azimuth < 2.0 * math.pi:
             raise ValueError(f"azimuth must lie in [0, 2*pi), got {self.azimuth}")
 
@@ -69,7 +69,6 @@ class AngularGrid:
 
     elevations: np.ndarray
     azimuths: np.ndarray
-    resolution: float
 
     @classmethod
     def build(cls, resolution: float, doa: Direction) -> "AngularGrid":
@@ -81,7 +80,7 @@ class AngularGrid:
         azimuths = np.sort((doa.azimuth + np.arange(count) * resolution) % (2.0 * math.pi))
         for arr in (elevations, azimuths):
             arr.setflags(write=False)
-        return cls(elevations=elevations, azimuths=azimuths, resolution=resolution)
+        return cls(elevations=elevations, azimuths=azimuths)
 
 
 def snapped_range(lo: float, hi: float, anchor: float, step: float) -> np.ndarray:

@@ -45,8 +45,9 @@ class TestConfigParsing:
         del cfg["frequencies_hz"]
         del cfg["grid_resolution_deg"]
         parsed = parse_config(cfg)
-        assert parsed.frequencies == cli.DEFAULT_FREQUENCIES
-        assert parsed.grid_resolution_deg == 1.0
+        assert parsed.fields["frequencies_hz"] == cli.DEFAULTS[""]["frequencies_hz"]
+        assert parsed.frequencies == tuple(float(f) for f in range(500, 7501, 500))
+        assert parsed.fields["grid_resolution_deg"] == 1.0
         assert parsed.loss.variant == "L1"
 
     @pytest.mark.parametrize(
@@ -225,6 +226,13 @@ class TestDesignCommand:
         assert main(["design", "--config", str(p1)]) == 0
         assert main(["design", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+
+    def test_out_flag_is_the_manifest_output_dir(self, tmp_path):
+        path = write_config(tmp_path, small_config(tmp_path / "config-out"))
+        out = tmp_path / "flag-out"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["output_dir"] == str(out)
+        assert not (tmp_path / "config-out").exists()
 
     def test_manifest_echoes_the_config_degrees(self, tmp_path):
         # both round trip through radians to 12.000000000000002 and 10.600000000000001
@@ -497,6 +505,18 @@ class TestSweepCommand:
         point = tmp_path / "sweep" / "alpha=0.5_lambda1=1"
         for name in ("metrics.csv", "params.json", "run_record.csv"):
             assert (point / name).read_bytes() == (tmp_path / "design" / name).read_bytes(), name
+
+    def test_point_manifest_reruns_the_point(self, tmp_path):
+        path = self.sweep_config(tmp_path, {"alpha": [0.0, 0.5], "lambda3": [0.01]})
+        assert main(["sweep", "--config", str(path), "--workers", "2"]) == 0
+        point = tmp_path / "sweep" / "alpha=0.5_lambda3=0.01"
+        manifest = json.loads((point / "manifest.json").read_text())
+        assert "sweep" not in manifest and manifest["output_dir"] == str(point)
+        assert manifest["loss"]["alpha"] == 0.5 and manifest["loss"]["lambda3"] == 0.01
+        rerun = tmp_path / "rerun"
+        assert main(["design", "--config", str(point / "manifest.json"), "--out", str(rerun)]) == 0
+        for name in ("metrics.csv", "params.json", "run_record.csv"):
+            assert (rerun / name).read_bytes() == (point / name).read_bytes(), name
 
     def test_sweep_requires_l3(self, tmp_path):
         cfg = small_config(tmp_path / "sweep")

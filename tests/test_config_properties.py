@@ -8,6 +8,7 @@ output directory.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccmabeam.cli import main
+from ccmabeam import cli
+from ccmabeam.cli import main, parse_config
 
 MISSING = object()  # delete the field instead of setting it
 
@@ -112,6 +114,18 @@ def test_valid_config_runs(cfg):
     code, err, made = run_design(cfg)
     assert code in (0, 2), err
     assert made or code == 2  # a failure at iteration 1 has nothing to write
+
+
+@given(valid_configs())
+@settings(max_examples=50, deadline=None)
+def test_resolved_config_parses_to_itself(cfg):
+    """The manifest echo is a fixed point of parsing, and parsing copies:
+    neither the caller's dict nor the defaults table changes."""
+    given_cfg, defaults = copy.deepcopy(cfg), repr(cli.DEFAULTS)
+    resolved = parse_config(cfg).resolved()
+    assert parse_config(resolved).resolved() == resolved
+    assert cfg == given_cfg
+    assert repr(cli.DEFAULTS) == defaults
 
 
 @pytest.mark.parametrize(

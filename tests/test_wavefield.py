@@ -56,6 +56,16 @@ class TestDirection:
         with pytest.raises(ValueError):
             Direction(0.1, 2.0 * math.pi)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Direction(math.pi / 2.0 + 1e-9, 0.0), lambda: Direction.from_degrees(135.0, 0.0)],
+        ids=["hair-below-plane", "135-degrees"],
+    )
+    def test_elevation_below_the_array_plane_rejected(self, make):
+        """The grid and the fit cuts cover ELEVATION_RANGE only."""
+        with pytest.raises(ValueError, match=r"elevation must lie in \[0, pi/2\]"):
+            make()
+
     def test_from_degrees_wraps_azimuth(self):
         d = Direction.from_degrees(45.0, 450.0)
         assert d.azimuth == pytest.approx(math.radians(90.0))
