@@ -32,6 +32,9 @@ __all__ = [
 # array cannot tell a direction from its mirror image below the array plane
 ELEVATION_RANGE = (0.0, math.pi / 2.0)
 
+# 2 pi - fl(2 pi), the part of the full turn a double cannot hold
+_TWO_PI_LO = 2.4492935982947064e-16
+
 # added to |response|^2 before taking dB, so a null reads -300 dB, not -inf
 PATTERN_POWER_FLOOR = 1e-30
 
@@ -65,7 +68,11 @@ class Direction:
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """Uniform elevation x azimuth grid snapped to contain a steering direction."""
+    """Uniform elevation x azimuth grid snapped to contain a steering direction.
+
+    The azimuths are round(2 pi / resolution) points spaced evenly around the
+    full circle, one of them the steering azimuth.
+    """
 
     elevations: np.ndarray
     azimuths: np.ndarray
@@ -76,11 +83,39 @@ class AngularGrid:
             raise ValueError("grid resolution must be positive")
         lo, hi = ELEVATION_RANGE
         elevations = snapped_range(lo, hi, doa.elevation, resolution)
-        count = int(round(2.0 * math.pi / resolution))
-        azimuths = np.sort((doa.azimuth + np.arange(count) * resolution) % (2.0 * math.pi))
+        azimuths = _circle_points(doa.azimuth, int(round(2.0 * math.pi / resolution)))
         for arr in (elevations, azimuths):
             arr.setflags(write=False)
         return cls(elevations=elevations, azimuths=azimuths)
+
+
+def _circle_points(anchor: float, count: int) -> np.ndarray:
+    """anchor + 2 pi k / count for k = 0..count-1, wrapped into [0, 2 pi) and sorted.
+
+    Each point lies within about half an ulp of its exact value, which is
+    where the inverse FFT of :func:`beampattern_grid` evaluates the
+    response; the anchor itself is kept exactly.  The step is split as
+    hi + lo with hi cut to 53 - bit_length(count) bits, so k * hi is exact
+    and only the final sum rounds.
+    """
+    if count == 0:
+        return np.empty(0)
+    mantissa, exponent = math.frexp(2.0 * math.pi / count)
+    bits = 53 - count.bit_length()
+    hi = math.ldexp(math.floor(math.ldexp(mantissa, bits)), exponent - bits)
+    lo = ((2.0 * math.pi - count * hi) + _TWO_PI_LO) / count
+    k = np.arange(count, dtype=float)
+    head = k * hi
+    total = anchor + head
+    # the rounding error of anchor + k hi (Knuth's two-sum), plus k lo
+    shifted = total - anchor
+    tail = (anchor - (total - shifted)) + (head - shifted) + k * lo
+    wrap = total + tail >= 2.0 * math.pi
+    # exact (Sterbenz): total lies within a factor 2 of fl(2 pi) there
+    total[wrap] -= 2.0 * math.pi
+    tail[wrap] -= _TWO_PI_LO
+    # a point a hair below 2 pi is kept as 0, not rounded up to 2 pi
+    return np.sort(np.maximum(total + tail, 0.0))
 
 
 def snapped_range(lo: float, hi: float, anchor: float, step: float) -> np.ndarray:
@@ -148,14 +183,24 @@ def bessel_table(x: np.ndarray, order: int) -> np.ndarray:
     The trapezoid rule on K = 2*order + 2 points of
     (1/2 pi) int_0^2pi e^{i(x sin t - n t)} dt, which is one FFT of the
     samples e^{i x sin t_k}.  It adds the aliases J_{n +- K}(x), which stay
-    below double precision while order >= |x| + 10 |x|^(1/3) + 15.
+    below double precision while order >= |x| + 10 |x|^(1/3) + 15.  Only the
+    quarter period t_k <= pi/2 is computed: sin(pi - t) = sin t fills the
+    rest of the first half, and sin(pi + t) = -sin t makes the second half
+    its conjugate.
     """
     x = np.asarray(x, dtype=float)
     points = 2 * order + 2
-    samples = _phasors(x, np.sin((2.0 * math.pi / points) * np.arange(points)))
+    half = points // 2
+    quarter = points // 4 + 1
+    samples = np.empty((x.size, points), dtype=complex)
+    samples[:, :quarter] = _phasors(x, np.sin((2.0 * math.pi / points) * np.arange(quarter)))
+    samples[:, quarter : half + 1] = samples[:, half - quarter :: -1]
+    np.conjugate(samples[:, :half], out=samples[:, half:])
     n = np.arange(-order, order + 1)
-    # numpy.fft loads on first use, so importing ccmabeam stays light
-    table = np.fft.fft(samples, axis=-1)[:, n % points].real / points
+    # one FFT gives the trapezoid sums of every order; numpy imports numpy.fft
+    # on first access, so only the grid path pays for loading it
+    table = np.fft.fft(samples, axis=-1).real[:, n % points]
+    table /= points
     return table.reshape(x.shape + (len(n),))
 
 
@@ -166,12 +211,14 @@ def beampattern_grid(
 
     Ring-harmonic form of sum_m conj(h_m) e^{-j k r_m sin(el) cos(az - psi_m)}:
     by the Jacobi-Anger expansion e^{-jx cos a} = sum_n (-j)^n J_n(x) e^{jna},
-    the response is C @ e^{j n az} with
+    the response is sum_n C[el, n] e^{j n az} with
     C[el, n] = (-j)^n sum_r J_n(k r sin el) H[r, n] and ring harmonics
     H[r, n] = sum_{m in ring r} conj(h_m) e^{-j n psi_m}, which hold for any
     mic angles.  |n| runs to _harmonic_order(k * r_max); one Bessel table
-    per ring keeps the temporaries small.  The phasors of orders n < 0 are
-    the conjugates of those of -n (:func:`_harmonic_phasors`).
+    per ring keeps the temporaries small, and a ring of radius 0 adds only
+    its n = 0 harmonic, as J_n(0) = delta_n0.  The grid's M azimuths are
+    a_0 + 2 pi m / M, so the sum over n is one inverse FFT of length M of
+    C[el, n] e^{j n a_0}, its orders folded modulo M.
     """
     _check_frequency(geometry, frequency)
     h = np.asarray(h)
@@ -181,20 +228,42 @@ def beampattern_grid(
     wavenumber = 2.0 * math.pi * frequency / geometry.sound_speed
     order = _harmonic_order(wavenumber * max(ring.radius for ring in geometry.rings))
     n = np.arange(-order, order + 1)
+    count = len(grid.azimuths)
+    if count == 0:
+        return np.empty((len(grid.elevations), 0), dtype=complex)
     mic_phasors = _harmonic_phasors(order, geometry.mic_angles)
-    sign = np.array([1.0, -1j, -1.0, 1j])[n % 4]  # (-j)^n
+    # a_0 from the second azimuth: the first may be a point a hair below
+    # 2 pi that the grid keeps as 0 (_circle_points)
+    a0 = grid.azimuths[1] - 2.0 * math.pi / count if count > 1 else grid.azimuths[0]
+    # (-j)^n e^{j n a_0}: the Jacobi-Anger sign and the shift to the first azimuth
+    shift = np.array([1.0, -1j, -1.0, 1j])[n % 4] * _harmonic_phasors(order, np.array([a0]))[:, 0]
     sin_el = np.sin(grid.elevations)
     coeffs = np.zeros((len(sin_el), len(n)), dtype=complex)
     for ring, s in zip(geometry.rings, geometry.ring_slices):
-        ring_harmonics = sign * np.conj(mic_phasors[:, s] @ h[s])
-        coeffs += bessel_table(wavenumber * ring.radius * sin_el, order) * ring_harmonics
-    return coeffs @ _harmonic_phasors(order, grid.azimuths)
+        ring_harmonics = shift * np.conj(mic_phasors[:, s] @ h[s])
+        if ring.radius == 0.0:
+            coeffs[:, order] += ring_harmonics[order]
+        else:
+            coeffs += bessel_table(wavenumber * ring.radius * sin_el, order) * ring_harmonics
+    # order n meets the phasors of column n mod M; the columns of one turn of
+    # M orders are distinct, so each turn is one indexed add
+    folded = np.zeros((len(sin_el), count), dtype=complex)
+    for start in range(0, len(n), count):  # more than one turn only when 2N + 1 > M
+        folded[:, n[start : start + count] % count] += coeffs[:, start : start + count]
+    return np.fft.ifft(folded, axis=-1, norm="forward")
 
 
 def pattern_db(values: np.ndarray) -> np.ndarray:
     """Magnitude in dB relative to a unit mainlobe, floored to avoid log(0)."""
-    power = np.abs(np.asarray(values)) ** 2 + PATTERN_POWER_FLOOR
-    return 10.0 * np.log10(power)
+    values = np.asarray(values)
+    # in place, one buffer of the grid's size; asarray keeps a 0-d input an
+    # array, as the ufuncs return a scalar for it and out= takes only arrays
+    power = np.asarray(np.square(values.real, dtype=float))
+    power += np.square(values.imag)
+    power += PATTERN_POWER_FLOOR
+    np.log10(power, out=power)
+    power *= 10.0
+    return power
 
 
 # cells per row block of the CSV writer: its scratch stays a few hundred kB
@@ -247,14 +316,17 @@ def export_beampattern_csv(
     label_width = -(-labels.itemsize // 8) * 8  # keeps the slots 8-byte aligned
     labels = labels.astype(f"S{label_width}")  # zero-padded
     block_rows = max(1, _CSV_BLOCK_CELLS // max(n, 1))
+    # one text buffer for every block: each block rewrites its labels and
+    # slots, and the CRLF and the zero padding never change
+    buffer = np.zeros((min(block_rows, len(labels)), label_width + 16 * n + 8), dtype=np.uint8)
+    buffer[:, -8:-6] = (ord("\r"), ord("\n"))
     with open(path, "wb") as fh:
         fh.write(header + b"\r\n")
         for start in range(0, len(labels), block_rows):
             block = pattern_db_grid[start : start + block_rows].astype(float, copy=False)
             rows = len(block)
-            text = np.zeros((rows, label_width + 16 * n + 8), dtype=np.uint8)
+            text = buffer[:rows]
             text[:, :label_width] = labels[start : start + rows].view(np.uint8).reshape(rows, -1)
-            text[:, -8:-6] = (ord("\r"), ord("\n"))
 
             with np.errstate(invalid="ignore", over="ignore"):
                 scaled = block * 1e6
@@ -263,21 +335,28 @@ def export_beampattern_csv(
                 millionths = np.abs(rounded)
                 fallback |= ~(millionths < _CSV_TABLE_LIMIT)  # also NaN and infinities
             millionths[fallback] = 0.0
-            units = millionths.astype(np.intp)  # then peel off two groups of 3 decimals
-            low = units % 1000
-            units //= 1000
-            high = units % 1000
-            units //= 1000
-            units += np.signbit(block) * 1000
+            # (1000 * negative + integer part) * 10^6 + 3 decimals * 10^3 + 3
+            # decimals, below 2^32, peeled apart by floor division by a
+            # scalar: numpy's fast integer path, which divmod and % lack
+            np.add(millionths, 1e9, out=millionths, where=np.signbit(block))
+            units = millionths.astype(np.uint32)
+            thousands = units // 1000
+            units -= thousands * 1000
+            whole = thousands // 1000
+            thousands -= whole * 1000
             slots = text.view(np.uint64)[:, label_width // 8 : label_width // 8 + 2 * n]
             slots = slots.reshape(rows, n, 2)
-            slots[..., 0] = heads.take(units)
+            slots[..., 0] = heads.take(whole)
             decimals = slots[..., 1:].view(np.uint32)
-            decimals[..., 0] = digits.take(high)
-            decimals[..., 1] = digits.take(low)
+            decimals[..., 0] = digits.take(thousands)
+            decimals[..., 1] = digits.take(units)
 
-            lines = [row.tobytes().translate(None, b"\0") for row in text]
-            for i in np.flatnonzero(fallback.any(axis=1)):
-                cells = (b",%.6f" * n) % tuple(block[i].tolist())
-                lines[i] = labels[start + i] + cells + b"\r\n"
-            fh.write(b"".join(lines))
+            data = text.tobytes().translate(None, b"\0")
+            redo = np.flatnonzero(fallback.any(axis=1))
+            if redo.size:  # labels and cells hold no CR or LF: one line per row
+                lines = data.splitlines(keepends=True)
+                for i in redo:
+                    cells = (b",%.6f" * n) % tuple(block[i].tolist())
+                    lines[i] = labels[start + i] + cells + b"\r\n"
+                data = b"".join(lines)
+            fh.write(data)

@@ -250,6 +250,64 @@ class TestBeampatternGrid:
             b = beampattern_grid(g, h, f, grid)
             assert np.max(np.abs(b - grid_reference(g, h, f, grid))) < 1e-12
 
+    def test_coarse_grid_folds_orders_onto_fewer_azimuths(self):
+        # 8 kHz on the reference array: 2N + 1 = 153 harmonics meet 24 azimuths,
+        # and the first azimuth (5 degrees) is not 0
+        g = cb.build_geometry(
+            cb.ArrayConfig(ring_radii=(0.0, 0.05, 0.10, 0.15, 0.20), sample_rate=16000.0)
+        )
+        grid = AngularGrid.build(math.radians(15.0), Direction.from_degrees(30.0, 200.0))
+        order = _harmonic_order(2.0 * math.pi * 8000.0 / g.sound_speed * 0.20)
+        assert (2 * order + 1, len(grid.azimuths)) == (153, 24)
+        assert grid.azimuths[0] == pytest.approx(math.radians(5.0), abs=1e-12)
+        self.assert_matches_oracle(g, self.random_filter(g.total_mics, 16), 8000.0, grid)
+
+    @pytest.mark.parametrize("f", [1000.0, 6000.0])
+    def test_array_without_centre_mic_matches_oracle(self, f):
+        g = cb.build_geometry(cb.ArrayConfig(ring_radii=(0.05, 0.10, 0.15), sample_rate=16000.0))
+        assert all(ring.radius > 0.0 for ring in g.rings)
+        grid = AngularGrid.build(math.radians(1.0), Direction.from_degrees(60.0, 100.3))
+        self.assert_matches_oracle(g, self.random_filter(g.total_mics, 17), f, grid)
+
+    @given(
+        rings=st.lists(
+            st.tuples(
+                st.floats(0.01, 0.10),
+                # within one turn, as build_geometry places them: the direct
+                # sum's own phase error grows with |azimuth - mic angle|
+                st.lists(st.floats(0.0, 2.0 * math.pi, exclude_max=True), min_size=1, max_size=6),
+            ),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda ring: round(ring[0], 6),
+        ),
+        centre=st.booleans(),
+        resolution_deg=st.sampled_from([1.0, 2.0, 2.5, 3.0, 4.5, 7.5, 10.0, 15.0]),
+        elevation_deg=st.floats(0.0, 90.0),
+        azimuth_deg=st.floats(0.0, 360.0, exclude_max=True),
+        f=st.floats(100.0, 8000.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_small_arrays_match_oracle_at_any_look_azimuth(
+        self, rings, centre, resolution_deg, elevation_deg, azimuth_deg, f, seed
+    ):
+        """The phase shift to the first azimuth and the fold, on grids whose
+        first azimuth is rarely 0."""
+        rings = sorted(rings) if not centre else [(0.0, [0.0])] + sorted(rings)
+        radii = tuple(radius for radius, _ in rings)
+        g = _assemble(
+            cb.ArrayConfig(ring_radii=radii, sample_rate=16000.0),
+            tuple(Ring(r, len(a), np.array(a)) for r, a in rings),
+        )
+        grid = AngularGrid.build(
+            math.radians(resolution_deg), Direction.from_degrees(elevation_deg, azimuth_deg)
+        )
+        h = self.random_filter(g.total_mics, seed)
+        b = beampattern_grid(g, h, f, grid)
+        ref = grid_reference(g, h, f, grid)
+        assert np.max(np.abs(b - ref)) <= 1e-14 * np.sum(np.abs(h))
+
     @given(
         order=st.integers(0, 250),
         angles=st.lists(
@@ -366,6 +424,34 @@ class TestAngularGrid:
         assert np.allclose(np.diff(grid.azimuths), res)
         assert grid.elevations[0] >= 0.0 and grid.elevations[-1] <= math.pi / 2.0
 
+    @pytest.mark.parametrize("resolution_deg,count", [(7.0, 51), (13.0, 28)])
+    def test_azimuths_close_the_circle(self, resolution_deg, count):
+        """A resolution that does not divide 360 degrees still spaces
+        round(360 / resolution) azimuths evenly, across the wrap too."""
+        doa = Direction.from_degrees(45.0, 100.0)
+        azimuths = AngularGrid.build(math.radians(resolution_deg), doa).azimuths
+        assert len(azimuths) == count
+        gaps = np.diff(np.append(azimuths, azimuths[0] + 2.0 * math.pi))
+        assert np.max(np.abs(gaps - 2.0 * math.pi / count)) < 1e-12
+        assert doa.azimuth in azimuths
+        assert azimuths[0] >= 0.0 and azimuths[-1] < 2.0 * math.pi
+
+    @pytest.mark.parametrize("azimuth_deg", [0.0, 45.0, 120.0, 359.5, 17.3])
+    def test_divisor_resolutions_keep_their_grid(self, azimuth_deg):
+        """Where the resolution divides 360 degrees, the azimuths are those of
+        the DoA azimuth plus whole steps, and print the same header labels."""
+        doa = Direction.from_degrees(45.0, azimuth_deg)
+        for step in (0.5, 1, 1.5, 2, 2.5, 3, 4, 4.5, 5, 6, 7.5, 8, 9, 10, 12, 15):
+            resolution = math.radians(step)
+            azimuths = AngularGrid.build(resolution, doa).azimuths
+            stepped = np.sort(
+                (doa.azimuth + np.arange(round(360 / step)) * resolution) % (2.0 * math.pi)
+            )
+            assert np.max(np.abs(azimuths - stepped)) < 1e-12
+            labels = [f"{math.degrees(a):.3f}" for a in azimuths]
+            assert labels == [f"{math.degrees(a):.3f}" for a in stepped]
+            assert doa.azimuth in azimuths
+
     def test_snapped_range_anchor(self):
         pts = snapped_range(0.0, 1.0, 0.35, 0.1)
         assert np.min(np.abs(pts - 0.35)) < 1e-15
@@ -389,6 +475,11 @@ class TestExport:
         assert rows[0][1:] == ["0.000", "180.000"]
         assert float(rows[1][1]) == pytest.approx(0.0, abs=1e-6)
         assert float(rows[2][1]) == pytest.approx(20.0 * math.log10(0.25), abs=1e-5)
+
+    @pytest.mark.parametrize("value", [0.5, np.complex128(0.3 - 0.4j), np.array(-0.5j)])
+    def test_pattern_db_of_a_scalar(self, value):
+        assert float(pattern_db(value)) == pytest.approx(20.0 * math.log10(0.5), abs=1e-12)
+        assert np.ndim(pattern_db(value)) == 0
 
     @pytest.mark.parametrize(
         "grid_db,needle",
