@@ -5,7 +5,7 @@ gradient descent to hit target -6 dB beamwidths in elevation and azimuth
 while keeping directivity and white-noise-gain behavior flat across the
 operating band.  The gradient comes from a reverse pass written by hand
 over the band-batched forward arrays and is checked against central
-finite differences by :func:`ccmabeam.autodiff.gradcheck`.
+finite differences by :func:`ccmabeam.optimizer.gradcheck`.
 
 The top level holds what the quick start needs: the array, the arrival
 direction, the loss, :func:`optimize` and the types it returns.  Every

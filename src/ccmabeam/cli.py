@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autodiff import gradcheck
 from .baselines import das_gains
 from .geometry import ArrayConfig, ArrayGeometry, GeometryError, build_geometry, mics_per_ring
 from .loss import VARIANTS, LossConfig
@@ -29,7 +28,7 @@ from .metrics import (
     GRID_RESOLUTION, METRIC_COLUMNS, BandTables, MetricCurves, NumericalError, metric_cells,
     params_gains, write_csv,
 )
-from .optimizer import DesignPipeline, optimize
+from .optimizer import DesignPipeline, gradcheck, optimize
 from .wavefield import (
     AngularGrid, Direction, beampattern_grid, export_beampattern_csv, pattern_db, steering_vector,
 )
@@ -85,6 +84,11 @@ class RunConfig:
     def replaced(self, **root_fields) -> "RunConfig":
         """This config with some root fields changed, checked as any config is."""
         return parse_config({**self.fields, **root_fields})
+
+
+def _point_name(key: str, value: float) -> str:
+    """One swept value as a sweep point's directory name spells it."""
+    return f"{key}={value:g}"
 
 
 def _object(value, path: str) -> dict:
@@ -210,12 +214,19 @@ def parse_config(raw: dict) -> RunConfig:
         for key, values in sweep.items():
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"sweep.{key}: expected a non-empty list of values")
+            names = {}  # point directory name -> index of its value
             for i, v in enumerate(values):
                 field = f"sweep.{key}[{i}]"
+                value = _number(v, field)
                 try:  # sweeps run under L3 only
-                    replace(loss, variant="L3", **{key: _number(v, field)})
+                    replace(loss, variant="L3", **{key: value})
                 except ValueError as err:
                     raise ConfigError(f"{field}: {err}") from None
+                name = _point_name(key, value)
+                if names.setdefault(name, i) != i:
+                    raise ConfigError(
+                        f"{field}: point directory {name!r} repeats sweep.{key}[{names[name]}]"
+                    )
         sweep = fields["sweep"] = {k: [float(v) for v in vals] for k, vals in sweep.items()}
     if (variant == "L3" or sweep is not None) and len(frequencies) < 2:
         raise ConfigError(
@@ -236,9 +247,9 @@ def parse_config(raw: dict) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as err:
+    except OSError as err:
+        raise ConfigError(f"config file {path}: {err.strerror}") from None
+    except ValueError as err:  # not JSON, or not text
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from None
     return parse_config(raw)
 
@@ -297,6 +308,16 @@ def _write_beampatterns(cfg: RunConfig, geometry: ArrayGeometry, out: Path, gain
         )
 
 
+def _output_dir(out_dir: str | Path) -> Path:
+    """``out_dir``, checked before any work: ``mkdir`` needs its nearest
+    existing part to be a directory."""
+    out = Path(out_dir)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output_dir: {existing} exists and is not a directory")
+    return out
+
+
 def _check_baseline(tag: str) -> None:
     if tag != "das":  # delay-and-sum is the one baseline
         raise ConfigError(f"baseline: expected 'das', got {tag!r}")
@@ -304,6 +325,7 @@ def _check_baseline(tag: str) -> None:
 
 @_one_blas_thread()
 def cmd_design(cfg: RunConfig, out_dir: str | Path) -> MetricCurves:
+    out = _output_dir(out_dir)
     geometry = build_geometry(cfg.array)
     result = optimize(
         geometry,
@@ -314,7 +336,6 @@ def cmd_design(cfg: RunConfig, out_dir: str | Path) -> MetricCurves:
         seed=cfg.seed,
         grid_resolution=cfg.grid_resolution,
     )
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result.params.save(out / "params.json")
     result.curves.to_csv(out / "metrics.csv")
@@ -336,6 +357,7 @@ def cmd_design(cfg: RunConfig, out_dir: str | Path) -> MetricCurves:
 
 @_one_blas_thread()
 def cmd_eval(cfg: RunConfig, out_dir: str | Path, params_path=None, baseline=None) -> MetricCurves:
+    out = _output_dir(out_dir)
     geometry = build_geometry(cfg.array)
     if (params_path is None) == (baseline is None):
         raise ConfigError("eval: provide exactly one of --params or --baseline")
@@ -346,7 +368,6 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path, params_path=None, baseline=Non
         params = DesignParams.load(params_path).select(cfg.frequencies)
         gains = params_gains(geometry, cfg.doa, params)
     curves = BandTables(geometry, cfg.doa, cfg.frequencies, cfg.grid_resolution).curves(gains)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     curves.to_csv(out / "metrics.csv")
     _write_beampatterns(cfg, geometry, out, gains)
@@ -368,19 +389,19 @@ def _sweep_point(cfg: RunConfig) -> list[list[str]]:
 
 @_one_blas_thread()
 def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
+    out = _output_dir(out_dir)
     if not cfg.sweep:
         raise ConfigError("sweep: the config has no sweep section")
     if cfg.loss.variant != "L3":
         raise ConfigError("sweep: parameter sweeps require loss.variant == 'L3'")
     if workers < 1:
         raise ConfigError(f"--workers: must be at least 1, got {workers}")
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     keys = list(cfg.sweep.keys())
     combos = [dict(zip(keys, values)) for values in itertools.product(*cfg.sweep.values())]
     jobs = []
     for overrides in combos:
-        tag = "_".join(f"{k}={overrides[k]:g}" for k in keys)
+        tag = "_".join(_point_name(k, overrides[k]) for k in keys)
         loss = {**cfg.fields["loss"], **overrides}
         jobs.append(cfg.replaced(loss=loss, output_dir=str(out / tag), sweep=None))
     workers = min(workers, len(jobs))  # a fork pool starts every worker at once
@@ -402,6 +423,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
 
 @_one_blas_thread()
 def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str = "das") -> None:
+    out = _output_dir(out_dir)
     geometry = build_geometry(cfg.array)
     _check_baseline(baseline)
     params = DesignParams.load(params_path).select(cfg.frequencies)
@@ -409,7 +431,6 @@ def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str 
     tables = BandTables(geometry, cfg.doa, cfg.frequencies, cfg.grid_resolution)
     designed = tables.curves(params_gains(geometry, cfg.doa, params))
     reference = tables.curves(das_gains(geometry, tables.frequencies))
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = ["frequency_hz", *(f"{tag}_{c}" for tag in ("designed", baseline) for c in METRIC_COLUMNS)]
     rows = ([f"{f:g}", *metric_cells(designed, b), *metric_cells(reference, b)]
@@ -493,7 +514,7 @@ def main(argv=None) -> int:
             worst = cmd_gradcheck()
             return 0 if worst < GRADCHECK_TOLERANCE else 2
         cfg = load_config(args.config)
-        if args.out:
+        if args.out is not None:
             cfg = cfg.replaced(output_dir=args.out)
         out = cfg.output_dir
         if args.command == "design":

@@ -169,12 +169,8 @@ def _harmonic_phasors(order: int, angles: np.ndarray) -> np.ndarray:
     Only the orders n >= 0 are computed; n < 0 are their conjugates, which
     is exact: (-n) a = -(n a) in floating point, cos is even and sin odd.
     """
-    out = np.empty((2 * order + 1, len(angles)), dtype=complex)
-    phase = np.outer(np.arange(order + 1), angles)
-    np.cos(phase, out=out[order:].real)
-    np.sin(phase, out=out[order:].imag)
-    np.conjugate(out[:order:-1], out=out[:order])
-    return out
+    half = _phasors(np.arange(order + 1), angles)
+    return np.concatenate((np.conjugate(half[:0:-1]), half))
 
 
 def bessel_table(x: np.ndarray, order: int) -> np.ndarray:

@@ -31,7 +31,6 @@ __all__ = [
     "normalized_filter",
     "constrain_band",
     "softplus",
-    "softplus_inverse",
 ]
 
 SIGMA_FLOOR = 1e-3
@@ -95,15 +94,6 @@ def softplus(v):
     return np.maximum(v, 0.0) + np.log(1.0 + np.exp(-np.abs(v)))
 
 
-def softplus_inverse(y: float) -> float:
-    """Inverse of softplus for y > 0."""
-    if y <= 0.0:
-        raise ValueError("softplus_inverse requires a positive argument")
-    if y > 30.0:
-        return y  # e^-y below double resolution
-    return math.log(math.expm1(y))
-
-
 def constrain_band(u, v):
     """Map unconstrained (u, v) to simplex weights and positive widths.
 
@@ -118,16 +108,6 @@ def constrain_band(u, v):
     weights = e / e.sum(axis=-1, keepdims=True)
     widths = softplus(v) + SIGMA_FLOOR
     return weights, widths
-
-
-def _holds_bool(values) -> bool:
-    """Whether nested lists hold a bool, which numpy reads as a number
-    beside numbers."""
-    if isinstance(values, np.ndarray):
-        return values.dtype.kind == "b"
-    if isinstance(values, (list, tuple)):
-        return any(_holds_bool(v) for v in values)
-    return isinstance(values, (bool, np.bool_))
 
 
 def _band_array(name: str, values, bands: int, rings: int | None = None) -> np.ndarray:
@@ -149,7 +129,8 @@ def _band_array(name: str, values, bands: int, rings: int | None = None) -> np.n
             raise ValueError(
                 f"band {b}: {name} must be a flat list of one number per ring, got {raw!r}"
             )
-        if row.dtype.kind not in "iuf" or _holds_bool(raw):
+        # numpy reads a bool beside numbers as a number
+        if row.dtype.kind not in "iuf" or any(np.asarray(v).dtype.kind == "b" for v in raw):
             raise ValueError(f"band {b}: {name} must hold numbers, got {raw!r}")
         rings = len(row) if rings is None else rings
         if len(row) != rings:

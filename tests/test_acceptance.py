@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ccmabeam as cb
-from ccmabeam import autodiff as ad
+from ccmabeam import optimizer as ad
 from ccmabeam.cli import main as cli_main
 from ccmabeam.loss import LossConfig, total_loss
 from ccmabeam.metrics import DELTA_L_DB, curvature_width, fit_coefficients, gamma_matrix

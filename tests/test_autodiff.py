@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import ccmabeam as cb
-from ccmabeam import autodiff as ad
+from ccmabeam import optimizer as ad
 from ccmabeam.loss import LossConfig, total_loss
 from ccmabeam.metrics import (
     GAMMA_DIAGONAL_REG,

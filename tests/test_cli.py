@@ -125,6 +125,18 @@ class TestConfigParsing:
         path.write_text("{not json")
         assert main(["design", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys, kind):
+        """The config reader fails as the params reader does: exit 1, naming the file."""
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'\xff{"array": {}}')
+        assert main(["design", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config file {path}" in err and "Traceback" not in err
+
 
 # every float config field, set to ``value``
 NUMERIC_FIELDS = [
@@ -432,6 +444,38 @@ class TestFailedRunsCreateNoDirectory:
         assert not (tmp_path / "out").exists()
 
 
+class TestOutputDirIsChecked:
+    """An output path under a regular file is a config error naming
+    output_dir, raised before any work and with no directory made."""
+
+    @pytest.mark.parametrize("below", ["file", "file/sub"])
+    @pytest.mark.parametrize("command", ["design", "eval", "compare", "sweep"])
+    def test_path_under_a_file_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command, below):
+        def never_called(*args, **kwargs):
+            raise AssertionError("optimize ran")
+
+        monkeypatch.setattr(cli, "optimize", never_called)
+        params = tmp_path / "params.json"
+        DesignParams((2000.0, 3000.0), [[0.5, 0.5]] * 2, [[0.5, 0.5]] * 2).save(params)
+        cfg = small_config(tmp_path / "cfg-out")
+        if command == "sweep":
+            cfg["loss"]["variant"] = "L3"
+            cfg["sweep"] = {"alpha": [0.0, 1.0]}
+        path = write_config(tmp_path, cfg)
+        (tmp_path / "file").write_text("a regular file")
+        flags = {"eval": ["--baseline", "das"], "compare": ["--params", str(params)]}.get(command, [])
+        assert main([command, "--config", str(path), *flags, "--out", str(tmp_path / below)]) == 1
+        err = capsys.readouterr().err
+        assert "output_dir" in err and "Traceback" not in err
+        assert not (tmp_path / "cfg-out").exists()
+
+    def test_empty_out_flag_fails_validation(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_config(tmp_path / "cfg-out"))
+        assert main(["design", "--config", str(path), "--out", ""]) == 1
+        assert "output_dir: expected a non-empty string" in capsys.readouterr().err
+        assert not (tmp_path / "cfg-out").exists()
+
+
 class TestCoarseGrid:
     """A grid that leaves a fit cut fewer than 3 samples is a config error
     naming grid_resolution_deg and the band."""
@@ -523,6 +567,21 @@ class TestSweepCommand:
         cfg["sweep"] = {"alpha": [0.5]}
         path = write_config(tmp_path, cfg, "bad.json")
         assert main(["sweep", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("values", [[0.5, 0.5], [0.1, 0.1000001]], ids=["equal", "same-name"])
+    def test_colliding_point_names_fail_validation(self, tmp_path, capsys, values):
+        """Two values that one point directory name spells fail before any
+        point runs, naming both indices."""
+        path = self.sweep_config(tmp_path, {"lambda1": [0.0], "alpha": [0.3, *values]})
+        assert main(["sweep", "--config", str(path), "--workers", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "sweep.alpha[2]: point directory" in err and "repeats sweep.alpha[1]" in err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_non_number_value_is_named_once(self, tmp_path, capsys):
+        path = self.sweep_config(tmp_path, {"alpha": ["x"]})
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.count("sweep.alpha[0]") == 1
 
     def test_sweep_without_section(self, tmp_path):
         cfg = small_config(tmp_path / "sweep")

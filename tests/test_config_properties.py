@@ -4,7 +4,8 @@ Every config starts from a valid toy config (2 rings, 1-3 bands, a 2-5
 degree grid, a budget of 1-3).  Left valid, ``design`` runs it to exit 0
 or 2.  With exactly one field corrupted from the table of bad values
 below, ``design`` exits 1, names that field on stderr and creates no
-output directory.
+output directory.  A sweep section either fails to parse, naming
+``sweep``, or gives each of its points a directory of its own.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,8 @@ BAD_VALUES = {
 CORRUPTIONS = [(field, value) for field, values in BAD_VALUES.items() for value in values]
 # a ring too small for two mics, appended so that the numbered ids above keep their numbers
 CORRUPTIONS.append((("array", "ring_radii_m"), [0.0, 0.001]))
+# sweep values whose point directories share a name, appended likewise
+CORRUPTIONS += [(("sweep",), {"alpha": [0.5, 0.5]}), (("sweep",), {"alpha": [0.1, 0.1000001]})]
 
 BANDS = [1000.0 * k for k in range(1, 8)]  # below the 8 kHz Nyquist frequency
 
@@ -148,3 +152,35 @@ def test_one_bad_field_is_named(cfg, field, value):
     assert code == 1, err
     assert all(key in err for key in field), err
     assert not made
+
+
+@given(
+    sweep=st.dictionaries(
+        st.sampled_from(cli.SWEEP_KEYS), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+        min_size=1,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_every_sweep_point_gets_its_own_directory(sweep):
+    cfg = {
+        "array": {"ring_radii_m": [0.0, 0.05], "sample_rate_hz": 16000.0},
+        "doa_deg": {"elevation": 45.0, "azimuth": 45.0},
+        "frequencies_hz": [2000.0, 3000.0],
+        "loss": {"variant": "L3"},
+        "sweep": sweep,
+    }
+    try:
+        parsed = parse_config(cfg)
+    except cli.ConfigError as err:
+        assert str(err).startswith("sweep."), err
+        return
+    directories = []
+
+    def record(point):  # the point's directory, in place of its design
+        directories.append(point.output_dir)
+        return [["ok"]]
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_sweep_point", record), \
+            contextlib.redirect_stdout(io.StringIO()):
+        cli.cmd_sweep(parsed, tmp)
+    assert len(set(directories)) == len(directories), directories

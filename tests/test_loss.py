@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ccmabeam.autodiff import gradcheck
+from ccmabeam.optimizer import gradcheck
 from ccmabeam.loss import L2_TOLERANCE, BandLossTerms, LossConfig, total_loss
 from oracles import loss_l1
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ccmabeam as cb
-from ccmabeam import autodiff as ad
+from ccmabeam import optimizer as ad
 from ccmabeam import metrics
 from ccmabeam.loss import LossConfig
 from ccmabeam.metrics import (

@@ -7,7 +7,7 @@ import pytest
 
 import ccmabeam as cb
 from ccmabeam import optimizer as opt
-from ccmabeam.autodiff import gradcheck
+from ccmabeam.optimizer import gradcheck
 from ccmabeam.loss import LossConfig
 from ccmabeam.metrics import NumericalError, build_fit_cuts
 from ccmabeam.optimizer import (
