@@ -22,17 +22,17 @@ import numpy as np
 
 from . import __version__
 from .baselines import das_gains
-from .geometry import ArrayConfig, ArrayGeometry, GeometryError, build_geometry, mics_per_ring
+from .geometry import ArrayConfig, ArrayGeometry, build_geometry, mics_per_ring
 from .loss import VARIANTS, LossConfig
 from .metrics import (
     GRID_RESOLUTION, METRIC_COLUMNS, BandTables, MetricCurves, NumericalError, metric_cells,
-    params_gains, write_csv,
+    write_csv,
 )
 from .optimizer import DesignPipeline, gradcheck, optimize
 from .wavefield import (
     AngularGrid, Direction, beampattern_grid, export_beampattern_csv, pattern_db, steering_vector,
 )
-from .weighting import DesignParams, normalized_filter
+from .weighting import DesignParams, normalized_filter, params_gains
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
@@ -141,7 +141,7 @@ def parse_config(raw: dict) -> RunConfig:
         )
         for r in array.ring_radii:
             mics_per_ring(r, array.min_wavelength)
-    except GeometryError as err:  # the rates passed _number; only the radii are left
+    except ValueError as err:  # the rates passed _number; only the radii are left
         raise ConfigError(f"array.ring_radii_m: {err}") from None
 
     doa_raw = fields["doa_deg"] = _object(fields["doa_deg"], "doa_deg")
@@ -150,10 +150,7 @@ def parse_config(raw: dict) -> RunConfig:
         # a planar array cannot separate mirror directions; the fit sector
         # covers [0, 90] degrees only
         raise ConfigError(f"doa_deg.elevation: must lie in [0, 90], got {doa_raw['elevation']}")
-    try:
-        doa = Direction.from_degrees(doa_raw["elevation"], doa_raw["azimuth"])
-    except ValueError as err:
-        raise ConfigError(f"doa_deg: {err}") from None
+    doa = Direction.from_degrees(doa_raw["elevation"], doa_raw["azimuth"])
 
     freqs_raw = fields["frequencies_hz"]
     if not isinstance(freqs_raw, list) or not freqs_raw:
@@ -171,6 +168,13 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError(
                 f"frequencies_hz[{i}]: {f} Hz does not exceed the previous band "
                 f"{frequencies[-1]} Hz; bands must be strictly increasing"
+            )
+        if frequencies and f"{f:g}" == f"{frequencies[-1]:g}":
+            # artifacts name a band by its %g spelling, which is monotone in f,
+            # so a repeated spelling repeats the previous band's
+            raise ConfigError(
+                f"frequencies_hz[{i}]: {f} Hz is written as {f:g} Hz in artifact names, "
+                f"as frequencies_hz[{i - 1}] is; the second band would overwrite the first"
             )
         frequencies.append(f)
 
@@ -396,7 +400,6 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
         raise ConfigError("sweep: parameter sweeps require loss.variant == 'L3'")
     if workers < 1:
         raise ConfigError(f"--workers: must be at least 1, got {workers}")
-    out.mkdir(parents=True, exist_ok=True)
     keys = list(cfg.sweep.keys())
     combos = [dict(zip(keys, values)) for values in itertools.product(*cfg.sweep.values())]
     jobs = []
@@ -413,6 +416,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
     else:
         results = [_sweep_point(job) for job in jobs]
     header = [*SWEEP_KEYS, "frequency_hz", *METRIC_COLUMNS, "status"]
+    # only now: a point that fails validation must leave no directory behind
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "summary.csv", header, itertools.chain.from_iterable(results))
     failed = sum(rows[0][-1] != "ok" for rows in results)
     print(f"sweep finished: {len(combos)} points, summary in {out / 'summary.csv'}")
@@ -529,7 +534,7 @@ def main(argv=None) -> int:
     except (NumericalError, ArithmeticError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
-    except (ConfigError, GeometryError, ValueError) as err:
+    except ValueError as err:
         print(f"validation error: {err}", file=sys.stderr)
         return 1
 

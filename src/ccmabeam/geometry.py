@@ -14,17 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "GeometryError",
     "ArrayConfig",
     "Ring",
     "ArrayGeometry",
     "mics_per_ring",
     "build_geometry",
 ]
-
-
-class GeometryError(ValueError):
-    """Invalid array configuration or aliasing-constraint violation."""
 
 
 @dataclass(frozen=True)
@@ -45,15 +40,15 @@ class ArrayConfig:
         object.__setattr__(self, "sample_rate", float(self.sample_rate))
         object.__setattr__(self, "sound_speed", float(self.sound_speed))
         if not radii:
-            raise GeometryError("ring_radii must list at least one ring")
+            raise ValueError("ring_radii must list at least one ring")
         if any(not math.isfinite(r) or r < 0.0 for r in radii):
-            raise GeometryError("ring radii must be finite and non-negative")
+            raise ValueError("ring radii must be finite and non-negative")
         if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise GeometryError("ring radii must be strictly increasing")
+            raise ValueError("ring radii must be strictly increasing")
         if self.sample_rate <= 0.0 or not math.isfinite(self.sample_rate):
-            raise GeometryError("sample_rate must be positive")
+            raise ValueError("sample_rate must be positive")
         if self.sound_speed <= 0.0 or not math.isfinite(self.sound_speed):
-            raise GeometryError("sound_speed must be positive")
+            raise ValueError("sound_speed must be positive")
 
     @property
     def min_wavelength(self) -> float:
@@ -102,18 +97,18 @@ def mics_per_ring(radius: float, min_wavelength: float) -> int:
     """Minimum microphone count keeping adjacent chords >= min_wavelength / 2.
 
     A zero radius is the center-microphone convention and returns 1.
-    Raises :class:`GeometryError` when the ring is too small to hold two
-    non-aliasing microphones.
+    Raises ValueError when the ring is too small to hold two non-aliasing
+    microphones.
     """
     if radius < 0.0:
-        raise GeometryError("radius must be non-negative")
+        raise ValueError("radius must be non-negative")
     if min_wavelength <= 0.0:
-        raise GeometryError("min_wavelength must be positive")
+        raise ValueError("min_wavelength must be positive")
     if radius == 0.0:
         return 1
     ratio = min_wavelength / (4.0 * radius)
     if ratio > 1.0:
-        raise GeometryError(
+        raise ValueError(
             f"ring radius {radius} m cannot hold two microphones a half-wavelength "
             f"({min_wavelength / 2.0} m) apart"
         )

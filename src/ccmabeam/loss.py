@@ -119,8 +119,7 @@ def total_loss(thetas, phis, dfs, wngs, cfg: LossConfig):
     that also carries the per-band partial derivatives.  L3 adds the
     population standard deviations of DF and WNG (weights lambda1,
     lambda2) and |P_i - P_(F-i+1)| over opposing band pairs (1-based i
-    from 2 to floor(F/2), weight lambda3).  A term at zero weight is
-    skipped, which saves its work on L1 and L2.
+    from 2 to floor(F/2), weight lambda3).
     """
     thetas, phis, dfs, wngs = (np.asarray(a, dtype=float) for a in (thetas, phis, dfs, wngs))
     count = len(thetas)
@@ -143,25 +142,21 @@ def total_loss(thetas, phis, dfs, wngs, cfg: LossConfig):
 
     i_term = 0.0
     for weight, values, grad in ((cfg.lambda1, dfs, d_df), (cfg.lambda2, wngs, d_wng)):
-        if weight > 0.0:
-            std, d_std = _std(values)
-            i_term = i_term + weight * std
-            grad += weight * d_std
-    if cfg.lambda1 > 0.0 or cfg.lambda2 > 0.0:
-        total = total + i_term
+        std, d_std = _std(values)
+        i_term = i_term + weight * std
+        grad += weight * d_std
+    total = total + i_term
 
-    delta_term = 0.0
-    if cfg.lambda3 > 0.0:
-        lo = np.arange(1, count // 2)  # 0-based; the 1-based pairs are (i, F - i + 1)
-        hi = count - 1 - lo
-        gap = perf[lo] - perf[hi]
-        delta_term = cfg.lambda3 * sum(np.abs(gap).tolist())
-        total = total + delta_term
-        pair = cfg.lambda3 * np.sign(gap)  # subgradient 0 at the kink
-        d_df[lo] += pair * perf_df[lo]
-        d_df[hi] -= pair * perf_df[hi]
-        d_wng[lo] += pair * perf_wng[lo]
-        d_wng[hi] -= pair * perf_wng[hi]
+    lo = np.arange(1, count // 2)  # 0-based; the 1-based pairs are (i, F - i + 1)
+    hi = count - 1 - lo
+    gap = perf[lo] - perf[hi]
+    delta_term = cfg.lambda3 * sum(np.abs(gap).tolist())
+    total = total + delta_term
+    pair = cfg.lambda3 * np.sign(gap)  # subgradient 0 at the kink
+    d_df[lo] += pair * perf_df[lo]
+    d_df[hi] -= pair * perf_df[hi]
+    d_wng[lo] += pair * perf_wng[lo]
+    d_wng[hi] -= pair * perf_wng[hi]
 
     snapshot = BandLossTerms(
         theta=thetas,

@@ -27,7 +27,6 @@ from .wavefield import (
     snapped_range,
     steering_vector,
 )
-from .weighting import DesignParams, mic_layout, ring_gains
 
 __all__ = [
     "NumericalError",
@@ -46,7 +45,6 @@ __all__ = [
     "metric_cells",
     "write_csv",
     "BandTables",
-    "params_gains",
 ]
 
 # default spacing of the fit cuts and of the beampattern grid (radians)
@@ -372,11 +370,3 @@ class BandTables:
         widths = np.minimum(widths, math.pi)
         return MetricCurves(self.frequencies, df, wng, widths[:, 0], widths[:, 1])
 
-
-def params_gains(geometry: ArrayGeometry, doa: Direction, params: DesignParams) -> np.ndarray:
-    """Real per-mic gains (bands, mics) of a designed parameter set."""
-    if params.ring_count != geometry.ring_count:
-        raise ValueError(f"params: the parameters cover {params.ring_count} rings "
-                         f"but the array has {geometry.ring_count}")
-    _, gains = ring_gains(mic_layout(geometry, doa), params.ring_weights, params.window_widths)
-    return gains

@@ -163,16 +163,6 @@ def _phasors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _harmonic_phasors(order: int, angles: np.ndarray) -> np.ndarray:
-    """e^{j n a_k} for n = -order..order, shape (2*order + 1, angles.size).
-
-    Only the orders n >= 0 are computed; n < 0 are their conjugates, which
-    is exact: (-n) a = -(n a) in floating point, cos is even and sin odd.
-    """
-    half = _phasors(np.arange(order + 1), angles)
-    return np.concatenate((np.conjugate(half[:0:-1]), half))
-
-
 def bessel_table(x: np.ndarray, order: int) -> np.ndarray:
     """Bessel functions J_n(x) for n = -order..order, shape x.shape + (2*order + 1,).
 
@@ -227,12 +217,12 @@ def beampattern_grid(
     count = len(grid.azimuths)
     if count == 0:
         return np.empty((len(grid.elevations), 0), dtype=complex)
-    mic_phasors = _harmonic_phasors(order, geometry.mic_angles)
+    mic_phasors = _phasors(n, geometry.mic_angles)
     # a_0 from the second azimuth: the first may be a point a hair below
     # 2 pi that the grid keeps as 0 (_circle_points)
     a0 = grid.azimuths[1] - 2.0 * math.pi / count if count > 1 else grid.azimuths[0]
     # (-j)^n e^{j n a_0}: the Jacobi-Anger sign and the shift to the first azimuth
-    shift = np.array([1.0, -1j, -1.0, 1j])[n % 4] * _harmonic_phasors(order, np.array([a0]))[:, 0]
+    shift = np.array([1.0, -1j, -1.0, 1j])[n % 4] * _phasors(n, np.array([a0]))[:, 0]
     sin_el = np.sin(grid.elevations)
     coeffs = np.zeros((len(sin_el), len(n)), dtype=complex)
     for ring, s in zip(geometry.rings, geometry.ring_slices):

@@ -28,6 +28,7 @@ __all__ = [
     "mic_layout",
     "gaussian_window",
     "ring_gains",
+    "params_gains",
     "normalized_filter",
     "constrain_band",
     "softplus",
@@ -86,6 +87,15 @@ def ring_gains(layout: tuple[np.ndarray, np.ndarray], ring_weights, window_width
     ring_of_mic, delta = layout
     taps = gaussian_window(delta, window_widths[..., ring_of_mic])
     return taps, ring_weights[..., ring_of_mic] * taps
+
+
+def params_gains(geometry: ArrayGeometry, doa: Direction, params: DesignParams) -> np.ndarray:
+    """Real per-mic gains (bands, mics) of a designed parameter set."""
+    if params.ring_count != geometry.ring_count:
+        raise ValueError(f"params: the parameters cover {params.ring_count} rings "
+                         f"but the array has {geometry.ring_count}")
+    _, gains = ring_gains(mic_layout(geometry, doa), params.ring_weights, params.window_widths)
+    return gains
 
 
 def softplus(v):

@@ -30,10 +30,9 @@ from ccmabeam.metrics import (
     NumericalError,
     curvature_width,
     fit_coefficients,
-    params_gains,
 )
 from ccmabeam.wavefield import Direction, _check_frequency, steering_vector
-from ccmabeam.weighting import DesignParams, mic_layout, normalized_filter, ring_gains
+from ccmabeam.weighting import DesignParams, mic_layout, normalized_filter, params_gains, ring_gains
 
 # the half-amplitude drop of the crossing-search width
 ORACLE_DELTA_L_DB = 20.0 * math.log10(2.0)

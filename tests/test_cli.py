@@ -495,6 +495,24 @@ class TestCoarseGrid:
         assert not (tmp_path / "out").exists()
 
 
+class TestBandsSpelledAlike:
+    """Two bands that artifact names spell alike (%g) are a config error: the
+    second band's beampattern file would overwrite the first's."""
+
+    @pytest.mark.parametrize(
+        "args", [["design"], ["eval", "--params", "params.json"]], ids=["design", "eval"]
+    )
+    def test_names_the_field_and_writes_nothing(self, tmp_path, capsys, args):
+        bands = (2000.0, 2000.0001)
+        DesignParams(bands, [[0.5, 0.5]] * 2, [[0.3, 0.3]] * 2).save(tmp_path / "params.json")
+        path = write_config(tmp_path, small_config(tmp_path / "out", frequencies_hz=list(bands)))
+        args = [str(tmp_path / a) if a == "params.json" else a for a in args]
+        assert main([args[0], "--config", str(path), *args[1:]]) == 1
+        err = capsys.readouterr().err
+        assert "frequencies_hz[1]" in err and "frequencies_hz[0]" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweepCommand:
     def sweep_config(self, tmp_path, sweep):
         cfg = small_config(tmp_path / "sweep")
@@ -576,6 +594,18 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(path), "--workers", "2"]) == 1
         err = capsys.readouterr().err
         assert "sweep.alpha[2]: point directory" in err and "repeats sweep.alpha[1]" in err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"], ids=["serial", "pooled"])
+    def test_point_failing_validation_leaves_no_directory(self, tmp_path, capsys, workers):
+        """The grid check runs inside each point's design; the sweep exits 1
+        without creating its output directory."""
+        cfg = small_config(tmp_path / "sweep", grid_resolution_deg=70.0)
+        cfg["loss"]["variant"] = "L3"
+        cfg["sweep"] = {"alpha": [0.0, 0.5]}
+        path = write_config(tmp_path, cfg, "sweep.json")
+        assert main(["sweep", "--config", str(path), "--workers", workers]) == 1
+        assert "grid_resolution_deg" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
     def test_non_number_value_is_named_once(self, tmp_path, capsys):

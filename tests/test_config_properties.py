@@ -66,6 +66,8 @@ CORRUPTIONS = [(field, value) for field, values in BAD_VALUES.items() for value 
 CORRUPTIONS.append((("array", "ring_radii_m"), [0.0, 0.001]))
 # sweep values whose point directories share a name, appended likewise
 CORRUPTIONS += [(("sweep",), {"alpha": [0.5, 0.5]}), (("sweep",), {"alpha": [0.1, 0.1000001]})]
+# two bands whose artifacts one %g spelling names, appended likewise
+CORRUPTIONS.append((("frequencies_hz",), [2000.0, 2000.0001]))
 
 BANDS = [1000.0 * k for k in range(1, 8)]  # below the 8 kHz Nyquist frequency
 

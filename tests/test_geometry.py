@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccmabeam as cb
-from ccmabeam.geometry import ArrayConfig, GeometryError, mics_per_ring
+from ccmabeam.geometry import ArrayConfig, mics_per_ring
 
 LAMBDA_16K = 343.0 / 8000.0  # Nyquist wavelength at f_s = 16 kHz, c = 343
 
@@ -30,13 +30,13 @@ class TestMicsPerRing:
 
     def test_ring_too_small(self):
         # half-wavelength chord cannot fit: lam / (4 rho) > 1
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="cannot hold two microphones a half-wavelength"):
             mics_per_ring(0.005, LAMBDA_16K * 2.0)
 
     def test_invalid_arguments(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="radius must be non-negative"):
             mics_per_ring(-0.1, LAMBDA_16K)
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="min_wavelength must be positive"):
             mics_per_ring(0.1, 0.0)
 
     @given(
@@ -119,25 +119,25 @@ class TestBuildGeometry:
 
 class TestArrayConfigValidation:
     def test_rejects_empty(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="ring_radii must list at least one ring"):
             ArrayConfig(ring_radii=(), sample_rate=16000.0)
 
     def test_rejects_negative_radius(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="ring radii must be finite and non-negative"):
             ArrayConfig(ring_radii=(-0.1, 0.2), sample_rate=16000.0)
 
     def test_rejects_non_increasing(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="ring radii must be strictly increasing"):
             ArrayConfig(ring_radii=(0.1, 0.1), sample_rate=16000.0)
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="ring radii must be strictly increasing"):
             ArrayConfig(ring_radii=(0.2, 0.1), sample_rate=16000.0)
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="ring radii must be strictly increasing"):
             ArrayConfig(ring_radii=(0.0, 0.0, 0.1), sample_rate=16000.0)
 
     def test_rejects_bad_rates(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="sample_rate must be positive"):
             ArrayConfig(ring_radii=(0.1,), sample_rate=0.0)
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="sound_speed must be positive"):
             ArrayConfig(ring_radii=(0.1,), sample_rate=16000.0, sound_speed=-1.0)
 
     def test_min_wavelength_is_nyquist(self):

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccmabeam as cb
-from ccmabeam.metrics import params_gains
 from ccmabeam.wavefield import Direction, steering_vector
 from ccmabeam.weighting import (
     SIGMA_FLOOR,
     DesignParams,
     constrain_band,
     gaussian_window,
+    params_gains,
     ring_distances,
     softplus,
 )
