@@ -88,7 +88,6 @@ class BandLossTerms:
     branches: list[str]
     i_term: float
     delta_term: float
-    total: float
     d_theta: np.ndarray
     d_phi: np.ndarray
     d_df: np.ndarray
@@ -166,7 +165,6 @@ def total_loss(thetas, phis, dfs, wngs, cfg: LossConfig):
         branches=_BRANCHES[over_t + 2 * over_p].tolist(),
         i_term=i_term,
         delta_term=delta_term,
-        total=total,
         d_theta=over_t.astype(float),
         d_phi=over_p.astype(float),
         d_df=d_df,

@@ -261,46 +261,40 @@ class GradcheckResult:
 
 
 def gradcheck(
-    f: Callable[[list[float]], float],
+    f: Callable[[np.ndarray], float],
     point: Sequence[float],
     gradient: Sequence[float],
 ) -> GradcheckResult:
     """Compare ``gradient`` (the analytic gradient of ``f`` at ``point``)
     against central finite differences.
 
-    ``f`` takes a list of floats and returns a scalar.  The relative error
-    per coordinate is |analytic - FD| / max(1, |FD|).
+    ``f`` takes a float array and returns a scalar.  The relative error
+    per coordinate is |analytic - FD| / max(1, |FD|); a non-finite error
+    in a compared coordinate makes ``max_rel_error`` NaN.
     """
-    point = [float(p) for p in point]
+    point = np.array(point, dtype=float)
     gradient = np.asarray(gradient, dtype=float)
-    if gradient.shape != (len(point),):
+    if gradient.shape != point.shape:
         raise ValueError(
             f"gradient shape {gradient.shape} does not match {len(point)} coordinates"
         )
 
     def fd(k: int, h: float) -> float:
-        hi = list(point)
-        lo = list(point)
-        hi[k] += h
-        lo[k] -= h
-        return (float(f(hi)) - float(f(lo))) / (2.0 * h)
+        step = np.zeros_like(point)
+        step[k] = h
+        return (float(f(point + step)) - float(f(point - step))) / (2.0 * h)
 
-    errors = np.zeros(len(point))
-    excluded: list[int] = []
-    for k in range(len(point)):
-        h = REL_STEP * max(1.0, abs(point[k]))
-        fd_h = fd(k, h)
-        fd_h2 = fd(k, h / 2.0)
-        if abs(fd_h - fd_h2) > BOUNDARY_RTOL * max(1.0, abs(fd_h), abs(fd_h2)):
-            errors[k] = math.nan
-            excluded.append(k)
-            continue
-        errors[k] = abs(gradient[k] - fd_h2) / max(1.0, abs(fd_h2))
-    included = [errors[k] for k in range(len(point)) if k not in excluded]
+    steps = REL_STEP * np.maximum(1.0, np.abs(point))
+    fd_h = np.array([fd(k, h) for k, h in enumerate(steps)])
+    fd_h2 = np.array([fd(k, h / 2.0) for k, h in enumerate(steps)])
+    scale = np.maximum(1.0, np.maximum(np.abs(fd_h), np.abs(fd_h2)))
+    boundary = np.abs(fd_h - fd_h2) > BOUNDARY_RTOL * scale
+    errors = np.abs(gradient - fd_h2) / np.maximum(1.0, np.abs(fd_h2))
+    errors[boundary] = math.nan
     return GradcheckResult(
-        max_rel_error=max(included, default=0.0),
+        max_rel_error=float(np.max(errors[~boundary], initial=0.0)),
         rel_errors=errors,
-        excluded=tuple(excluded),
+        excluded=tuple(np.flatnonzero(boundary).tolist()),
     )
 
 

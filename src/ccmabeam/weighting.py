@@ -1,4 +1,4 @@
-"""Ring weights, intra-ring Gaussian windows, and filter assembly.
+"""Ring weights, Gaussian windows, per-mic gains (designed or delay-and-sum), filters.
 
 The design variables are one weight and one window width per ring and
 frequency band.  Weights live on the probability simplex and widths are
@@ -29,6 +29,7 @@ __all__ = [
     "gaussian_window",
     "ring_gains",
     "params_gains",
+    "das_gains",
     "normalized_filter",
     "constrain_band",
     "softplus",
@@ -96,6 +97,11 @@ def params_gains(geometry: ArrayGeometry, doa: Direction, params: DesignParams) 
                          f"but the array has {geometry.ring_count}")
     _, gains = ring_gains(mic_layout(geometry, doa), params.ring_weights, params.window_widths)
     return gains
+
+
+def das_gains(geometry: ArrayGeometry, frequencies) -> np.ndarray:
+    """Real per-mic gains (bands, mics) of delay-and-sum: 1/M at every mic."""
+    return np.full((len(frequencies), geometry.total_mics), 1.0 / geometry.total_mics)
 
 
 def softplus(v):

@@ -74,6 +74,7 @@ MALFORMED_PARAMS = {
     "zero-width": (
         _set(1, window_widths=[0.5, 0.0]), "band 1: window_widths must be positive, got [0.5, 0.0]"
     ),
+    "ragged-weights": (_set(0, ring_weights=[0.5, [0.5]]), "band 0: ring_weights must be a flat list"),
 }
 
 

@@ -19,7 +19,6 @@ import math
 
 import numpy as np
 
-from ccmabeam.baselines import das_gains
 from ccmabeam.geometry import ArrayGeometry
 from ccmabeam.loss import LossConfig, total_loss
 from ccmabeam.metrics import (
@@ -32,7 +31,9 @@ from ccmabeam.metrics import (
     fit_coefficients,
 )
 from ccmabeam.wavefield import Direction, _check_frequency, steering_vector
-from ccmabeam.weighting import DesignParams, mic_layout, normalized_filter, params_gains, ring_gains
+from ccmabeam.weighting import (
+    DesignParams, das_gains, mic_layout, normalized_filter, params_gains, ring_gains,
+)
 
 # the half-amplitude drop of the crossing-search width
 ORACLE_DELTA_L_DB = 20.0 * math.log10(2.0)

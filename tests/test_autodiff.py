@@ -155,9 +155,9 @@ class TestPrimitives:
         difference term |P_i - P_j| at its kink, where it adds no gradient."""
         width = math.radians(30.0)
         args = ([width] * 4, [width] * 4, [10.0, 20.0, 20.0, 40.0], [5.0] * 4)
-        _, plain = total_loss(*args, cfg("L3", alpha=0.5))
+        plain_total, plain = total_loss(*args, cfg("L3", alpha=0.5))
         total, kinked = total_loss(*args, cfg("L3", alpha=0.5, lambda3=0.3))
-        assert kinked.delta_term == 0.0 and total == plain.total
+        assert kinked.delta_term == 0.0 and total == plain_total
         assert np.array_equal(kinked.d_df, plain.d_df) and np.array_equal(kinked.d_wng, plain.d_wng)
 
     def test_division_and_power(self, toy_pipeline):
@@ -380,6 +380,20 @@ class TestGradcheck:
         result = ad.gradcheck(f, [1.0], [0.0])
         assert result.excluded == (0,)
         assert result.max_rel_error == 0.0  # nothing left to compare
+
+    def test_nan_gradient_coordinate_fails(self):
+        """A NaN after the first coordinate is not dropped from the maximum."""
+        result = ad.gradcheck(lambda xs: sum(x * x for x in xs), [0.5, 1.0], [1.0, math.nan])
+        assert math.isnan(result.max_rel_error)
+        assert result.excluded == ()
+
+    def test_nan_value_beside_the_point_fails(self):
+        def f(xs):
+            return math.nan if xs[1] > 1.0 else float(xs[0] ** 2 + xs[1] ** 2)
+
+        result = ad.gradcheck(f, [0.5, 1.0], [1.0, 2.0])
+        assert math.isnan(result.max_rel_error)
+        assert result.excluded == ()
 
     def test_requires_var_output(self):
         """The checked function must return a scalar."""

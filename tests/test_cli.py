@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import multiprocessing
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -775,6 +776,17 @@ class TestOneBlasThread:
         for name in names:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
+    def test_without_an_openblas_handle(self, tmp_path, monkeypatch):
+        """With no thread-count handle a command runs as it is and writes the same bytes."""
+        cfg = load_config(write_config(tmp_path, small_config(tmp_path / "out")))
+        cli.cmd_eval(cfg, tmp_path / "handle", baseline="das")
+        monkeypatch.setattr(cli, "_blas_thread_calls", lambda: None)
+        cli.cmd_eval(cfg, tmp_path / "none", baseline="das")
+        names = sorted(p.name for p in (tmp_path / "handle").iterdir())
+        assert names == ["beampattern_2000.csv", "beampattern_3000.csv", "metrics.csv"]
+        for name in names:
+            assert (tmp_path / "handle" / name).read_bytes() == (tmp_path / "none" / name).read_bytes()
+
 
 class TestCompareCommand:
     def test_compare_csv(self, tmp_path):
@@ -874,6 +886,22 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "gradcheck OK" in out
         assert out.count("point ") == cli.GRADCHECK_POINTS
+
+    def test_nan_at_a_later_point_fails(self, capsys, monkeypatch):
+        """A NaN error at point 1 is carried into the worst error: FAIL, exit 2."""
+        real = cli.gradcheck
+        calls = []
+
+        def nan_at_one(*args):
+            result = real(*args)
+            calls.append(result)
+            return replace(result, max_rel_error=math.nan) if len(calls) == 2 else result
+
+        monkeypatch.setattr(cli, "gradcheck", nan_at_one)
+        assert main(["gradcheck"]) == 2
+        out = capsys.readouterr().out
+        assert "point 1: max relative error nan" in out
+        assert "gradcheck FAIL: worst relative error nan" in out
 
     @pytest.mark.parametrize("args", [["--seed", "1"], ["--points", "2"]], ids=["seed", "points"])
     def test_takes_no_flags(self, capsys, args):

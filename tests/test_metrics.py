@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,10 @@ class TestSigmaSchedule:
     def test_zero_aperture_pins_to_max(self):
         assert sigma_schedule(1000.0, 0.0, 343.0) == pytest.approx(math.radians(30.0))
 
+    def test_rejects_zero_frequency(self):
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            sigma_schedule(0.0, 0.4, 343.0)
+
 
 class TestBeamwidthParabola:
     def test_exact_on_quadratic_degrees(self):
@@ -197,6 +202,10 @@ class TestBeamwidthParabola:
         coeffs = fit_coefficients(x, 20, math.radians(6.0))
         assert coeffs @ (-3.5 * x**2 + 1.25) == pytest.approx(-3.5, rel=1e-9)
         assert coeffs @ np.ones_like(x) == pytest.approx(0.0, abs=1e-9)
+
+    def test_fit_coefficients_reject_a_degenerate_cut(self):
+        with pytest.raises(ValueError, match="degenerate cut"):
+            fit_coefficients([0.0, 0.0, 0.0], 1, 1.0)
 
     def test_single_far_sidelobe_barely_moves_fit(self):
         x = np.arange(-40.0, 41.0)
@@ -296,6 +305,8 @@ class TestMetricCurves:
             MetricCurves((1000.0,), np.array([-1.0]), np.array([1.0]), np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             MetricCurves((1000.0,), np.array([1.0]), np.array([1.0]), np.array([4.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match=re.escape("azimuth beamwidths must lie in (0, pi]")):
+            MetricCurves((1000.0,), np.array([1.0]), np.array([1.0]), np.array([1.0]), np.array([4.0]))
         with pytest.raises(ValueError):
             MetricCurves((1000.0, 2000.0), np.array([1.0]), np.array([1.0]), np.array([1.0]), np.array([1.0]))
 

@@ -273,6 +273,11 @@ class TestDesignParams:
                 ring_weights=(np.array([1.0]),),
                 window_widths=(np.array([0.5]),),
             )
+        # a scalar for the whole field, which only the Python API can pass
+        with pytest.raises(
+            ValueError, match="ring_weights: expected one list of ring values for each of the 1 bands"
+        ):
+            DesignParams((2000.0,), 0.5, [[0.5]])
         with pytest.raises(ValueError, match="frequencies"):
             DesignParams(
                 frequencies=(1000.0, 1000.0),
