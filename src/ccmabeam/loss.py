@@ -62,8 +62,8 @@ class LossConfig:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         for name in ("lambda1", "lambda2", "lambda3"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails both
+                raise ValueError(f"{name} must be finite and non-negative")
         neutral = {"alpha": 1.0, "lambda1": 0.0, "lambda2": 0.0, "lambda3": 0.0}
         for name, value in neutral.items():
             if self.variant != "L3" and getattr(self, name) != value:

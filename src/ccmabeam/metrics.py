@@ -274,6 +274,9 @@ class BandTables:
     """
 
     def __init__(self, geometry: ArrayGeometry, doa: Direction, frequencies, grid_resolution):
+        if not 0.0 < grid_resolution < math.inf:
+            raise ValueError(f"grid_resolution_deg: must be positive and finite, "
+                             f"got {math.degrees(grid_resolution):g}")
         self.frequencies = tuple(float(f) for f in frequencies)
         cuts = [build_fit_cuts(geometry, doa, f, grid_resolution) for f in self.frequencies]
         for f, pair in zip(self.frequencies, cuts):

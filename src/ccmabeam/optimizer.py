@@ -28,7 +28,7 @@ from .metrics import (
     GRID_RESOLUTION, METRIC_COLUMNS, BandTables, MetricCurves, NumericalError, metric_cells, write_csv,
 )
 from .wavefield import Direction
-from .weighting import DesignParams, SIGMA_FLOOR, constrain_band, mic_layout, ring_gains
+from .weighting import DesignParams, SIGMA_FLOOR, constrain_band, mic_layout, params_gains, ring_gains
 
 __all__ = [
     "RPropState",
@@ -183,12 +183,7 @@ class DesignPipeline:
         self.loss_config = loss_config
         self._ring_starts = np.array([s.start for s in geometry.ring_slices])
         self._layout = mic_layout(geometry, doa)
-        self._delta_sq = self._layout[1] ** 2
         self.tables = BandTables(geometry, doa, self.frequencies, grid_resolution)
-
-    def _ring_sum(self, values: np.ndarray) -> np.ndarray:
-        """Per-ring sums over the mic axis: (bands, mics) -> (bands, rings)."""
-        return np.add.reduceat(values, self._ring_starts, axis=1)
 
     @property
     def param_count(self) -> int:
@@ -206,31 +201,30 @@ class DesignPipeline:
         uv = np.asarray(x, dtype=float).reshape(len(self.frequencies), 2, -1)
         return DesignParams.from_unconstrained(self.frequencies, uv[:, 0], uv[:, 1])
 
-    def _gains(self, x: Sequence[float]):
-        """(width parameters, weights, widths, taps, gains) of a flat vector,
-        bands on axis 0.  Layout per band: ring-weight, then width parameters."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.param_count,):
-            raise ValueError(f"expected {self.param_count} parameters, got {x.size}")
-        uv = x.reshape(len(self.frequencies), 2, -1)
-        weights, sigmas = constrain_band(uv[:, 0], uv[:, 1])
-        return (uv[:, 1], weights, sigmas, *ring_gains(self._layout, weights, sigmas))
-
     def build_loss(self, x: Sequence[float]) -> tuple[DesignLoss, BandLossTerms]:
         """Loss of a flat parameter vector, all bands at once.
 
         Returns (loss, BandLossTerms); ``loss.gradient()`` is the reverse
         pass of this evaluation.
         """
-        v, weights, sigmas, taps, gains = self._gains(x)
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.param_count,):
+            raise ValueError(f"expected {self.param_count} parameters, got {x.size}")
+        # per band: the ring-weight parameters u, then the width parameters v
+        uv = x.reshape(len(self.frequencies), 2, -1)
+        u, v = uv[:, 0], uv[:, 1]
+        weights, sigmas = constrain_band(u, v)
+        taps, gains = ring_gains(self._layout, weights, sigmas)
         df, wng, widths, _, pullback = self.tables.forward(gains)
         value, terms = total_loss(widths[:, 0], widths[:, 1], df, wng, self.loss_config)
 
         def backward(*metric_adjoints) -> np.ndarray:
             g_gains = pullback(*metric_adjoints)
             # gains = weight * exp(-delta^2 / (2 sigma^2))
-            g_weights = self._ring_sum(g_gains * taps)
-            g_sigmas = self._ring_sum(g_gains * gains * self._delta_sq) / sigmas**3
+            g_weights = np.add.reduceat(g_gains * taps, self._ring_starts, axis=1)
+            g_sigmas = np.add.reduceat(
+                g_gains * gains * self._layout[1] ** 2, self._ring_starts, axis=1
+            ) / sigmas**3
             # softplus' = logistic sigmoid; softmax Jacobian-vector product
             e = np.exp(-np.abs(v))
             g_v = g_sigmas * np.where(v >= 0.0, 1.0, e) / (1.0 + e)
@@ -360,6 +354,6 @@ def optimize(
             reason = "numerical_failure"
             break
     params = pipeline.params_from_vector(best_x)
-    curves = pipeline.tables.curves(pipeline._gains(best_x)[-1])
+    curves = pipeline.tables.curves(params_gains(geometry, doa, params))
     record = RunRecord(pipeline.frequencies, *map(np.array, zip(*trace)), reason)
     return OptimizeResult(params=params, curves=curves, record=record)

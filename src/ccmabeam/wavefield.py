@@ -79,8 +79,8 @@ class AngularGrid:
 
     @classmethod
     def build(cls, resolution: float, doa: Direction) -> "AngularGrid":
-        if resolution <= 0.0:
-            raise ValueError("grid resolution must be positive")
+        if not 0.0 < resolution < math.inf:  # NaN fails both
+            raise ValueError("grid resolution must be positive and finite")
         lo, hi = ELEVATION_RANGE
         elevations = snapped_range(lo, hi, doa.elevation, resolution)
         azimuths = _circle_points(doa.azimuth, int(round(2.0 * math.pi / resolution)))

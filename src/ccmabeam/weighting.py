@@ -24,7 +24,6 @@ from .wavefield import Direction
 __all__ = [
     "SIGMA_FLOOR",
     "DesignParams",
-    "ring_distances",
     "mic_layout",
     "gaussian_window",
     "ring_gains",
@@ -38,10 +37,11 @@ __all__ = [
 SIGMA_FLOOR = 1e-3
 
 
-def ring_distances(geometry: ArrayGeometry, ring: int, doa: Direction) -> np.ndarray:
-    """Normalized angular distances of one ring's mics from the arrival direction.
+def mic_layout(geometry: ArrayGeometry, doa: Direction) -> tuple[np.ndarray, np.ndarray]:
+    """(ring index, normalized angular distance from the arrival direction) of
+    every mic, in mic order.
 
-    The raw value is the chord between the mic's in-plane unit vector and
+    The raw distance is the chord between the mic's in-plane unit vector and
     the DoA unit vector.  Mics whose azimuth differs from the DoA azimuth
     by more than pi/2 are scored against the antipodal DoA vector and
     reflected (2*sqrt(2) minus that chord), which continues the front
@@ -49,26 +49,18 @@ def ring_distances(geometry: ArrayGeometry, ring: int, doa: Direction) -> np.nda
     The result is range-normalized to [0, 1] per ring; a ring with no
     spread (a single mic, or a zenith arrival) yields all zeros.
     """
-    r = geometry.rings[ring]
+    angles = geometry.mic_angles
     v_doa = doa.unit_vector()
-    mics = np.column_stack(
-        (np.cos(r.angles), np.sin(r.angles), np.zeros(r.mic_count))
-    )
+    mics = np.column_stack((np.cos(angles), np.sin(angles), np.zeros(geometry.total_mics)))
     front = np.linalg.norm(mics - v_doa[None, :], axis=1)
     rear = 2.0 * math.sqrt(2.0) - np.linalg.norm(mics + v_doa[None, :], axis=1)
-    sep = np.abs((r.angles - doa.azimuth + math.pi) % (2.0 * math.pi) - math.pi)
+    sep = np.abs((angles - doa.azimuth + math.pi) % (2.0 * math.pi) - math.pi)
     raw = np.where(sep <= math.pi / 2.0, front, rear)
-    spread = raw.max() - raw.min()
-    if spread < 1e-15:
-        return np.zeros(r.mic_count)
-    return (raw - raw.min()) / spread
-
-
-def mic_layout(geometry: ArrayGeometry, doa: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """(ring index, :func:`ring_distances` value) of every mic, in mic order."""
-    rings = range(geometry.ring_count)
-    ring_of_mic = np.repeat(rings, [ring.mic_count for ring in geometry.rings])
-    return ring_of_mic, np.concatenate([ring_distances(geometry, r, doa) for r in rings])
+    starts = [s.start for s in geometry.ring_slices]
+    ring_of_mic = np.repeat(range(geometry.ring_count), [ring.mic_count for ring in geometry.rings])
+    low = np.minimum.reduceat(raw, starts)[ring_of_mic]
+    spread = np.maximum.reduceat(raw, starts)[ring_of_mic] - low
+    return ring_of_mic, np.divide(raw - low, spread, out=np.zeros_like(raw), where=spread >= 1e-15)
 
 
 def gaussian_window(delta, sigma):

@@ -29,7 +29,7 @@ from ccmabeam.metrics import (
 )
 from ccmabeam.optimizer import DesignLoss, DesignPipeline, RPropState, rprop_step
 from ccmabeam.wavefield import steering_vector
-from ccmabeam.weighting import SIGMA_FLOOR, constrain_band, gaussian_window, ring_distances
+from ccmabeam.weighting import SIGMA_FLOOR, constrain_band, gaussian_window, mic_layout
 from oracles import assemble_filter, directivity_factor, white_noise_gain
 
 METRICS = ("theta", "phi", "df", "wng")
@@ -60,10 +60,11 @@ def band_gains(geometry, doa, u, v):
     """Per-mic gains (ring weight x window tap) of one band, from the public
     building blocks."""
     weights, sigmas = constrain_band(u, v)
+    _, distances = mic_layout(geometry, doa)
     return np.concatenate(
         [
-            weights[r] * gaussian_window(ring_distances(geometry, r, doa), sigmas[r])
-            for r in range(geometry.ring_count)
+            weights[r] * gaussian_window(distances[s], sigmas[r])
+            for r, s in enumerate(geometry.ring_slices)
         ]
     )
 

@@ -72,6 +72,12 @@ class TestLossConfig:
         with pytest.raises(ValueError):
             LossConfig(variant="L1", target_theta=0.0, target_phi=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3"])
+    def test_validation_rejects_non_finite_lambda(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+            cfg(variant="L3", alpha=0.7, **{name: value})
+
 
 class TestL1:
     def test_theta_overshoot_branch(self):

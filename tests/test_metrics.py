@@ -445,6 +445,15 @@ class TestPerBandOracle:
             assert_matches_oracle(reported, expected)
 
 
+class TestBandTablesResolution:
+    @pytest.mark.parametrize(
+        "resolution", [math.nan, math.inf, 0.0, -0.01], ids=["nan", "inf", "zero", "negative"]
+    )
+    def test_rejects_a_resolution_that_is_not_positive_and_finite(self, toy_array, resolution):
+        with pytest.raises(ValueError, match="grid_resolution_deg: must be positive and finite"):
+            metrics.BandTables(toy_array, Direction.from_degrees(45.0, 45.0), (2000.0,), resolution)
+
+
 class TestBandTablesCutRows:
     """The closed-form cut phases give the rows of the steering matrix
     times conj(d), and the padding past each cut stays zero."""

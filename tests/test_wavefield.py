@@ -468,6 +468,13 @@ class TestAngularGrid:
         with pytest.raises(ValueError):
             AngularGrid.build(0.0, doa45)
 
+    @pytest.mark.parametrize(
+        "resolution", [math.nan, math.inf, 0.0, -0.01], ids=["nan", "inf", "zero", "negative"]
+    )
+    def test_rejects_a_resolution_that_is_not_positive_and_finite(self, doa45, resolution):
+        with pytest.raises(ValueError, match="grid resolution must be positive and finite"):
+            AngularGrid.build(resolution, doa45)
+
 
 class TestExport:
     def test_csv_round_trip(self, tmp_path):

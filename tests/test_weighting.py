@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccmabeam as cb
+from ccmabeam.geometry import Ring, _assemble
 from ccmabeam.wavefield import Direction, steering_vector
 from ccmabeam.weighting import (
     SIGMA_FLOOR,
     DesignParams,
     constrain_band,
     gaussian_window,
+    mic_layout,
     params_gains,
-    ring_distances,
     softplus,
 )
 from oracles import assemble_filter, das_filter, evaluate_params
@@ -24,32 +25,50 @@ def wrapped_sep(angles, azimuth):
     return np.abs((angles - azimuth + math.pi) % (2.0 * math.pi) - math.pi)
 
 
+def ring_slice(geometry, ring, doa):
+    """One ring's slice of the :func:`mic_layout` distances."""
+    return mic_layout(geometry, doa)[1][geometry.ring_slices[ring]]
+
+
+@st.composite
+def uneven_rings(draw):
+    """A geometry of 1-5 rings, each of 1-12 evenly spaced mics at its own
+    angle offset, so ring sizes differ and single-mic rings occur anywhere."""
+    counts = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    offsets = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(counts), max_size=len(counts)))
+    rings = tuple(
+        Ring(0.02 * (k + 1), count, offset + 2.0 * math.pi * np.arange(count) / count)
+        for k, (count, offset) in enumerate(zip(counts, offsets))
+    )
+    return _assemble(cb.ArrayConfig(tuple(r.radius for r in rings), 16000.0), rings)
+
+
 class TestRingDistances:
     def test_aligned_mic_is_zero_and_unique_min(self, array_16k):
         # in-plane arrival along the first mic of ring 1
         doa = Direction(math.pi / 2.0, float(array_16k.rings[1].angles[0]))
-        d = ring_distances(array_16k, 1, doa)
+        d = ring_slice(array_16k, 1, doa)
         assert d[0] == 0.0
         assert np.argmin(d) == 0
         assert np.sum(d == 0.0) == 1
 
     def test_range_normalized(self, array_16k, doa45):
         for r in range(1, array_16k.ring_count):
-            d = ring_distances(array_16k, r, doa45)
+            d = ring_slice(array_16k, r, doa45)
             assert d.min() == 0.0
             assert d.max() == pytest.approx(1.0)
             assert np.all((d >= 0.0) & (d <= 1.0))
 
     def test_most_aligned_mic_on_14_ring(self, array_16k, doa45):
         # exhaustive check: the minimizing mic is the one closest in azimuth
-        d = ring_distances(array_16k, 1, doa45)
+        d = ring_slice(array_16k, 1, doa45)
         sep = wrapped_sep(array_16k.rings[1].angles, doa45.azimuth)
         assert np.argmin(d) == np.argmin(sep)
 
     def test_monotone_in_azimuth_separation(self, array_16k):
         doa = Direction.from_degrees(35.0, 77.0)
         for r in (1, 4):
-            d = ring_distances(array_16k, r, doa)
+            d = ring_slice(array_16k, r, doa)
             sep = wrapped_sep(array_16k.rings[r].angles, doa.azimuth)
             order = np.argsort(sep)
             assert np.all(np.diff(d[order]) >= -1e-12)
@@ -57,17 +76,34 @@ class TestRingDistances:
     def test_rear_mics_penalized_beyond_front(self, array_16k):
         doa = Direction.from_degrees(45.0, 0.0)
         r = 4
-        d = ring_distances(array_16k, r, doa)
+        d = ring_slice(array_16k, r, doa)
         sep = wrapped_sep(array_16k.rings[r].angles, doa.azimuth)
         front = sep <= math.pi / 2.0
         assert d[~front].min() >= d[front].max() - 1e-9
 
     def test_single_mic_ring(self, array_16k, doa45):
-        assert ring_distances(array_16k, 0, doa45).tolist() == [0.0]
+        assert ring_slice(array_16k, 0, doa45).tolist() == [0.0]
 
     def test_zenith_arrival_degenerates_to_uniform(self, array_16k):
-        d = ring_distances(array_16k, 2, Direction(0.0, 0.0))
+        d = ring_slice(array_16k, 2, Direction(0.0, 0.0))
         assert np.all(d == 0.0)
+
+    @given(
+        geometry=uneven_rings(),
+        elevation=st.floats(0.0, math.pi / 2.0),
+        azimuth=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_ring_normalized_on_its_own_slice(self, geometry, elevation, azimuth):
+        ring_of_mic, distances = mic_layout(geometry, Direction(elevation, azimuth))
+        assert distances.shape == (geometry.total_mics,)
+        for r, s in enumerate(geometry.ring_slices):
+            assert np.all(ring_of_mic[s] == r)
+            d = distances[s]
+            # range-normalized exactly, or all zeros for a ring without spread
+            assert (d.min() == 0.0 and d.max() == 1.0) or np.all(d == 0.0)
+            if geometry.rings[r].mic_count == 1:
+                assert d.tolist() == [0.0]
 
 
 class TestGaussianWindow:
