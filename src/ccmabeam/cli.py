@@ -27,7 +27,7 @@ from .metrics import (
     GRID_RESOLUTION, METRIC_COLUMNS, BandTables, MetricCurves, NumericalError, metric_cells,
     write_csv,
 )
-from .optimizer import DesignPipeline, gradcheck, optimize
+from .optimizer import DesignPipeline, gradcheck, optimize, seeded_uniform
 from .wavefield import (
     AngularGrid, Direction, beampattern_grid, export_beampattern_csv, pattern_db, steering_vector,
 )
@@ -206,7 +206,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"optimizer.budget: expected a positive integer, got {budget!r}")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"optimizer.seed: expected an integer, got {seed!r}")
-    if seed < 0:  # numpy's generator seeds take non-negative integers only
+    if seed < 0:  # seeded_uniform takes non-negative integers only
         raise ConfigError(f"optimizer.seed: must be at least 0, got {seed}")
 
     sweep = fields["sweep"]
@@ -458,10 +458,11 @@ def cmd_gradcheck() -> float:
         lambda3=0.01,
     )
     pipeline = DesignPipeline(geometry, doa, (2000.0, 3000.0, 4000.0), loss)
-    rng = np.random.default_rng(0)
+    # one draw split into rows: the stream of GRADCHECK_POINTS successive draws
+    offsets = seeded_uniform(0, -0.5, 0.5, GRADCHECK_POINTS * pipeline.param_count)
     errors = []
-    for p in range(GRADCHECK_POINTS):
-        x = pipeline.initial_params(0) + rng.uniform(-0.5, 0.5, pipeline.param_count)
+    for p, offset in enumerate(offsets.reshape(GRADCHECK_POINTS, -1)):
+        x = pipeline.initial_params(0) + offset
         value, _ = pipeline.build_loss(x)
         result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], x, value.gradient())
         print(

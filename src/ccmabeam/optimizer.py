@@ -10,12 +10,14 @@ arrays, since the across-band loss terms couple the bands, and returns
 the gradient from a reverse pass over the same arrays written out by
 hand (reverse-mode differentiation; Griewank & Walther, *Evaluating
 Derivatives*, 2008).  The module also holds :func:`gradcheck`, the
-central-difference check of that reverse pass.
+central-difference check of that reverse pass, and :func:`seeded_uniform`,
+the seeded draw of the start point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -39,6 +41,7 @@ __all__ = [
     "DesignPipeline",
     "GradcheckResult",
     "gradcheck",
+    "seeded_uniform",
     "optimize",
 ]
 
@@ -56,6 +59,67 @@ RPROP_GROW = 1.2
 RPROP_SHRINK = 0.5
 RPROP_STEP_MIN = 1e-6
 RPROP_STEP_MAX = 50.0
+
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# numpy's SeedSequence hash constants and the PCG64 multiplier (O'Neill, 2014)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def seeded_uniform(seed: int, low: float, high: float, n: int) -> np.ndarray:
+    """``numpy.random.default_rng(seed).uniform(low, high, n)``, bit for bit.
+
+    ``seed`` is a non-negative integer, a Python or numpy one of any size;
+    a negative seed raises ValueError, and None or a float TypeError.  The
+    seed's 32-bit words are mixed into a 4-word pool as numpy's
+    SeedSequence does, the pool gives four 64-bit words that seed PCG64,
+    and each XSL-RR output word w gives low + (high - low) * (w >> 11) / 2**53.
+    Pure Python, so the draw does not depend on the numpy release.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_a = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * hash_a & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b, state_words = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * _MULT_B & _MASK32
+        value = value * hash_b & _MASK32
+        state_words.append(value ^ value >> 16)
+    # four little-endian 64-bit words: initial state (high, low), then stream (high, low)
+    w64 = [state_words[2 * i] | state_words[2 * i + 1] << 32 for i in range(4)]
+    inc = (w64[2] << 64 | w64[3]) << 1 & _MASK128 | 1
+    state = ((inc + (w64[0] << 64 | w64[1])) * _PCG_MULT + inc) & _MASK128
+    span, draws = high - low, []
+    for _ in range(n):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        word = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        draws.append(low + span * ((word >> 11) * 2.0**-53))
+    return np.array(draws, dtype=float)
 
 
 @dataclass
@@ -191,14 +255,24 @@ class DesignPipeline:
 
     def initial_params(self, seed: int) -> np.ndarray:
         """Near-uniform start: equal ring weights, sigma about INITIAL_SIGMA,
-        plus a seeded +-INIT_NOISE jitter to break ring symmetry."""
+        plus a seeded +-INIT_NOISE jitter to break ring symmetry.
+
+        ``seed`` is a non-negative integer of any size; the jitter is
+        :func:`seeded_uniform`, equal to numpy's ``default_rng(seed)`` draw.
+        """
         base = np.zeros((len(self.frequencies), 2, self.geometry.ring_count))
         base[:, 1] = INITIAL_V
-        rng = np.random.default_rng(seed)
-        return base.reshape(-1) + rng.uniform(-INIT_NOISE, INIT_NOISE, self.param_count)
+        return base.reshape(-1) + seeded_uniform(seed, -INIT_NOISE, INIT_NOISE, self.param_count)
 
-    def params_from_vector(self, x: np.ndarray) -> DesignParams:
-        uv = np.asarray(x, dtype=float).reshape(len(self.frequencies), 2, -1)
+    def _bands_uv(self, x: Sequence[float]) -> np.ndarray:
+        """A flat parameter vector as (bands, 2, rings): per band u, then v."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.param_count,):
+            raise ValueError(f"expected {self.param_count} parameters, got {x.size}")
+        return x.reshape(len(self.frequencies), 2, -1)
+
+    def params_from_vector(self, x: Sequence[float]) -> DesignParams:
+        uv = self._bands_uv(x)
         return DesignParams.from_unconstrained(self.frequencies, uv[:, 0], uv[:, 1])
 
     def build_loss(self, x: Sequence[float]) -> tuple[DesignLoss, BandLossTerms]:
@@ -207,11 +281,7 @@ class DesignPipeline:
         Returns (loss, BandLossTerms); ``loss.gradient()`` is the reverse
         pass of this evaluation.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.param_count,):
-            raise ValueError(f"expected {self.param_count} parameters, got {x.size}")
-        # per band: the ring-weight parameters u, then the width parameters v
-        uv = x.reshape(len(self.frequencies), 2, -1)
+        uv = self._bands_uv(x)
         u, v = uv[:, 0], uv[:, 1]
         weights, sigmas = constrain_band(u, v)
         taps, gains = ring_gains(self._layout, weights, sigmas)
@@ -309,12 +379,13 @@ def optimize(
 ) -> OptimizeResult:
     """Jointly optimize all bands; returns the best parameters seen.
 
-    Deterministic for a fixed seed.  Stops at the iteration budget or
-    after NO_IMPROVE_LIMIT iterations without the best loss improving by
-    more than IMPROVE_TOL.  A non-finite loss or gradient after the first
-    iteration stops the run with the best parameters seen so far and
-    stopping reason "numerical_failure"; at the first iteration it raises
-    NumericalError.
+    Deterministic for a fixed seed, a non-negative integer of any size
+    (see :meth:`DesignPipeline.initial_params`).  Stops at the iteration
+    budget or after NO_IMPROVE_LIMIT iterations without the best loss
+    improving by more than IMPROVE_TOL.  A non-finite loss or gradient
+    after the first iteration stops the run with the best parameters seen
+    so far and stopping reason "numerical_failure"; at the first iteration
+    it raises NumericalError.
     """
     if budget < 1:
         raise ValueError("iteration budget must be at least 1")

@@ -4,6 +4,9 @@ import functools
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -912,6 +915,36 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert f"unrecognized arguments: {' '.join(args)}" in captured.err
         assert captured.out == ""
+
+
+# design, sweep and gradcheck in one fresh interpreter; prints whether numpy.random was loaded
+NO_NUMPY_RANDOM = """
+import sys
+from ccmabeam import cli
+design, sweep = sys.argv[1:]
+assert cli.main(["design", "--config", design]) == 0
+assert cli.main(["sweep", "--config", sweep]) == 0
+assert cli.main(["gradcheck"]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_commands_never_load_numpy_random(tmp_path):
+    """The start point and gradcheck's points are drawn in the package, so no
+    command imports numpy.random (and OpenSSL through its secrets import)."""
+    design = write_config(tmp_path, small_config(tmp_path / "design"), "design.json")
+    cfg = small_config(tmp_path / "sweep", sweep={"alpha": [0.0, 0.5]})
+    cfg["loss"] = {"variant": "L3", "lambda3": 0.01}
+    sweep = write_config(tmp_path, cfg, "sweep.json")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RANDOM, str(design), str(sweep)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestExitCodes:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ccmabeam as cb
 from ccmabeam import optimizer as opt
@@ -18,6 +20,7 @@ from ccmabeam.optimizer import (
     RPropState,
     optimize,
     rprop_step,
+    seeded_uniform,
 )
 
 L1_CFG = LossConfig(
@@ -129,9 +132,12 @@ class TestDesignPipeline:
             assert np.array_equal(getattr(list_snap, name), getattr(array_snap, name)), name
         assert np.array_equal(list_loss.gradient(), array_loss.gradient())
 
-    def test_wrong_length_rejected(self, pipeline):
-        with pytest.raises(ValueError):
-            pipeline.build_loss([0.0] * 3)
+    @pytest.mark.parametrize("length", [3, 7, 12])
+    @pytest.mark.parametrize("method", ["build_loss", "params_from_vector"])
+    def test_wrong_length_rejected(self, pipeline, method, length):
+        """12 would reshape into three rings and 7 not at all; both name the count."""
+        with pytest.raises(ValueError, match=f"^expected 8 parameters, got {length}$"):
+            getattr(pipeline, method)(np.zeros(length))
 
     @staticmethod
     def check_piecewise_gradient(array_16k, doa45, variant):
@@ -256,6 +262,62 @@ class TestDesignPipeline:
     def test_empty_band_list_rejected(self, toy_array, doa45):
         with pytest.raises(ValueError):
             DesignPipeline(toy_array, doa45, (), L1_CFG)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype == np.float64 and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSeededUniform:
+    """The start point's draw equals numpy's default_rng draw bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**160 - 1),
+        n=st.integers(1, 300),
+        bounds=st.sampled_from([(-opt.INIT_NOISE, opt.INIT_NOISE), (-0.5, 0.5), (0.0, 1.0), (2.0, 7.5)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_default_rng(self, seed, n, bounds):
+        expected = np.random.default_rng(seed).uniform(*bounds, n)
+        assert same_bits(seeded_uniform(seed, *bounds, n), expected)
+
+    @pytest.mark.parametrize(
+        "seed",
+        # every word count from one to seven, the words past four mixed in one by one
+        [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 10**30, 2**128 - 1, 2**128 + 5, 2**160, 2**200 + 3],
+    )
+    def test_matches_default_rng_at_word_boundaries(self, seed):
+        expected = np.random.default_rng(seed).uniform(-0.5, 0.5, 64)
+        assert same_bits(seeded_uniform(seed, -0.5, 0.5, 64), expected)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint32(2**32 - 1), np.uint64(2**64 - 1)])
+    def test_numpy_integer_seed(self, seed):
+        expected = np.random.default_rng(seed).uniform(0.0, 1.0, 16)
+        assert same_bits(seeded_uniform(seed, 0.0, 1.0, 16), expected)
+
+    def test_one_long_draw_is_successive_draws(self):
+        """cmd_gradcheck's one 5*n draw, split into rows, is five n-draws of one generator."""
+        rng = np.random.default_rng(0)
+        expected = np.stack([rng.uniform(-0.5, 0.5, 8) for _ in range(5)])
+        assert same_bits(seeded_uniform(0, -0.5, 0.5, 5 * 8).reshape(5, 8), expected)
+
+    def test_initial_params_jitter(self, toy_array, doa45):
+        pipeline = DesignPipeline(toy_array, doa45, (2000.0, 4000.0), L1_CFG)
+        jitter = np.random.default_rng(11).uniform(-opt.INIT_NOISE, opt.INIT_NOISE, 8)
+        expected = np.tile(np.repeat([0.0, opt.INITIAL_V], 2), 2) + jitter
+        assert same_bits(pipeline.initial_params(11), expected)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**100)])
+    def test_negative_seed_rejected(self, seed):
+        """A word-splitting loop on a negative int would never end; this raises at once."""
+        with pytest.raises(ValueError, match="seed"):
+            seeded_uniform(seed, 0.0, 1.0, 4)
+
+    @pytest.mark.parametrize("seed", [None, 1.0, np.float64(2.0), "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        """numpy would seed None from OS entropy; a start point is always reproducible."""
+        with pytest.raises(TypeError):
+            seeded_uniform(seed, 0.0, 1.0, 4)
 
 
 class TestOptimize:
