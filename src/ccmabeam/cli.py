@@ -29,7 +29,7 @@ from .metrics import (
 )
 from .optimizer import DesignPipeline, gradcheck, optimize, seeded_uniform
 from .wavefield import (
-    AngularGrid, Direction, beampattern_grid, export_beampattern_csv, pattern_db, steering_vector,
+    AngularGrid, BeampatternRows, Direction, export_beampattern_csv, steering_vector,
 )
 from .weighting import DesignParams, das_gains, normalized_filter, params_gains
 
@@ -301,13 +301,14 @@ def _write_manifest(cfg: RunConfig, out: Path) -> None:
 
 def _write_beampatterns(cfg: RunConfig, geometry: ArrayGeometry, out: Path, gains) -> None:
     """Write each band's beampattern CSV for the filter of its real gains,
-    one row of ``gains`` (bands, mics) per band."""
+    one row of ``gains`` (bands, mics) per band, streamed a block of rows at
+    a time from the band's :class:`BeampatternRows`."""
     grid = AngularGrid.build(cfg.grid_resolution, cfg.doa)
     for f, band_gains in zip(cfg.frequencies, gains):
         h = normalized_filter(band_gains, steering_vector(geometry, f, cfg.doa))
-        grid_db = pattern_db(beampattern_grid(geometry, h, f, grid))
         export_beampattern_csv(
-            out / f"beampattern_{f:g}.csv", grid.elevations, grid.azimuths, grid_db
+            out / f"beampattern_{f:g}.csv", grid.elevations, grid.azimuths,
+            BeampatternRows(geometry, h, f, grid),
         )
 
 

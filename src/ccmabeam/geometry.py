@@ -133,8 +133,13 @@ def _assemble(config: ArrayConfig, rings: tuple[Ring, ...]) -> ArrayGeometry:
     positions = np.column_stack(
         (mic_radii * np.cos(mic_angles), mic_radii * np.sin(mic_angles), np.zeros(total))
     )
-    deltas = positions[:, None, :] - positions[None, :, :]
-    distances = np.sqrt(np.sum(deltas * deltas, axis=2))
+    # the mics lie in the plane z = 0: the z term of |p_i - p_j|^2 is +0
+    dx = np.subtract.outer(positions[:, 0], positions[:, 0])
+    dy = np.subtract.outer(positions[:, 1], positions[:, 1])
+    dx *= dx
+    dy *= dy
+    dx += dy
+    distances = np.sqrt(dx, out=dx)
     slices = []
     start = 0
     for ring in rings:

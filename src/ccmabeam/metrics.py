@@ -71,8 +71,15 @@ def gamma_matrix(geometry: ArrayGeometry, frequency: float) -> np.ndarray:
     """Diffuse-field coherence sinc(2 pi f l_ij / c), unit diagonal."""
     if frequency <= 0.0:
         raise ValueError("frequency must be positive")
-    x = 2.0 * math.pi * frequency * geometry.distances / geometry.sound_speed
-    return np.sinc(x / math.pi)  # numpy sinc is sin(pi t)/(pi t)
+    # np.sinc(x / pi) in place: sin(y) / y of y = pi * (x / pi), which is 1 at y = 0
+    y = (2.0 * math.pi * frequency) * geometry.distances
+    y /= geometry.sound_speed
+    y /= math.pi
+    y *= math.pi
+    y[y == 0.0] = np.finfo(float).eps
+    gamma = np.sin(y)
+    gamma /= y
+    return gamma
 
 
 def sigma_schedule(frequency: float, diameter: float, sound_speed: float) -> float:
@@ -297,20 +304,29 @@ class BandTables:
         radial_cos = geometry.mic_radii * np.cos(offset)  # r_m cos(a_m)
         radial_sin = geometry.mic_radii * np.sin(offset)
         sin_el = math.sin(doa.elevation)
+        # one buffer for every band's conj(d) d^T: the complex product, whose
+        # SIMD loop may fuse its multiply-adds, so Re d Re d^T + Im d Im d^T
+        # can differ from it in the last bit
+        outer = np.empty((mics, mics), dtype=complex)
         for b, f in enumerate(self.frequencies):
             d = steering_vector(geometry, f, doa)
-            self.a_gamma[b] = gamma_matrix(geometry, f) * np.real(np.outer(np.conj(d), d))
+            np.multiply.outer(np.conj(d), d, out=outer)
+            np.multiply(gamma_matrix(geometry, f), outer.real, out=self.a_gamma[b])
             k = 2.0 * math.pi * f / geometry.sound_speed
-            theta_cut, phi_cut = cuts[b]
-            phases = (
-                np.multiply.outer(sin_el - np.sin(theta_cut.elevations), k * radial_cos),
-                np.multiply.outer(1.0 - np.cos(phi_cut.x), k * sin_el * radial_cos)
-                + np.multiply.outer(np.sin(phi_cut.x), k * sin_el * radial_sin),
-            )
-            for c, (cut, phase) in enumerate(zip(cuts[b], phases)):
+            for c, cut in enumerate(cuts[b]):
                 n = len(cut.x)
-                np.cos(phase, out=cut_rows[b, 0, c, :n])
-                np.sin(phase, out=cut_rows[b, 1, c, :n])
+                # the phase goes into the sine rows, its cosine into the
+                # cosine rows, then its sine in place: no phase temporaries
+                cos_rows, sin_rows = cut_rows[b, 0, c, :n], cut_rows[b, 1, c, :n]
+                if c == 0:
+                    np.multiply.outer(sin_el - np.sin(cut.elevations), k * radial_cos, out=sin_rows)
+                else:  # the azimuth cut's second term uses the cosine rows as scratch
+                    np.multiply.outer(1.0 - np.cos(cut.x), k * sin_el * radial_cos, out=sin_rows)
+                    sin_rows += np.multiply.outer(
+                        np.sin(cut.x), k * sin_el * radial_sin, out=cos_rows
+                    )
+                np.cos(sin_rows, out=cos_rows)
+                np.sin(sin_rows, out=sin_rows)
                 self.fit[b, c, :n] = fit_coefficients(cut.x, cut.doa_index, cut.sigma)
         self.cut_rows = cut_rows.reshape(bands, 4 * samples, mics)
 

@@ -22,7 +22,7 @@ __all__ = [
     "Direction",
     "AngularGrid",
     "steering_vector",
-    "beampattern_grid",
+    "BeampatternRows",
     "bessel_table",
     "pattern_db",
     "export_beampattern_csv",
@@ -93,7 +93,7 @@ def _circle_points(anchor: float, count: int) -> np.ndarray:
     """anchor + 2 pi k / count for k = 0..count-1, wrapped into [0, 2 pi) and sorted.
 
     Each point lies within about half an ulp of its exact value, which is
-    where the inverse FFT of :func:`beampattern_grid` evaluates the
+    where the inverse FFT of :class:`BeampatternRows` evaluates the
     response; the anchor itself is kept exactly.  The step is split as
     hi + lo with hi cut to 53 - bit_length(count) bits, so k * hi is exact
     and only the final sum rounds.
@@ -190,10 +190,13 @@ def bessel_table(x: np.ndarray, order: int) -> np.ndarray:
     return table.reshape(x.shape + (len(n),))
 
 
-def beampattern_grid(
-    geometry: ArrayGeometry, h: np.ndarray, frequency: float, grid: AngularGrid
-) -> np.ndarray:
-    """Complex response h^H d over a full grid, shape (n_elevations, n_azimuths).
+class BeampatternRows:
+    """One band's beampattern over a grid, formed a block of elevation rows at a time.
+
+    ``response(rows)`` is the complex response h^H d of the elevation rows
+    ``rows`` (a slice), shape (rows, n_azimuths), and ``self[rows]`` its
+    :func:`pattern_db`: the object slices like the dB grid, whose shape
+    (n_elevations, n_azimuths) is ``shape``.
 
     Ring-harmonic form of sum_m conj(h_m) e^{-j k r_m sin(el) cos(az - psi_m)}:
     by the Jacobi-Anger expansion e^{-jx cos a} = sum_n (-j)^n J_n(x) e^{jna},
@@ -201,42 +204,82 @@ def beampattern_grid(
     C[el, n] = (-j)^n sum_r J_n(k r sin el) H[r, n] and ring harmonics
     H[r, n] = sum_{m in ring r} conj(h_m) e^{-j n psi_m}, which hold for any
     mic angles.  |n| runs to _harmonic_order(k * r_max); one Bessel table
-    per ring keeps the temporaries small, and a ring of radius 0 adds only
-    its n = 0 harmonic, as J_n(0) = delta_n0.  The grid's M azimuths are
-    a_0 + 2 pi m / M, so the sum over n is one inverse FFT of length M of
-    C[el, n] e^{j n a_0}, its orders folded modulo M.
+    per ring and few rows keeps the temporaries small, and a ring of radius
+    0 adds only its n = 0 harmonic, as J_n(0) = delta_n0.  The grid's M
+    azimuths are a_0 + 2 pi m / M, so the sum over n is one inverse FFT of
+    length M of C[el, n] e^{j n a_0}, its orders folded modulo M.  C of the
+    whole grid is formed once, here; each block of rows is then folded into
+    one buffer held for the band, so a band streamed in blocks allocates
+    only block-sized temporaries.
     """
-    _check_frequency(geometry, frequency)
-    h = np.asarray(h)
-    mics = geometry.total_mics
-    if h.shape != (mics,):
-        raise ValueError(f"filter shape {h.shape} does not match the array's {mics} mics")
-    wavenumber = 2.0 * math.pi * frequency / geometry.sound_speed
-    order = _harmonic_order(wavenumber * max(ring.radius for ring in geometry.rings))
-    n = np.arange(-order, order + 1)
-    count = len(grid.azimuths)
-    if count == 0:
-        return np.empty((len(grid.elevations), 0), dtype=complex)
-    mic_phasors = _phasors(n, geometry.mic_angles)
-    # a_0 from the second azimuth: the first may be a point a hair below
-    # 2 pi that the grid keeps as 0 (_circle_points)
-    a0 = grid.azimuths[1] - 2.0 * math.pi / count if count > 1 else grid.azimuths[0]
-    # (-j)^n e^{j n a_0}: the Jacobi-Anger sign and the shift to the first azimuth
-    shift = np.array([1.0, -1j, -1.0, 1j])[n % 4] * _phasors(n, np.array([a0]))[:, 0]
-    sin_el = np.sin(grid.elevations)
-    coeffs = np.zeros((len(sin_el), len(n)), dtype=complex)
-    for ring, s in zip(geometry.rings, geometry.ring_slices):
-        ring_harmonics = shift * np.conj(mic_phasors[:, s] @ h[s])
-        if ring.radius == 0.0:
-            coeffs[:, order] += ring_harmonics[order]
-        else:
-            coeffs += bessel_table(wavenumber * ring.radius * sin_el, order) * ring_harmonics
-    # order n meets the phasors of column n mod M; the columns of one turn of
-    # M orders are distinct, so each turn is one indexed add
-    folded = np.zeros((len(sin_el), count), dtype=complex)
-    for start in range(0, len(n), count):  # more than one turn only when 2N + 1 > M
-        folded[:, n[start : start + count] % count] += coeffs[:, start : start + count]
-    return np.fft.ifft(folded, axis=-1, norm="forward")
+
+    def __init__(self, geometry: ArrayGeometry, h: np.ndarray, frequency: float, grid: AngularGrid):
+        _check_frequency(geometry, frequency)
+        h = np.asarray(h)
+        mics = geometry.total_mics
+        if h.shape != (mics,):
+            raise ValueError(f"filter shape {h.shape} does not match the array's {mics} mics")
+        count = len(grid.azimuths)
+        self.shape = (len(grid.elevations), count)
+        self._fold = np.empty((0, count), dtype=complex)
+        if count == 0:
+            self._coeffs, self._turns = np.empty(self.shape, dtype=complex), []
+            return
+        wavenumber = 2.0 * math.pi * frequency / geometry.sound_speed
+        order = _harmonic_order(wavenumber * max(ring.radius for ring in geometry.rings))
+        n = np.arange(-order, order + 1)
+        mic_phasors = _phasors(n, geometry.mic_angles)
+        # a_0 from the second azimuth: the first may be a point a hair below
+        # 2 pi that the grid keeps as 0 (_circle_points)
+        a0 = grid.azimuths[1] - 2.0 * math.pi / count if count > 1 else grid.azimuths[0]
+        # (-j)^n e^{j n a_0}: the Jacobi-Anger sign and the shift to the first azimuth
+        shift = np.array([1.0, -1j, -1.0, 1j])[n % 4] * _phasors(n, np.array([a0]))[:, 0]
+        harmonics = [shift * np.conj(mic_phasors[:, s] @ h[s]) for s in geometry.ring_slices]
+        sin_el = np.sin(grid.elevations)
+        coeffs = np.zeros((len(sin_el), len(n)), dtype=complex)
+        # the Bessel tables a few rows at a time: each complex temporary holds
+        # about half a CSV block of cells (64 kB), which malloc reuses
+        step = max(1, _CSV_BLOCK_CELLS // (2 * len(n)))
+        for start in range(0, len(sin_el), step):
+            rows = slice(start, start + step)
+            for ring, ring_harmonics in zip(geometry.rings, harmonics):
+                if ring.radius == 0.0:
+                    coeffs[rows, order] += ring_harmonics[order]
+                else:
+                    table = bessel_table(wavenumber * ring.radius * sin_el[rows], order)
+                    coeffs[rows] += table * ring_harmonics
+        self._coeffs = coeffs
+        # (orders, columns) of each turn of M orders: order n meets the
+        # phasors of column n mod M, and the columns of one turn are distinct,
+        # so each turn is one indexed add; more than one turn only when 2N + 1 > M
+        self._turns = [
+            (slice(start, start + count), n[start : start + count] % count)
+            for start in range(0, len(n), count)
+        ]
+
+    def response(self, rows: slice) -> np.ndarray:
+        """Complex response of the elevation rows ``rows``, shape (rows, n_azimuths)."""
+        coeffs = self._coeffs[rows]
+        if len(self._fold) < len(coeffs):
+            self._fold = np.empty((len(coeffs), self.shape[1]), dtype=complex)
+        folded = self._fold[: len(coeffs)]
+        folded.fill(0.0)
+        for orders, columns in self._turns:
+            folded[:, columns] += coeffs[:, orders]
+        if folded.size == 0:  # no FFT of an empty azimuth axis
+            return folded.copy()
+        return np.fft.ifft(folded, axis=-1, norm="forward")
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return pattern_db(self.response(rows))
+
+
+def beampattern_grid(
+    geometry: ArrayGeometry, h: np.ndarray, frequency: float, grid: AngularGrid
+) -> np.ndarray:
+    """Complex response h^H d over a full grid, shape (n_elevations, n_azimuths):
+    :class:`BeampatternRows` as one block of every row."""
+    return BeampatternRows(geometry, h, frequency, grid).response(slice(None))
 
 
 def pattern_db(values: np.ndarray) -> np.ndarray:
@@ -252,7 +295,8 @@ def pattern_db(values: np.ndarray) -> np.ndarray:
     return power
 
 
-# cells per row block of the CSV writer: its scratch stays a few hundred kB
+# cells per row block of the CSV writer, and of a BeampatternRows it streams:
+# the scratch of both stays a few hundred kB
 _CSV_BLOCK_CELLS = 1 << 13
 # a cell is spelled from the byte tables when |v| rounds below 1000 and
 # v * 10^6 lies farther than the margin from a rounding tie: fl(v * 10^6)
@@ -280,19 +324,22 @@ def export_beampattern_csv(
     path: str | Path,
     elevations: np.ndarray,
     azimuths: np.ndarray,
-    pattern_db_grid: np.ndarray,
+    pattern_db_grid: np.ndarray | BeampatternRows,
 ) -> None:
     """Rows are elevation, columns azimuth, cells dB re mainlobe.
 
-    Angles are written with 3 decimals and cells with 6 (``%.3f``,
-    ``%.6f``), comma-separated with CRLF line ends (the ``csv`` module's
-    default dialect).  Cells are rounded to integer millionths in numpy and
-    assembled from byte tables, a block of rows at a time: per row, the
-    elevation label, one 16-byte slot per cell and CRLF, whose zero padding
-    is then deleted.  A row holding a cell the tables cannot round exactly
-    is formatted with ``%`` instead.
+    ``pattern_db_grid`` is read a block of rows at a time, so a
+    :class:`BeampatternRows` is formed block by block as it is written and
+    never held whole.  Angles are written with 3 decimals and cells with 6
+    (``%.3f``, ``%.6f``), comma-separated with CRLF line ends (the ``csv``
+    module's default dialect).  Cells are rounded to integer millionths in
+    numpy and assembled from byte tables: per row, the elevation label, one
+    16-byte slot per cell and CRLF, whose zero padding is then deleted.  A
+    cell the tables cannot round exactly is formatted with ``%`` instead and
+    spliced into its row.
     """
-    pattern_db_grid = np.asarray(pattern_db_grid)
+    if not isinstance(pattern_db_grid, BeampatternRows):
+        pattern_db_grid = np.asarray(pattern_db_grid)
     if pattern_db_grid.shape != (len(elevations), len(azimuths)):
         raise ValueError("pattern grid shape does not match the angle axes")
     heads, digits = _csv_cell_tables()
@@ -339,10 +386,12 @@ def export_beampattern_csv(
 
             data = text.tobytes().translate(None, b"\0")
             redo = np.flatnonzero(fallback.any(axis=1))
-            if redo.size:  # labels and cells hold no CR or LF: one line per row
+            if redo.size:  # labels and cells hold no comma, CR or LF
                 lines = data.splitlines(keepends=True)
-                for i in redo:
-                    cells = (b",%.6f" * n) % tuple(block[i].tolist())
-                    lines[i] = labels[start + i] + cells + b"\r\n"
+                for i in redo.tolist():
+                    fields = lines[i][:-2].split(b",")  # the label, then one per cell
+                    for j in np.flatnonzero(fallback[i]).tolist():
+                        fields[j + 1] = b"%.6f" % block[i, j]
+                    lines[i] = b",".join(fields) + b"\r\n"
                 data = b"".join(lines)
             fh.write(data)

@@ -6,7 +6,8 @@ These functions take the long way, one complex filter and one band at a
 time: the filter itself (``assemble_filter``, ``das_filter``), its
 response over explicit steering vectors (``steering_matrix``,
 ``beampattern``), its DF and WNG as quadratic forms, the parabola width
-of a dB cut and the -6.02 dB crossing width.  The ``evaluate_*`` wrappers
+of a dB cut and the -6.02 dB crossing width, and the ``csv``-module
+writer of a beampattern grid (``csv_reference``).  The ``evaluate_*`` wrappers
 and ``loss_l1`` are the one-call forms of the production path that the
 acceptance criteria are written against.  No package code imports this
 module; the tests find it on ``sys.path`` because ``tests/`` holds no
@@ -15,6 +16,7 @@ module; the tests find it on ``sys.path`` because ``tests/`` holds no
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -55,6 +57,15 @@ def steering_matrix(
         * np.cos(azimuths[:, None] - geometry.mic_angles[None, :])
     )
     return np.exp(2j * math.pi * frequency * tau)
+
+
+def csv_reference(path, elevations, azimuths, grid_db) -> None:
+    """The csv.writer export that export_beampattern_csv must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["elevation_deg\\azimuth_deg"] + [f"{math.degrees(a):.3f}" for a in azimuths])
+        for i, el in enumerate(elevations):
+            writer.writerow([f"{math.degrees(el):.3f}"] + [f"{v:.6f}" for v in grid_db[i]])
 
 
 def beampattern(h: np.ndarray, steering: np.ndarray) -> np.ndarray:

@@ -13,14 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccmabeam import cli, metrics, optimizer
+from ccmabeam import cli, metrics, optimizer, wavefield
 from ccmabeam.cli import ConfigError, load_config, main, parse_config
 from ccmabeam.geometry import build_geometry
 from ccmabeam.metrics import NumericalError
 from ccmabeam.optimizer import DesignPipeline
-from ccmabeam.wavefield import AngularGrid, beampattern_grid, pattern_db
-from ccmabeam.weighting import DesignParams
-from oracles import assemble_filter, das_filter
+from ccmabeam.wavefield import AngularGrid, beampattern_grid, pattern_db, steering_vector
+from ccmabeam.weighting import DesignParams, normalized_filter, params_gains
+from oracles import assemble_filter, csv_reference, das_filter
 
 
 def small_config(out_dir, **overrides):
@@ -399,6 +399,56 @@ class TestEvalCommand:
         assert exits.value.code == 1
 
 
+class TestStreamedBeampatterns:
+    """_write_beampatterns streams each band a block of rows at a time; its
+    bytes are those of the whole-grid path written by the csv module."""
+
+    def assert_matches_whole_grid(self, tmp_path, cfg):
+        geometry = build_geometry(cfg.array)
+        u = np.linspace(-0.8, 0.6, geometry.ring_count)
+        params = DesignParams.from_unconstrained(
+            cfg.frequencies, [u] * len(cfg.frequencies), [-u] * len(cfg.frequencies)
+        )
+        gains = params_gains(geometry, cfg.doa, params)
+        out = tmp_path / "streamed"
+        out.mkdir()
+        cli._write_beampatterns(cfg, geometry, out, gains)
+        grid = AngularGrid.build(cfg.grid_resolution, cfg.doa)
+        for f, band_gains in zip(cfg.frequencies, gains):
+            h = normalized_filter(band_gains, steering_vector(geometry, f, cfg.doa))
+            grid_db = pattern_db(beampattern_grid(geometry, h, f, grid))
+            csv_reference(tmp_path / "whole.csv", grid.elevations, grid.azimuths, grid_db)
+            streamed = (out / f"beampattern_{f:g}.csv").read_bytes()
+            assert streamed == (tmp_path / "whole.csv").read_bytes(), f
+        return grid
+
+    @pytest.mark.parametrize(
+        "block_rows", [9, 7, 45, 64], ids=["divides", "straddles", "one-block", "above"]
+    )
+    def test_blocks_of_any_size(self, tmp_path, monkeypatch, block_rows):
+        cfg = load_config(write_config(tmp_path, small_config(tmp_path / "out")))
+        # 45 elevations x 180 azimuths: 9 rows a block divide them, 7 do not
+        monkeypatch.setattr(wavefield, "_CSV_BLOCK_CELLS", block_rows * 180)
+        grid = self.assert_matches_whole_grid(tmp_path, cfg)
+        assert grid.azimuths.shape == (180,) and grid.elevations.shape == (45,)
+
+    def test_one_elevation(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, small_config(tmp_path / "out")))
+        # a grid coarser than the elevation range holds the look elevation only
+        cfg = replace(cfg, grid_resolution=math.radians(100.0))
+        grid = self.assert_matches_whole_grid(tmp_path, cfg)
+        assert grid.elevations.shape == (1,) and grid.azimuths.shape == (4,)
+
+    def test_reference_array_at_half_degree(self, tmp_path):
+        raw = small_config(
+            tmp_path / "out", grid_resolution_deg=0.5, frequencies_hz=[1000.0, 5500.0]
+        )
+        raw["array"]["ring_radii_m"] = [0.0, 0.05, 0.10, 0.15, 0.20]
+        cfg = load_config(write_config(tmp_path, raw))
+        grid = self.assert_matches_whole_grid(tmp_path, cfg)
+        assert grid.elevations.shape == (181,) and grid.azimuths.shape == (720,)
+
+
 @pytest.mark.parametrize("command", ["eval", "compare"])
 class TestParamsFileErrors:
     def test_missing_file(self, tmp_path, capsys, command):
@@ -698,14 +748,15 @@ def blas_threads():
 
 class TestOneBlasThread:
     def record_threads(self, monkeypatch, get_threads):
+        # each band's beampattern rows are formed once, then streamed to CSV
         seen = []
-        real = cli.beampattern_grid
+        real = cli.BeampatternRows
 
         def recording(*args):
             seen.append(get_threads())
             return real(*args)
 
-        monkeypatch.setattr(cli, "beampattern_grid", recording)
+        monkeypatch.setattr(cli, "BeampatternRows", recording)
         return seen
 
     @pytest.mark.parametrize(
@@ -717,7 +768,7 @@ class TestOneBlasThread:
         set_threads(3)
         path = write_config(tmp_path, small_config(tmp_path / "out"))
         assert main([*args, "--config", str(path)]) == 0
-        assert seen == [1, 1]  # one grid per band
+        assert seen == [1, 1]  # one beampattern per band
         assert get_threads() == 3
 
     def test_count_restored_after_validation_error(self, tmp_path, blas_threads):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccmabeam as cb
-from ccmabeam.geometry import ArrayConfig, mics_per_ring
+from ccmabeam.geometry import ArrayConfig, Ring, _assemble, mics_per_ring
 
 LAMBDA_16K = 343.0 / 8000.0  # Nyquist wavelength at f_s = 16 kHz, c = 343
 
@@ -111,6 +111,30 @@ class TestBuildGeometry:
         # triangle inequality over all triples, vectorized
         worst = np.max(d[:, None, :] - (d[:, :, None] + d[None, :, :]))
         assert worst <= 1e-12
+
+    @given(
+        rings=st.lists(
+            st.tuples(
+                st.floats(1e-3, 2.0),
+                st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
+            ),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda ring: ring[0],
+        ),
+        centre=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_distances_equal_the_three_axis_sum(self, rings, centre):
+        """The planar sqrt(dx^2 + dy^2) is bit for bit the norm of the 3-D
+        position differences: their z term adds +0 last."""
+        rings = ([(0.0, [0.0])] if centre else []) + sorted(rings)
+        g = _assemble(
+            ArrayConfig(ring_radii=tuple(r for r, _ in rings), sample_rate=16000.0),
+            tuple(Ring(r, len(a), np.array(a)) for r, a in rings),
+        )
+        deltas = g.positions[:, None, :] - g.positions[None, :, :]
+        assert np.array_equal(g.distances, np.sqrt(np.sum(deltas * deltas, axis=2)))
 
     def test_geometry_arrays_read_only(self, array_16k):
         with pytest.raises(ValueError):

@@ -46,6 +46,16 @@ class TestGammaMatrix:
         g = gamma_matrix(array_16k, 1234.0)
         assert np.all(np.diag(g) == 1.0)
 
+    @pytest.mark.parametrize(
+        "radii", [(0.0, 0.05, 0.10, 0.15, 0.20), (0.0, 0.0123), (0.031, 0.077)]
+    )
+    def test_bitwise_numpy_sinc(self, radii):
+        # formed in place, bit for bit np.sinc of 2 f l / c, the coincident mics included
+        geo = cb.build_geometry(cb.ArrayConfig(ring_radii=radii, sample_rate=16000.0))
+        for f in np.linspace(1.0, 8000.0, 97):
+            x = 2.0 * math.pi * f * geo.distances / geo.sound_speed
+            assert np.array_equal(gamma_matrix(geo, f), np.sinc(x / math.pi)), f
+
     def test_zero_crossing_at_half_wavelength_pair(self):
         # two mics spaced exactly c / (2 f): the sinc argument is pi
         f = 2000.0
@@ -481,3 +491,33 @@ class TestBandTablesCutRows:
         if doa_deg[1] == 359.5:  # the azimuth cut runs past 2 pi
             cut = build_fit_cuts(geometry, doa, ORACLE_BANDS[0], resolution)[1]
             assert cut.azimuths.max() > 2.0 * math.pi
+
+    @pytest.mark.parametrize(
+        "doa_deg", [(45.0, 45.0), (60.0, 359.5)], ids=["doa45", "azimuth-cut-crosses-2pi"]
+    )
+    def test_tables_built_in_place_equal_their_complex_expressions(self, array_16k, doa_deg):
+        """Bit for bit: a_gamma is Gamma * Re(conj(d) d^T), and each cut row
+        the cosine and sine of its phase as one outer-product expression."""
+        doa = Direction.from_degrees(*doa_deg)
+        resolution = math.radians(0.5)
+        tables = metrics.BandTables(array_16k, doa, ORACLE_BANDS, resolution)
+        samples = tables.fit.shape[2]
+        rows = tables.cut_rows.reshape(len(ORACLE_BANDS), 2, 2, samples, array_16k.total_mics)
+        offset = doa.azimuth - array_16k.mic_angles
+        radial_cos = array_16k.mic_radii * np.cos(offset)
+        radial_sin = array_16k.mic_radii * np.sin(offset)
+        sin_el = math.sin(doa.elevation)
+        for b, f in enumerate(ORACLE_BANDS):
+            d = steering_vector(array_16k, f, doa)
+            expected = gamma_matrix(array_16k, f) * np.real(np.outer(np.conj(d), d))
+            assert np.array_equal(tables.a_gamma[b], expected)
+            k = 2.0 * math.pi * f / array_16k.sound_speed
+            theta_cut, phi_cut = build_fit_cuts(array_16k, doa, f, resolution)
+            phases = (
+                np.multiply.outer(sin_el - np.sin(theta_cut.elevations), k * radial_cos),
+                np.multiply.outer(1.0 - np.cos(phi_cut.x), k * sin_el * radial_cos)
+                + np.multiply.outer(np.sin(phi_cut.x), k * sin_el * radial_sin),
+            )
+            for c, phase in enumerate(phases):
+                assert np.array_equal(rows[b, 0, c, : len(phase)], np.cos(phase))
+                assert np.array_equal(rows[b, 1, c, : len(phase)], np.sin(phase))

@@ -13,6 +13,7 @@ from ccmabeam import wavefield
 from ccmabeam.geometry import Ring, _assemble
 from ccmabeam.wavefield import (
     AngularGrid,
+    BeampatternRows,
     Direction,
     _harmonic_order,
     beampattern_grid,
@@ -22,7 +23,7 @@ from ccmabeam.wavefield import (
     snapped_range,
     steering_vector,
 )
-from oracles import beampattern, das_filter, steering_matrix
+from oracles import beampattern, csv_reference, das_filter, steering_matrix
 
 
 def delays(geometry, frequency, direction):
@@ -38,15 +39,6 @@ def grid_reference(geometry, h, frequency, grid):
         for el in grid.elevations
     ]
     return np.array(rows).reshape(len(grid.elevations), len(grid.azimuths))
-
-
-def csv_reference(path, elevations, azimuths, grid_db):
-    """The csv.writer export that export_beampattern_csv must match byte for byte."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["elevation_deg\\azimuth_deg"] + [f"{math.degrees(a):.3f}" for a in azimuths])
-        for i, el in enumerate(elevations):
-            writer.writerow([f"{math.degrees(el):.3f}"] + [f"{v:.6f}" for v in grid_db[i]])
 
 
 def ulps_from(x, steps):
@@ -371,6 +363,37 @@ class TestBeampatternGrid:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+    @pytest.mark.parametrize("f", [1000.0, 8000.0])
+    def test_row_blocks_are_bitwise_slices_of_the_grid(self, array_16k, doa45, f):
+        # one buffer folds every block; the blocks overlap and revisit rows
+        grid = AngularGrid.build(math.radians(2.0), doa45)
+        h = self.random_filter(array_16k.total_mics, 18)
+        whole = beampattern_grid(array_16k, h, f, grid)
+        rows = BeampatternRows(array_16k, h, f, grid)
+        assert rows.shape == whole.shape
+        for block in (slice(0, 7), slice(40, None), slice(3, 4), slice(10, 10), slice(0, 7)):
+            assert np.array_equal(rows.response(block), whole[block])
+            assert np.array_equal(rows[block], pattern_db(whole[block]))
+
+    def test_streamed_export_memory_stays_blocked(self, array_16k, doa45, tmp_path):
+        # one 181 x 720 band, formed and written a block of rows at a time:
+        # measured 1.3 MB, the band's harmonic coefficients (0.4 MB) and one
+        # block's scratch among it; the whole grid in dB, then exported, 4.5 MB
+        grid = AngularGrid.build(math.radians(0.5), doa45)
+        h = self.random_filter(array_16k.total_mics, 15)
+        tracemalloc.start()
+        try:
+            rows = BeampatternRows(array_16k, h, 5500.0, grid)
+            export_beampattern_csv(tmp_path / "new.csv", grid.elevations, grid.azimuths, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        grid_db = pattern_db(beampattern_grid(array_16k, h, 5500.0, grid))
+        csv_reference(tmp_path / "old.csv", grid.elevations, grid.azimuths, grid_db)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 class TestBesselTable:
     X = np.concatenate([[0.0, 1e-3, 0.5], np.linspace(1.0, 146.5, 60)])
 
@@ -544,8 +567,28 @@ class TestExport:
         grid_db = np.resize(np.array(pool, dtype=float), (rows, cols))
         elevations = np.radians(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=rows, max_size=rows)))
         azimuths = np.radians(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=cols, max_size=cols)))
-        out = tmp_path_factory.mktemp("export")
         # small blocks, so the row counts straddle block ends
+        out = tmp_path_factory.mktemp("export")
+        self.assert_bytes_match(out, elevations, azimuths, grid_db, block_cells)
+
+    def test_bytes_match_csv_writer_on_fallback_cells_at_row_ends(self, tmp_path):
+        """The explicit case of the property above: cells the byte tables
+        cannot spell (a rounding tie, NaN, infinities, 1e9) in the first and
+        last columns, spliced between the commas of rows in a partial last
+        block (2-row blocks of 5 rows) and of a full one."""
+        grid_db = np.linspace(-40.0, 3.0, 20).reshape(5, 4)
+        grid_db[4, 0], grid_db[4, 3] = 5e-7, math.nan
+        grid_db[1, 0], grid_db[1, 3] = -math.inf, 1e9
+        grid_db[3, 3] = -2.5e-6
+        elevations = np.radians([0.0, 22.5, 45.0, 67.5, 90.0])
+        azimuths = np.radians([0.0, 90.0, 180.0, 270.0])
+        self.assert_bytes_match(tmp_path, elevations, azimuths, grid_db, 8)
+        lines = (tmp_path / "new.csv").read_bytes().split(b"\r\n")
+        assert lines[5].startswith(b"90.000,0.000000,") and lines[5].endswith(b",nan")
+        assert lines[2].startswith(b"22.500,-inf,") and lines[2].endswith(b",1000000000.000000")
+
+    @staticmethod
+    def assert_bytes_match(out, elevations, azimuths, grid_db, block_cells):
         with mock.patch.object(wavefield, "_CSV_BLOCK_CELLS", block_cells):
             export_beampattern_csv(out / "new.csv", elevations, azimuths, grid_db)
         csv_reference(out / "old.csv", elevations, azimuths, grid_db)
