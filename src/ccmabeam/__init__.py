@@ -12,6 +12,26 @@ direction, the loss, :func:`optimize` and the types it returns.  Every
 other name is imported from its own module.
 """
 
+import os as _os
+import sys as _sys
+
+# OpenBLAS sizes its thread pool once, when numpy loads it, and the spare
+# thread of a default pool busy-waits through the start of every command.
+# Loaded from here, with no count chosen by the caller, it starts with one
+# thread (why one pays: cli._one_blas_thread).  The variable is gone again
+# before other code runs, and a caller can still raise the count afterwards.
+_one_thread = "numpy" not in _sys.modules and not any(
+    name in _os.environ
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+)
+if _one_thread:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as _numpy  # noqa: F401  (loads OpenBLAS)
+finally:
+    if _one_thread:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .geometry import ArrayConfig, build_geometry
 from .loss import LossConfig
 from .metrics import MetricCurves

@@ -279,8 +279,11 @@ def _one_blas_thread():
     """Run BLAS on one thread inside, then restore the caller's count.
 
     Every product here is too small for a second BLAS thread to pay, and
-    ``sweep --workers`` is the one level of parallelism.  Without an
-    OpenBLAS handle this does nothing.
+    ``sweep --workers`` is the one level of parallelism.  A process that
+    imported ccmabeam before numpy already starts OpenBLAS with one thread
+    (see ``ccmabeam/__init__.py``); this holds the pin where numpy came
+    first or the caller raised the count.  Without an OpenBLAS handle this
+    does nothing.
     """
     calls = _blas_thread_calls()
     if calls is None:

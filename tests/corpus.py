@@ -12,7 +12,7 @@ of one unit in the last printed digit, and other changes.  ``manifest.json``
 records its own ``output_dir``, so it is compared without that field.  Exit
 status: 0 when every artifact is identical, 1 when the only differences are
 signed-zero flips and last-digit changes, 2 on any other change or a file
-that only one corpus holds.
+that only one corpus holds, or a corpus directory that is missing or empty.
 """
 
 from __future__ import annotations
@@ -172,6 +172,14 @@ def compare_files(a: Path, b: Path) -> list[int]:
 
 
 def diff(root_a: Path, root_b: Path) -> int:
+    # rglob yields nothing under a missing or empty root, which would read as a match
+    for root in (root_a, root_b):
+        if not root.is_dir():
+            print(f"corpus diff: {root} is missing", file=sys.stderr)
+            return 2
+        if not any(p.is_file() for p in root.rglob("*")):
+            print(f"corpus diff: {root} holds no artifact", file=sys.stderr)
+            return 2
     files = {p.relative_to(r) for r in (root_a, root_b) for p in r.rglob("*") if p.is_file()}
     identical = benign = other = missing = 0
     totals = [0, 0, 0]

@@ -842,6 +842,62 @@ class TestOneBlasThread:
             assert (tmp_path / "handle" / name).read_bytes() == (tmp_path / "none" / name).read_bytes()
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# prints the BLAS thread count and OPENBLAS_NUM_THREADS as the process then sees it
+BLAS_AT_LOAD = """
+import json, os
+from ccmabeam.cli import _blas_thread_calls
+set_threads, get_threads = _blas_thread_calls()
+{after}
+print(json.dumps([get_threads(), os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.usefixtures("blas_threads")  # skips without an OpenBLAS handle
+class TestBlasThreadsAtLoad:
+    """The OpenBLAS pool of a fresh interpreter, by what it loaded first."""
+
+    def run(self, before="", after="", **variables):
+        """(thread count, OPENBLAS_NUM_THREADS) after ``before``, then the
+        import of ccmabeam.cli, then ``after``; no thread variable is set but
+        ``variables``."""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+        env.update(variables, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", before + BLAS_AT_LOAD.format(after=after)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return tuple(json.loads(done.stdout))
+
+    @staticmethod
+    def cpus():
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+    def test_ccmabeam_first_starts_one_thread(self):
+        assert self.run() == (1, None)
+
+    @pytest.mark.parametrize("variable", BLAS_THREAD_VARIABLES)
+    def test_a_callers_count_is_kept(self, variable):
+        if self.cpus() < 2:
+            pytest.skip("OpenBLAS starts at most one thread per CPU")
+        count, openblas = self.run(**{variable: "2"})
+        assert count == 2
+        assert openblas == ("2" if variable == "OPENBLAS_NUM_THREADS" else None)
+
+    def test_numpy_first_keeps_its_default(self):
+        if self.cpus() < 2:
+            pytest.skip("with one CPU numpy's default is one thread too")
+        count, openblas = self.run(before="import numpy\n")
+        assert count > 1 and openblas is None
+
+    def test_count_raised_after_a_one_thread_start(self):
+        assert self.run(after="set_threads(2)") == (2, None)
+
+
 class TestCompareCommand:
     def test_compare_csv(self, tmp_path):
         out = tmp_path / "design"

@@ -105,3 +105,19 @@ def test_a_file_only_the_second_corpus_holds(corpora, capsys):
 )
 def test_cell_kinds(old, new, kind):
     assert corpus.cell_kind(old, new) == kind
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["first", "second"])
+@pytest.mark.parametrize("state", ["missing", "empty", "only-directories"])
+def test_a_missing_or_empty_corpus_fails(corpora, capsys, which, state):
+    root = corpora[which]
+    shutil.rmtree(root)
+    if state != "missing":
+        root.mkdir()
+    if state == "only-directories":
+        (root / "design").mkdir()
+    assert corpus.diff(*corpora) == 2
+    captured = capsys.readouterr()
+    reason = "is missing" if state == "missing" else "holds no artifact"
+    assert captured.err == f"corpus diff: {root} {reason}\n"
+    assert captured.out == ""
