@@ -8,9 +8,6 @@ failure (in a sweep: any point failed).
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
-import functools
 import itertools
 import json
 import math
@@ -257,47 +254,6 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(raw)
 
 
-@functools.cache
-def _blas_thread_calls():
-    """(set, get) thread-count calls of numpy's bundled OpenBLAS, or None."""
-    root = Path(np.__file__).parent
-    libs = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
-    for lib in sorted(libs):
-        handle = ctypes.CDLL(str(lib))
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            setter = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
-            getter = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return setter, getter
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run BLAS on one thread inside, then restore the caller's count.
-
-    Every product here is too small for a second BLAS thread to pay, and
-    ``sweep --workers`` is the one level of parallelism.  A process that
-    imported ccmabeam before numpy already starts OpenBLAS with one thread
-    (see ``ccmabeam/__init__.py``); this holds the pin where numpy came
-    first or the caller raised the count.  Without an OpenBLAS handle this
-    does nothing.
-    """
-    calls = _blas_thread_calls()
-    if calls is None:
-        yield
-        return
-    set_threads, get_threads = calls
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
-
-
 def _write_manifest(cfg: RunConfig, out: Path) -> None:
     (out / "manifest.json").write_text(json.dumps(cfg.resolved(), indent=2) + "\n")
 
@@ -317,9 +273,9 @@ def _write_beampatterns(cfg: RunConfig, geometry: ArrayGeometry, out: Path, gain
 
 def _output_dir(out_dir: str | Path) -> Path:
     """``out_dir``, checked before any work: ``mkdir`` needs its nearest
-    existing part to be a directory."""
+    existing part, a dangling link included, to be a directory."""
     out = Path(out_dir)
-    existing = next(p for p in (out, *out.parents) if p.exists())
+    existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
     if not existing.is_dir():
         raise ConfigError(f"output_dir: {existing} exists and is not a directory")
     return out
@@ -330,7 +286,6 @@ def _check_baseline(tag: str) -> None:
         raise ConfigError(f"baseline: expected 'das', got {tag!r}")
 
 
-@_one_blas_thread()
 def cmd_design(cfg: RunConfig, out_dir: str | Path) -> MetricCurves:
     out = _output_dir(out_dir)
     geometry = build_geometry(cfg.array)
@@ -362,7 +317,6 @@ def cmd_design(cfg: RunConfig, out_dir: str | Path) -> MetricCurves:
     return result.curves
 
 
-@_one_blas_thread()
 def cmd_eval(cfg: RunConfig, out_dir: str | Path, params_path=None, baseline=None) -> MetricCurves:
     out = _output_dir(out_dir)
     geometry = build_geometry(cfg.array)
@@ -394,7 +348,6 @@ def _sweep_point(cfg: RunConfig) -> list[list[str]]:
     return [[*knobs, f"{f:g}", *metric_cells(curves, b), "ok"] for b, f in bands]
 
 
-@_one_blas_thread()
 def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
     out = _output_dir(out_dir)
     if not cfg.sweep:
@@ -429,7 +382,6 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
     return len(combos)
 
 
-@_one_blas_thread()
 def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str = "das") -> None:
     out = _output_dir(out_dir)
     geometry = build_geometry(cfg.array)
@@ -447,7 +399,6 @@ def cmd_compare(cfg: RunConfig, out_dir: str | Path, params_path, baseline: str 
     print(f"comparison written to {out / 'compare.csv'}")
 
 
-@_one_blas_thread()
 def cmd_gradcheck() -> float:
     """Self-test: pipeline gradient vs. finite differences on a small array."""
     geometry = build_geometry(ArrayConfig(ring_radii=(0.0, 0.05), sample_rate=16000.0))

@@ -20,6 +20,7 @@ from ccmabeam.metrics import NumericalError
 from ccmabeam.optimizer import DesignPipeline
 from ccmabeam.wavefield import AngularGrid, beampattern_grid, pattern_db, steering_vector
 from ccmabeam.weighting import DesignParams, normalized_filter, params_gains
+from blas import blas_thread_calls
 from oracles import assemble_filter, csv_reference, das_filter
 
 
@@ -499,10 +500,11 @@ class TestFailedRunsCreateNoDirectory:
 
 
 class TestOutputDirIsChecked:
-    """An output path under a regular file is a config error naming
-    output_dir, raised before any work and with no directory made."""
+    """An output path at or under a regular file or a dangling link is a
+    config error naming output_dir, raised before any work and with no
+    directory made."""
 
-    @pytest.mark.parametrize("below", ["file", "file/sub"])
+    @pytest.mark.parametrize("below", ["file", "file/sub", "dangling", "dangling/sub"])
     @pytest.mark.parametrize("command", ["design", "eval", "compare", "sweep"])
     def test_path_under_a_file_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command, below):
         def never_called(*args, **kwargs):
@@ -517,6 +519,7 @@ class TestOutputDirIsChecked:
             cfg["sweep"] = {"alpha": [0.0, 1.0]}
         path = write_config(tmp_path, cfg)
         (tmp_path / "file").write_text("a regular file")
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
         flags = {"eval": ["--baseline", "das"], "compare": ["--params", str(params)]}.get(command, [])
         assert main([command, "--config", str(path), *flags, "--out", str(tmp_path / below)]) == 1
         err = capsys.readouterr().err
@@ -734,10 +737,14 @@ class TestSweepCommand:
         assert (tmp_path / "sweep" / "alpha=0.5" / "metrics.csv").exists()
 
 
+def usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
 @pytest.fixture
 def blas_threads():
     """(set, get) of the BLAS thread count; the test's count is undone after it."""
-    calls = cli._blas_thread_calls()
+    calls = blas_thread_calls()
     if calls is None:
         pytest.skip("no OpenBLAS thread-count handle found")
     set_threads, get_threads = calls
@@ -747,99 +754,40 @@ def blas_threads():
 
 
 class TestOneBlasThread:
-    def record_threads(self, monkeypatch, get_threads):
-        # each band's beampattern rows are formed once, then streamed to CSV
-        seen = []
-        real = cli.BeampatternRows
+    """Commands run at the caller's BLAS thread count, so one thread is only
+    what a process that loads ccmabeam first starts with; no written byte
+    depends on it."""
 
-        def recording(*args):
-            seen.append(get_threads())
-            return real(*args)
-
-        monkeypatch.setattr(cli, "BeampatternRows", recording)
-        return seen
-
-    @pytest.mark.parametrize(
-        "args", [["design"], ["eval", "--baseline", "das"]], ids=["design", "eval"]
-    )
-    def test_commands_run_on_one_thread(self, tmp_path, monkeypatch, blas_threads, args):
+    def test_bytes_do_not_depend_on_caller_threads(self, tmp_path, monkeypatch, blas_threads):
+        # OpenBLAS caps its count at the CPU count, so 2 is the most this
+        # checks on a 2-CPU machine; larger counts are untested
+        if usable_cpus() < 2:
+            pytest.skip("OpenBLAS runs at most one thread per CPU")
         set_threads, get_threads = blas_threads
-        seen = self.record_threads(monkeypatch, get_threads)
-        set_threads(3)
-        path = write_config(tmp_path, small_config(tmp_path / "out"))
-        assert main([*args, "--config", str(path)]) == 0
-        assert seen == [1, 1]  # one beampattern per band
-        assert get_threads() == 3
-
-    def test_count_restored_after_validation_error(self, tmp_path, blas_threads):
-        set_threads, get_threads = blas_threads
-        set_threads(3)
-        cfg = load_config(write_config(tmp_path, small_config(tmp_path / "out")))
-        with pytest.raises(ConfigError):
-            cli.cmd_eval(cfg, tmp_path / "out", baseline="delay_and_sum")
-        assert get_threads() == 3
-
-    def test_count_restored_after_numerical_failure(self, tmp_path, monkeypatch, blas_threads):
-        set_threads, get_threads = blas_threads
-        seen = []
-
-        def boom(*args, **kwargs):
-            seen.append(get_threads())
-            raise NumericalError("synthetic failure")
-
-        monkeypatch.setattr(cli, "optimize", boom)
-        set_threads(3)
-        cfg = load_config(write_config(tmp_path, small_config(tmp_path / "out")))
-        with pytest.raises(NumericalError):
-            cli.cmd_design(cfg, tmp_path / "out")
-        assert seen == [1]
-        assert get_threads() == 3
-
-    def test_nested_sweep_design(self, tmp_path, monkeypatch, blas_threads):
-        # the second point runs after the first point's cmd_design has returned
-        set_threads, get_threads = blas_threads
-        seen = self.record_threads(monkeypatch, get_threads)
-        set_threads(3)
-        cfg = small_config(tmp_path / "sweep", sweep={"alpha": [0.0, 1.0]})
-        cfg["loss"]["variant"] = "L3"
-        cfg["optimizer"]["budget"] = 3
-        assert cli.cmd_sweep(load_config(write_config(tmp_path, cfg)), tmp_path / "sweep") == 2
-        assert seen == [1, 1, 1, 1]  # two points, two bands each
-        assert get_threads() == 3
-
-    def test_bytes_do_not_depend_on_caller_threads(self, tmp_path, blas_threads):
-        # unpinned, two BLAS threads spell one mainlobe cell of the reference
-        # array's 6 kHz DAS grid 0.000000 where one thread gives -0.000000
-        set_threads, _ = blas_threads
-        cfg = load_config(
-            write_config(
-                tmp_path,
-                small_config(
-                    tmp_path / "out",
-                    array={"ring_radii_m": [0.0, 0.05, 0.10, 0.15, 0.20], "sample_rate_hz": 16000.0},
-                    frequencies_hz=[5000.0, 6000.0],
-                    grid_resolution_deg=1.0,
-                ),
-            )
+        path = write_config(
+            tmp_path,
+            small_config(
+                tmp_path / "unused",
+                array={"ring_radii_m": [0.0, 0.05, 0.10, 0.15, 0.20], "sample_rate_hz": 16000.0},
+                frequencies_hz=[5000.0, 6000.0],
+                grid_resolution_deg=1.0,
+            ),
         )
+        params = "design/params.json"
         for threads in (1, 2):
+            # the same relative --out each time: manifest.json records it
+            (tmp_path / str(threads)).mkdir()
+            monkeypatch.chdir(tmp_path / str(threads))
             set_threads(threads)
-            cli.cmd_eval(cfg, tmp_path / str(threads), baseline="das")
-        names = sorted(p.name for p in (tmp_path / "1").iterdir())
-        assert names == ["beampattern_5000.csv", "beampattern_6000.csv", "metrics.csv"]
+            assert main(["design", "--config", str(path), "--out", "design"]) == 0
+            assert main(["eval", "--config", str(path), "--params", params, "--out", "eval"]) == 0
+            assert main(["compare", "--config", str(path), "--params", params, "--out", "compare"]) == 0
+            assert get_threads() == threads
+        names = sorted(str(p.relative_to(tmp_path / "1")) for p in (tmp_path / "1").rglob("*.*"))
+        assert len(names) == 10  # design: 6 files, eval: 3, compare: 1
+        assert names == sorted(str(p.relative_to(tmp_path / "2")) for p in (tmp_path / "2").rglob("*.*"))
         for name in names:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
-
-    def test_without_an_openblas_handle(self, tmp_path, monkeypatch):
-        """With no thread-count handle a command runs as it is and writes the same bytes."""
-        cfg = load_config(write_config(tmp_path, small_config(tmp_path / "out")))
-        cli.cmd_eval(cfg, tmp_path / "handle", baseline="das")
-        monkeypatch.setattr(cli, "_blas_thread_calls", lambda: None)
-        cli.cmd_eval(cfg, tmp_path / "none", baseline="das")
-        names = sorted(p.name for p in (tmp_path / "handle").iterdir())
-        assert names == ["beampattern_2000.csv", "beampattern_3000.csv", "metrics.csv"]
-        for name in names:
-            assert (tmp_path / "handle" / name).read_bytes() == (tmp_path / "none" / name).read_bytes()
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -847,8 +795,9 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_TH
 # prints the BLAS thread count and OPENBLAS_NUM_THREADS as the process then sees it
 BLAS_AT_LOAD = """
 import json, os
-from ccmabeam.cli import _blas_thread_calls
-set_threads, get_threads = _blas_thread_calls()
+import ccmabeam.cli
+from blas import blas_thread_calls
+set_threads, get_threads = blas_thread_calls()
 {after}
 print(json.dumps([get_threads(), os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
@@ -863,7 +812,8 @@ class TestBlasThreadsAtLoad:
         import of ccmabeam.cli, then ``after``; no thread variable is set but
         ``variables``."""
         src = str(Path(cli.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        tests = str(Path(__file__).resolve().parent)  # for the blas helper
+        path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
         env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
         env.update(variables, PYTHONPATH=path)
         done = subprocess.run(
@@ -873,23 +823,19 @@ class TestBlasThreadsAtLoad:
         assert done.returncode == 0, done.stderr
         return tuple(json.loads(done.stdout))
 
-    @staticmethod
-    def cpus():
-        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-
     def test_ccmabeam_first_starts_one_thread(self):
         assert self.run() == (1, None)
 
     @pytest.mark.parametrize("variable", BLAS_THREAD_VARIABLES)
     def test_a_callers_count_is_kept(self, variable):
-        if self.cpus() < 2:
+        if usable_cpus() < 2:
             pytest.skip("OpenBLAS starts at most one thread per CPU")
         count, openblas = self.run(**{variable: "2"})
         assert count == 2
         assert openblas == ("2" if variable == "OPENBLAS_NUM_THREADS" else None)
 
     def test_numpy_first_keeps_its_default(self):
-        if self.cpus() < 2:
+        if usable_cpus() < 2:
             pytest.skip("with one CPU numpy's default is one thread too")
         count, openblas = self.run(before="import numpy\n")
         assert count > 1 and openblas is None
