@@ -145,7 +145,7 @@ def _assemble(config: ArrayConfig, rings: tuple[Ring, ...]) -> ArrayGeometry:
     for ring in rings:
         slices.append(slice(start, start + ring.mic_count))
         start += ring.mic_count
-    for arr in (positions, distances, mic_radii, mic_angles):
+    for arr in (positions, distances, mic_radii, mic_angles, *(r.angles for r in rings)):
         arr.setflags(write=False)
     return ArrayGeometry(
         config=config,

@@ -71,7 +71,8 @@ class AngularGrid:
     """Uniform elevation x azimuth grid snapped to contain a steering direction.
 
     The azimuths are round(2 pi / resolution) points spaced evenly around the
-    full circle, one of them the steering azimuth.
+    full circle, one of them the steering azimuth; a resolution above pi would
+    leave fewer than 2.
     """
 
     elevations: np.ndarray
@@ -81,6 +82,8 @@ class AngularGrid:
     def build(cls, resolution: float, doa: Direction) -> "AngularGrid":
         if not 0.0 < resolution < math.inf:  # NaN fails both
             raise ValueError("grid resolution must be positive and finite")
+        if resolution > math.pi:
+            raise ValueError("grid resolution must be at most pi (180 degrees)")
         lo, hi = ELEVATION_RANGE
         elevations = snapped_range(lo, hi, doa.elevation, resolution)
         azimuths = _circle_points(doa.azimuth, int(round(2.0 * math.pi / resolution)))
@@ -98,8 +101,6 @@ def _circle_points(anchor: float, count: int) -> np.ndarray:
     hi + lo with hi cut to 53 - bit_length(count) bits, so k * hi is exact
     and only the final sum rounds.
     """
-    if count == 0:
-        return np.empty(0)
     mantissa, exponent = math.frexp(2.0 * math.pi / count)
     bits = 53 - count.bit_length()
     hi = math.ldexp(math.floor(math.ldexp(mantissa, bits)), exponent - bits)
@@ -119,10 +120,13 @@ def _circle_points(anchor: float, count: int) -> np.ndarray:
 
 
 def snapped_range(lo: float, hi: float, anchor: float, step: float) -> np.ndarray:
-    """Grid points anchor + k*step inside [lo, hi]; always contains the anchor."""
+    """Grid points anchor + k*step inside [lo, hi]; always contains the anchor.
+
+    A point that rounds a hair outside is clipped onto the bound.
+    """
     kmin = math.ceil((lo - anchor) / step - 1e-9)
     kmax = math.floor((hi - anchor) / step + 1e-9)
-    return anchor + np.arange(kmin, kmax + 1) * step
+    return np.clip(anchor + np.arange(kmin, kmax + 1) * step, lo, hi)
 
 
 def _check_frequency(geometry: ArrayGeometry, frequency: float) -> None:
@@ -222,16 +226,13 @@ class BeampatternRows:
         count = len(grid.azimuths)
         self.shape = (len(grid.elevations), count)
         self._fold = np.empty((0, count), dtype=complex)
-        if count == 0:
-            self._coeffs, self._turns = np.empty(self.shape, dtype=complex), []
-            return
         wavenumber = 2.0 * math.pi * frequency / geometry.sound_speed
         order = _harmonic_order(wavenumber * max(ring.radius for ring in geometry.rings))
         n = np.arange(-order, order + 1)
         mic_phasors = _phasors(n, geometry.mic_angles)
         # a_0 from the second azimuth: the first may be a point a hair below
         # 2 pi that the grid keeps as 0 (_circle_points)
-        a0 = grid.azimuths[1] - 2.0 * math.pi / count if count > 1 else grid.azimuths[0]
+        a0 = grid.azimuths[1] - 2.0 * math.pi / count
         # (-j)^n e^{j n a_0}: the Jacobi-Anger sign and the shift to the first azimuth
         shift = np.array([1.0, -1j, -1.0, 1j])[n % 4] * _phasors(n, np.array([a0]))[:, 0]
         harmonics = [shift * np.conj(mic_phasors[:, s] @ h[s]) for s in geometry.ring_slices]
@@ -266,20 +267,10 @@ class BeampatternRows:
         folded.fill(0.0)
         for orders, columns in self._turns:
             folded[:, columns] += coeffs[:, orders]
-        if folded.size == 0:  # no FFT of an empty azimuth axis
-            return folded.copy()
         return np.fft.ifft(folded, axis=-1, norm="forward")
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         return pattern_db(self.response(rows))
-
-
-def beampattern_grid(
-    geometry: ArrayGeometry, h: np.ndarray, frequency: float, grid: AngularGrid
-) -> np.ndarray:
-    """Complex response h^H d over a full grid, shape (n_elevations, n_azimuths):
-    :class:`BeampatternRows` as one block of every row."""
-    return BeampatternRows(geometry, h, frequency, grid).response(slice(None))
 
 
 def pattern_db(values: np.ndarray) -> np.ndarray:
@@ -338,8 +329,6 @@ def export_beampattern_csv(
     cell the tables cannot round exactly is formatted with ``%`` instead and
     spliced into its row.
     """
-    if not isinstance(pattern_db_grid, BeampatternRows):
-        pattern_db_grid = np.asarray(pattern_db_grid)
     if pattern_db_grid.shape != (len(elevations), len(azimuths)):
         raise ValueError("pattern grid shape does not match the angle axes")
     heads, digits = _csv_cell_tables()

@@ -18,7 +18,7 @@ from ccmabeam.cli import ConfigError, load_config, main, parse_config
 from ccmabeam.geometry import build_geometry
 from ccmabeam.metrics import NumericalError
 from ccmabeam.optimizer import DesignPipeline
-from ccmabeam.wavefield import AngularGrid, beampattern_grid, pattern_db, steering_vector
+from ccmabeam.wavefield import AngularGrid, BeampatternRows, pattern_db, steering_vector
 from ccmabeam.weighting import DesignParams, normalized_filter, params_gains
 from blas import blas_thread_calls
 from oracles import assemble_filter, csv_reference, das_filter
@@ -328,7 +328,7 @@ class TestEvalCommand:
             else:
                 w, s = params.ring_weights[b], params.window_widths[b]
                 h = assemble_filter(geometry, f, cfg.doa, w, s)
-            expected = pattern_db(beampattern_grid(geometry, h, f, grid))
+            expected = pattern_db(BeampatternRows(geometry, h, f, grid).response(slice(None)))
             with open(out / f"beampattern_{f:g}.csv") as fh:
                 header, *rows = list(csv.reader(fh))
             np.testing.assert_allclose(
@@ -417,7 +417,7 @@ class TestStreamedBeampatterns:
         grid = AngularGrid.build(cfg.grid_resolution, cfg.doa)
         for f, band_gains in zip(cfg.frequencies, gains):
             h = normalized_filter(band_gains, steering_vector(geometry, f, cfg.doa))
-            grid_db = pattern_db(beampattern_grid(geometry, h, f, grid))
+            grid_db = pattern_db(BeampatternRows(geometry, h, f, grid).response(slice(None)))
             csv_reference(tmp_path / "whole.csv", grid.elevations, grid.azimuths, grid_db)
             streamed = (out / f"beampattern_{f:g}.csv").read_bytes()
             assert streamed == (tmp_path / "whole.csv").read_bytes(), f
@@ -439,6 +439,16 @@ class TestStreamedBeampatterns:
         cfg = replace(cfg, grid_resolution=math.radians(100.0))
         grid = self.assert_matches_whole_grid(tmp_path, cfg)
         assert grid.elevations.shape == (1,) and grid.azimuths.shape == (4,)
+
+    def test_first_row_is_labelled_broadside(self, tmp_path):
+        """At a 3-degree grid, 45 - 15 * 3 degrees rounds a hair below 0;
+        the grid clips it, so the first row is not labelled -0.000."""
+        out = tmp_path / "out"
+        path = write_config(tmp_path, small_config(out, grid_resolution_deg=3.0))
+        assert main(["eval", "--config", str(path), "--baseline", "das"]) == 0
+        for f in (2000, 3000):
+            rows = (out / f"beampattern_{f}.csv").read_bytes().split(b"\r\n")
+            assert rows[1].startswith(b"0.000,") and rows[-2].startswith(b"90.000,")
 
     def test_reference_array_at_half_degree(self, tmp_path):
         raw = small_config(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -137,8 +138,26 @@ class TestBuildGeometry:
         assert np.array_equal(g.distances, np.sqrt(np.sum(deltas * deltas, axis=2)))
 
     def test_geometry_arrays_read_only(self, array_16k):
-        with pytest.raises(ValueError):
-            array_16k.positions[0, 0] = 1.0
+        """Every array of the geometry and of its rings: a write to a ring's
+        angles would leave mic_angles disagreeing with it."""
+        owners = [array_16k, *array_16k.rings]
+        arrays = [
+            (type(owner).__name__, field.name, getattr(owner, field.name))
+            for owner in owners
+            for field in dataclasses.fields(owner)
+            if isinstance(getattr(owner, field.name), np.ndarray)
+        ]
+        names = {(owner, name) for owner, name, _ in arrays}
+        assert names == {
+            ("ArrayGeometry", "positions"),
+            ("ArrayGeometry", "distances"),
+            ("ArrayGeometry", "mic_radii"),
+            ("ArrayGeometry", "mic_angles"),
+            ("Ring", "angles"),
+        }
+        for owner, name, arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 1.0
 
 
 class TestArrayConfigValidation:

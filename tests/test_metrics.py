@@ -197,7 +197,7 @@ class TestBeamwidthParabola:
         assert not ok
         assert width == math.pi
 
-    def test_sentinel_stays_on_tape_with_zero_gradient(self):
+    def test_sentinel_width_carries_zero_slope(self):
         """The sentinel width pi carries a zero slope, so no gradient reaches
         the cut samples of a non-concave fit."""
         x = np.arange(-2.0, 3.0)

@@ -1,5 +1,5 @@
-"""The package's public surface: every exported function and class has a
-caller in the package, the top level holds the quick start, and the test
+"""The package's public surface: every public module-level function and
+class has a caller in the package, the top level holds the quick start, and the test
 oracles stay out of the package."""
 
 import ast
@@ -30,15 +30,6 @@ TOP_LEVEL = [
 ENTRY_POINTS = {("cli", "main")}
 
 
-def exported(tree: ast.Module) -> list[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return ast.literal_eval(node.value)
-    return []
-
-
 def used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     """Names and attribute names that ``tree`` uses outside the node ``skip``;
     an import binds a name but does not use it."""
@@ -56,18 +47,17 @@ def used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return found
 
 
-def uncalled_exports() -> list[str]:
+def uncalled_public_definitions() -> list[str]:
+    """Module-level functions and classes without a leading underscore that
+    nothing in the package uses, whether or not ``__all__`` lists them."""
     uncalled = []
     for module, tree in MODULES.items():
-        definitions = {
-            node.name: node
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        }
-        for name in exported(tree):
-            if name not in definitions or (module, name) in ENTRY_POINTS:
+        for own in tree.body:
+            if not isinstance(own, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            own = definitions[name]
+            name = own.name
+            if name.startswith("_") or (module, name) in ENTRY_POINTS:
+                continue
             if not any(
                 name in used_names(other, own if other is tree else None)
                 for other in MODULES.values()
@@ -77,7 +67,7 @@ def uncalled_exports() -> list[str]:
 
 
 def test_every_exported_function_and_class_has_a_caller():
-    assert uncalled_exports() == []
+    assert uncalled_public_definitions() == []
 
 
 def test_top_level_is_the_quick_start():

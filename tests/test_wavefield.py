@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 import ccmabeam as cb
 from ccmabeam import wavefield
 from ccmabeam.geometry import Ring, _assemble
+from ccmabeam.metrics import build_fit_cuts
 from ccmabeam.wavefield import (
+    ELEVATION_RANGE,
     AngularGrid,
     BeampatternRows,
     Direction,
     _harmonic_order,
-    beampattern_grid,
     bessel_table,
     export_beampattern_csv,
     pattern_db,
@@ -171,14 +172,14 @@ class TestBeampattern:
     def test_single_mic_unity_everywhere(self):
         g = cb.build_geometry(cb.ArrayConfig(ring_radii=(0.0,), sample_rate=16000.0))
         grid = AngularGrid.build(math.radians(10.0), Direction(0.0, 0.0))
-        b = beampattern_grid(g, np.array([1.0 + 0.0j]), 1000.0, grid)
+        b = BeampatternRows(g, np.array([1.0 + 0.0j]), 1000.0, grid).response(slice(None))
         assert np.allclose(b, 1.0)
 
     def test_das_mainlobe_peaks_at_doa(self, array_16k, doa45):
         f = 1000.0
         h = das_filter(array_16k, f, doa45)
         grid = AngularGrid.build(math.radians(1.0), doa45)
-        b = np.abs(beampattern_grid(array_16k, h, f, grid))
+        b = np.abs(BeampatternRows(array_16k, h, f, grid).response(slice(None)))
         peak = np.unravel_index(np.argmax(b), b.shape)
         doa_cell = (
             np.argmin(np.abs(grid.elevations - doa45.elevation)),
@@ -193,15 +194,17 @@ class TestBeampattern:
         )
         norm1 = np.sum(np.abs(h))
         grid = AngularGrid.build(math.radians(10.0), doa45)
-        b = beampattern_grid(array_16k, h, 2000.0, grid)
+        b = BeampatternRows(array_16k, h, 2000.0, grid).response(slice(None))
         assert np.max(np.abs(b)) <= norm1 + 1e-9
 
     def test_global_phase_invariance(self, array_16k, doa45):
         f = 1200.0
         h = das_filter(array_16k, f, doa45)
         grid = AngularGrid.build(math.radians(10.0), doa45)
-        b1 = np.abs(beampattern_grid(array_16k, h, f, grid))
-        b2 = np.abs(beampattern_grid(array_16k, h * np.exp(1j * 0.7), f, grid))
+        b1, b2 = (
+            np.abs(BeampatternRows(array_16k, h * phase, f, grid).response(slice(None)))
+            for phase in (1.0, np.exp(1j * 0.7))
+        )
         assert np.allclose(b1, b2, atol=1e-12)
 
     def test_dimension_mismatch(self, array_16k, doa45):
@@ -220,13 +223,13 @@ class TestBeampatternGrid:
         grid = AngularGrid.build(math.radians(2.0), doa45)
         h = self.random_filter(array_16k.total_mics, 11)
         for f in (1000.0, 6000.0):
-            b = beampattern_grid(array_16k, h, f, grid)
+            b = BeampatternRows(array_16k, h, f, grid).response(slice(None))
             assert b.shape == (len(grid.elevations), len(grid.azimuths))
             assert np.max(np.abs(b - grid_reference(array_16k, h, f, grid))) < 1e-12
 
     @staticmethod
     def assert_matches_oracle(geometry, h, f, grid):
-        b = beampattern_grid(geometry, h, f, grid)
+        b = BeampatternRows(geometry, h, f, grid).response(slice(None))
         ref = grid_reference(geometry, h, f, grid)
         assert np.max(np.abs(b - ref)) <= 1e-14 * np.sum(np.abs(h))
         # the exported cells: at most one unit apart in the 6th decimal
@@ -260,7 +263,7 @@ class TestBeampatternGrid:
         grid = AngularGrid.build(math.radians(3.0), Direction.from_degrees(30.0, 200.0))
         h = self.random_filter(g.total_mics, 13)
         for f in (700.0, 4500.0):
-            b = beampattern_grid(g, h, f, grid)
+            b = BeampatternRows(g, h, f, grid).response(slice(None))
             assert np.max(np.abs(b - grid_reference(g, h, f, grid))) < 1e-12
 
     def test_coarse_grid_folds_orders_onto_fewer_azimuths(self):
@@ -295,7 +298,7 @@ class TestBeampatternGrid:
             unique_by=lambda ring: round(ring[0], 6),
         ),
         centre=st.booleans(),
-        resolution_deg=st.sampled_from([1.0, 2.0, 2.5, 3.0, 4.5, 7.5, 10.0, 15.0]),
+        resolution_deg=st.sampled_from([1.0, 2.0, 2.5, 3.0, 4.5, 7.5, 10.0, 15.0, 120.0, 180.0]),
         elevation_deg=st.floats(0.0, 90.0),
         azimuth_deg=st.floats(0.0, 360.0, exclude_max=True),
         f=st.floats(100.0, 8000.0),
@@ -317,21 +320,25 @@ class TestBeampatternGrid:
             math.radians(resolution_deg), Direction.from_degrees(elevation_deg, azimuth_deg)
         )
         h = self.random_filter(g.total_mics, seed)
-        b = beampattern_grid(g, h, f, grid)
+        b = BeampatternRows(g, h, f, grid).response(slice(None))
         ref = grid_reference(g, h, f, grid)
         assert np.max(np.abs(b - ref)) <= 1e-14 * np.sum(np.abs(h))
 
     def test_rejects_bad_filter_and_frequency(self, array_16k, doa45):
         grid = AngularGrid.build(math.radians(15.0), doa45)
         with pytest.raises(ValueError):
-            beampattern_grid(array_16k, np.ones(array_16k.total_mics - 1), 1000.0, grid)
+            BeampatternRows(array_16k, np.ones(array_16k.total_mics - 1), 1000.0, grid)
         with pytest.raises(ValueError):
-            beampattern_grid(array_16k, np.ones(array_16k.total_mics), 8000.1, grid)
+            BeampatternRows(array_16k, np.ones(array_16k.total_mics), 8000.1, grid)
 
-    def test_empty_azimuth_axis(self, array_16k, doa45):
-        grid = AngularGrid.build(13.0, doa45)  # coarser than a full turn: no azimuths
-        b = beampattern_grid(array_16k, np.ones(array_16k.total_mics), 1000.0, grid)
-        assert b.shape == (len(grid.elevations), 0)
+    def test_empty_azimuth_axis(self, doa45):
+        """No grid has fewer than 2 azimuths: above pi (180 degrees) the
+        resolution is rejected, at pi the grid holds 2."""
+        for resolution in (ulps_from(math.pi, 1), 4.0, 13.0, 2.0 * math.pi):
+            with pytest.raises(ValueError, match=r"grid resolution must be at most pi"):
+                AngularGrid.build(resolution, doa45)
+        grid = AngularGrid.build(math.pi, doa45)
+        assert len(grid.azimuths) == 2 and doa45.azimuth in grid.azimuths
 
     def test_memory_stays_blocked(self, array_16k, doa45):
         # 181 x 720 directions: the direct sum's (directions x mics) steering
@@ -340,7 +347,7 @@ class TestBeampatternGrid:
         h = self.random_filter(array_16k.total_mics, 14)
         tracemalloc.start()
         try:
-            beampattern_grid(array_16k, h, 5500.0, grid)
+            BeampatternRows(array_16k, h, 5500.0, grid).response(slice(None))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,7 +358,7 @@ class TestBeampatternGrid:
         # 1 MB, inside the benchmark's peak-RSS bound
         grid = AngularGrid.build(math.radians(0.5), doa45)
         h = self.random_filter(array_16k.total_mics, 15)
-        grid_db = pattern_db(beampattern_grid(array_16k, h, 3000.0, grid))
+        grid_db = pattern_db(BeampatternRows(array_16k, h, 3000.0, grid).response(slice(None)))
         tracemalloc.start()
         try:
             export_beampattern_csv(tmp_path / "new.csv", grid.elevations, grid.azimuths, grid_db)
@@ -368,7 +375,7 @@ class TestBeampatternGrid:
         # one buffer folds every block; the blocks overlap and revisit rows
         grid = AngularGrid.build(math.radians(2.0), doa45)
         h = self.random_filter(array_16k.total_mics, 18)
-        whole = beampattern_grid(array_16k, h, f, grid)
+        whole = BeampatternRows(array_16k, h, f, grid).response(slice(None))
         rows = BeampatternRows(array_16k, h, f, grid)
         assert rows.shape == whole.shape
         for block in (slice(0, 7), slice(40, None), slice(3, 4), slice(10, 10), slice(0, 7)):
@@ -389,7 +396,7 @@ class TestBeampatternGrid:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
-        grid_db = pattern_db(beampattern_grid(array_16k, h, 5500.0, grid))
+        grid_db = pattern_db(BeampatternRows(array_16k, h, 5500.0, grid).response(slice(None)))
         csv_reference(tmp_path / "old.csv", grid.elevations, grid.azimuths, grid_db)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -485,7 +492,22 @@ class TestAngularGrid:
     def test_snapped_range_anchor(self):
         pts = snapped_range(0.0, 1.0, 0.35, 0.1)
         assert np.min(np.abs(pts - 0.35)) < 1e-15
-        assert pts[0] >= -1e-12 and pts[-1] <= 1.0 + 1e-12
+        assert pts[0] >= 0.0 and pts[-1] <= 1.0
+
+    @pytest.mark.parametrize("resolution_deg", [0.5, 1.0, 2.0, 3.0, 7.0])
+    def test_grid_and_fit_cuts_stay_in_the_elevation_range(self, array_16k, resolution_deg):
+        """anchor + k step can round a hair outside [0, pi/2] (at 3 degrees,
+        for 17 of the 91 whole-degree look elevations); such points are
+        clipped onto the bound."""
+        lo, hi = ELEVATION_RANGE
+        resolution = math.radians(resolution_deg)
+        for elevation_deg in range(91):
+            doa = Direction.from_degrees(elevation_deg, 45.0)
+            elevations = [AngularGrid.build(resolution, doa).elevations]
+            for f in (1000.0, 4000.0, 8000.0):
+                elevations.append(build_fit_cuts(array_16k, doa, f, resolution)[0].elevations)
+            for points in elevations:
+                assert lo <= points.min() and points.max() <= hi, (elevation_deg, points)
 
     def test_rejects_bad_resolution(self, doa45):
         with pytest.raises(ValueError):

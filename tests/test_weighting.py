@@ -141,7 +141,7 @@ class TestGaussianWindow:
         lo, hi = sorted((s1, s2))
         assert gaussian_window(delta, lo) <= gaussian_window(delta, hi) + 1e-15
 
-    def test_var_path_matches_float_path(self):
+    def test_vector_of_distances_matches_scalar_calls(self):
         """A vector of distances gives the scalar results elementwise."""
         delta = np.array([0.0, 0.3, 1.0])
         assert gaussian_window(delta, 0.6).tolist() == [gaussian_window(d, 0.6) for d in delta]
@@ -178,7 +178,7 @@ class TestConstrain:
         assert sum(w) == pytest.approx(1.0, abs=1e-12)
         assert all(x >= SIGMA_FLOOR for x in s)
 
-    def test_var_path_matches_float_path(self):
+    def test_stacked_bands_match_one_band_calls(self):
         """A stack of bands gives the one-band results row by row."""
         u = np.array([[0.3, -0.8, 1.1], [2.0, 0.0, -4.0]])
         v = np.array([[-0.2, 0.5, 2.0], [1.0, -3.0, 0.0]])
