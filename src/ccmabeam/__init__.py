@@ -17,11 +17,11 @@ import sys as _sys
 
 # OpenBLAS sizes its thread pool once, when numpy loads it, and the spare
 # thread of a default pool busy-waits through the start of every command.
-# Every product here is too small for a second thread to pay, and
-# ``sweep --workers`` is the one level of parallelism.  So, loaded from here
-# with no count chosen by the caller, OpenBLAS starts with one thread.  The
-# variable is gone again before other code runs, and a caller can still raise
-# the count afterwards; the written bytes do not depend on it.
+# Every product here is too small for a second thread to pay, and a sweep's
+# one process per usable CPU is the one level of parallelism.  So, loaded
+# from here with no count chosen by the caller, OpenBLAS starts with one
+# thread.  The variable is gone again before other code runs, and a caller
+# can still raise the count afterwards; the written bytes do not depend on it.
 _one_thread = "numpy" not in _sys.modules and not any(
     name in _os.environ
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -11,6 +11,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -348,29 +349,27 @@ def _sweep_point(cfg: RunConfig) -> list[list[str]]:
     return [[*knobs, f"{f:g}", *metric_cells(curves, b), "ok"] for b, f in bands]
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> int:
+def cmd_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     out = _output_dir(out_dir)
     if not cfg.sweep:
         raise ConfigError("sweep: the config has no sweep section")
     if cfg.loss.variant != "L3":
         raise ConfigError("sweep: parameter sweeps require loss.variant == 'L3'")
-    if workers < 1:
-        raise ConfigError(f"--workers: must be at least 1, got {workers}")
     keys = list(cfg.sweep.keys())
     combos = [dict(zip(keys, values)) for values in itertools.product(*cfg.sweep.values())]
     jobs = []
     for overrides in combos:
-        tag = "_".join(_point_name(k, overrides[k]) for k in keys)
+        point = _output_dir(out / "_".join(_point_name(k, overrides[k]) for k in keys))
         loss = {**cfg.fields["loss"], **overrides}
-        jobs.append(cfg.replaced(loss=loss, output_dir=str(out / tag), sweep=None))
-    workers = min(workers, len(jobs))  # a fork pool starts every worker at once
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays its import
+        jobs.append(cfg.replaced(loss=loss, output_dir=str(point), sweep=None))
+    # every process runs BLAS on one thread: one process per usable CPU, and
+    # no more than the points, as a fork pool starts every process at once
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # imported here, so design, eval and compare do not pay for it
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, jobs))
-    else:
-        results = [_sweep_point(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=min(cpus, len(jobs))) as pool:
+        results = list(pool.map(_sweep_point, jobs))
     header = [*SWEEP_KEYS, "frequency_hz", *METRIC_COLUMNS, "status"]
     # only now: a point that fails validation must leave no directory behind
     out.mkdir(parents=True, exist_ok=True)
@@ -457,7 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the config's sweep grid")
     common(p)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("compare", help="designed params vs. a baseline")
     common(p)
@@ -483,7 +481,7 @@ def main(argv=None) -> int:
         elif args.command == "eval":
             cmd_eval(cfg, out, params_path=args.params, baseline=args.baseline)
         elif args.command == "sweep":
-            cmd_sweep(cfg, out, workers=args.workers)
+            cmd_sweep(cfg, out)
         elif args.command == "compare":
             cmd_compare(cfg, out, args.params, args.baseline)
         return 0

@@ -70,7 +70,7 @@ CORPUS = [
     *((f"compare-grid-seed{s}", "eval-grid", ["compare", "--params", f"params-seed{s}.json"])
       for s in SEEDS),
     ("eval-grid-das", "eval-grid", ["eval", "--baseline", "das"]),
-    ("sweep-toy", "sweep-toy", ["sweep", "--workers", "2"]),
+    ("sweep-toy", "sweep-toy", ["sweep"]),
 ]
 
 

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 import ccmabeam as cb
-from ccmabeam import optimizer as ad
 from ccmabeam.loss import LossConfig, total_loss
 from ccmabeam.metrics import (
     GAMMA_DIAGONAL_REG,
@@ -27,7 +26,7 @@ from ccmabeam.metrics import (
     fit_coefficients,
     gamma_matrix,
 )
-from ccmabeam.optimizer import DesignLoss, DesignPipeline, RPropState, rprop_step
+from ccmabeam.optimizer import DesignLoss, DesignPipeline, RPropState, gradcheck, rprop_step
 from ccmabeam.wavefield import steering_vector
 from ccmabeam.weighting import SIGMA_FLOOR, constrain_band, gaussian_window, mic_layout
 from oracles import assemble_filter, directivity_factor, white_noise_gain
@@ -112,7 +111,7 @@ class TestPrimitives:
         assert sigmas == pytest.approx(math.log(2.0) + SIGMA_FLOOR, rel=1e-15)
         loss, snap = ref_pipeline.build_loss(x)
         assert snap.branches == ["both", "perf"]
-        result = ad.gradcheck(lambda xs: ref_pipeline.build_loss(xs)[0], x, loss.gradient())
+        result = gradcheck(lambda xs: ref_pipeline.build_loss(xs)[0], x, loss.gradient())
         assert result.excluded == ()
         assert result.max_rel_error < 1e-5
 
@@ -131,7 +130,7 @@ class TestPrimitives:
         for metric in ("theta", "phi"):
             for band in range(2):
                 g = loss.pullback(*one_hot(2, metric, band))
-                result = ad.gradcheck(metric_of(pipeline, metric, band), point, g)
+                result = gradcheck(metric_of(pipeline, metric, band), point, g)
                 assert result.max_rel_error < 1e-5, (metric, band)
 
     def test_cvar_product_and_conj(self, array_16k, doa45, ref_pipeline):
@@ -171,7 +170,7 @@ class TestPrimitives:
                 for band in range(2):
                     g = loss.pullback(*one_hot(2, metric, band))
                     assert np.any(g[2:4] != 0.0) or np.any(g[6:] != 0.0)
-                    result = ad.gradcheck(metric_of(toy_pipeline, metric, band), point, g)
+                    result = gradcheck(metric_of(toy_pipeline, metric, band), point, g)
                     assert result.max_rel_error < 1e-6, (seed, metric, band)
 
     def test_min_max_clamp_routing(self):
@@ -225,7 +224,7 @@ class TestPrimitives:
             for metric in METRICS:
                 for band in range(2):
                     g = loss.pullback(*one_hot(2, metric, band))
-                    result = ad.gradcheck(metric_of(ref_pipeline, metric, band), point, g)
+                    result = gradcheck(metric_of(ref_pipeline, metric, band), point, g)
                     assert len(result.excluded) <= 2, (seed, metric, band)
                     assert result.max_rel_error < 1e-5, (seed, metric, band)
 
@@ -241,7 +240,7 @@ class TestBackward:
             return sum(t * t for t in s.theta) + sum(p * p for p in s.phi)
 
         g = loss.pullback(*seeds(2, theta=2.0 * np.array(snap.theta), phi=2.0 * np.array(snap.phi)))
-        result = ad.gradcheck(f, point, g)
+        result = gradcheck(f, point, g)
         assert result.max_rel_error < 1e-5
 
     def test_unreachable_leaf_gets_zero(self, ref_pipeline):
@@ -360,13 +359,13 @@ class TestReductions:
 class TestGradcheck:
     def test_quadratic_bowl(self):
         point = [0.5, -1.5, 2.0]
-        result = ad.gradcheck(lambda xs: sum(x * x for x in xs), point, [2.0 * p for p in point])
+        result = gradcheck(lambda xs: sum(x * x for x in xs), point, [2.0 * p for p in point])
         assert result.max_rel_error < 1e-8
         assert result.excluded == ()
 
     def test_wrong_gradient_is_reported(self):
         point = [0.5, -1.5, 2.0]
-        result = ad.gradcheck(lambda xs: sum(x * x for x in xs), point, [1.0, -3.0, 3.0])
+        result = gradcheck(lambda xs: sum(x * x for x in xs), point, [1.0, -3.0, 3.0])
         # only the last coordinate is off: |3 - 4| / max(1, |4|)
         assert result.max_rel_error == pytest.approx(0.25, rel=1e-6)
         assert result.rel_errors[:2] == pytest.approx([0.0, 0.0], abs=1e-8)
@@ -378,13 +377,13 @@ class TestGradcheck:
                 return x * 2.0
             return 5.0
 
-        result = ad.gradcheck(f, [1.0], [0.0])
+        result = gradcheck(f, [1.0], [0.0])
         assert result.excluded == (0,)
         assert result.max_rel_error == 0.0  # nothing left to compare
 
     def test_nan_gradient_coordinate_fails(self):
         """A NaN after the first coordinate is not dropped from the maximum."""
-        result = ad.gradcheck(lambda xs: sum(x * x for x in xs), [0.5, 1.0], [1.0, math.nan])
+        result = gradcheck(lambda xs: sum(x * x for x in xs), [0.5, 1.0], [1.0, math.nan])
         assert math.isnan(result.max_rel_error)
         assert result.excluded == ()
 
@@ -392,15 +391,15 @@ class TestGradcheck:
         def f(xs):
             return math.nan if xs[1] > 1.0 else float(xs[0] ** 2 + xs[1] ** 2)
 
-        result = ad.gradcheck(f, [0.5, 1.0], [1.0, 2.0])
+        result = gradcheck(f, [0.5, 1.0], [1.0, 2.0])
         assert math.isnan(result.max_rel_error)
         assert result.excluded == ()
 
     def test_requires_var_output(self):
         """The checked function must return a scalar."""
         with pytest.raises(TypeError):
-            ad.gradcheck(lambda xs: [xs[0], 2.0 * xs[0]], [0.5], [1.0])
+            gradcheck(lambda xs: [xs[0], 2.0 * xs[0]], [0.5], [1.0])
 
     def test_rejects_gradient_of_wrong_length(self):
         with pytest.raises(ValueError):
-            ad.gradcheck(lambda xs: xs[0], [0.5], [1.0, 2.0])
+            gradcheck(lambda xs: xs[0], [0.5], [1.0, 2.0])

@@ -22,6 +22,7 @@ from ccmabeam.wavefield import AngularGrid, BeampatternRows, pattern_db, steerin
 from ccmabeam.weighting import DesignParams, normalized_filter, params_gains
 from blas import blas_thread_calls
 from oracles import assemble_filter, csv_reference, das_filter
+from pools import InProcessPool
 
 
 def small_config(out_dir, **overrides):
@@ -616,13 +617,21 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         assert sum(1 for p in out.iterdir() if p.is_dir()) == 4
 
-    def test_parallel_workers_match_serial(self, tmp_path):
-        p1 = self.sweep_config(tmp_path, {"alpha": [0.0, 1.0]})
-        assert main(["sweep", "--config", str(p1)]) == 0
-        serial = (tmp_path / "sweep" / "summary.csv").read_bytes()
-        out2 = tmp_path / "parallel"
-        assert main(["sweep", "--config", str(p1), "--out", str(out2), "--workers", "2"]) == 0
-        assert (out2 / "summary.csv").read_bytes() == serial
+    def test_parallel_workers_match_serial(self, tmp_path, monkeypatch):
+        """A pool of 1 process and one of 2 write the same bytes."""
+        path = self.sweep_config(tmp_path, {"alpha": [0.0, 1.0]})
+        for cpus in (1, 2):
+            # the same relative --out each time: manifest.json records it
+            (tmp_path / str(cpus)).mkdir()
+            monkeypatch.chdir(tmp_path / str(cpus))
+            affinity = set(range(cpus))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+            assert main(["sweep", "--config", str(path), "--out", "sweep"]) == 0
+        names = sorted(str(p.relative_to(tmp_path / "1")) for p in (tmp_path / "1").rglob("*.*"))
+        assert len(names) == 1 + 2 * 6  # summary.csv, and 6 files per point
+        assert names == sorted(str(p.relative_to(tmp_path / "2")) for p in (tmp_path / "2").rglob("*.*"))
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     def test_point_matches_design_run(self, tmp_path):
         path = self.sweep_config(tmp_path, {"alpha": [0.5], "lambda1": [1.0]})
@@ -637,7 +646,7 @@ class TestSweepCommand:
 
     def test_point_manifest_reruns_the_point(self, tmp_path):
         path = self.sweep_config(tmp_path, {"alpha": [0.0, 0.5], "lambda3": [0.01]})
-        assert main(["sweep", "--config", str(path), "--workers", "2"]) == 0
+        assert main(["sweep", "--config", str(path)]) == 0
         point = tmp_path / "sweep" / "alpha=0.5_lambda3=0.01"
         manifest = json.loads((point / "manifest.json").read_text())
         assert "sweep" not in manifest and manifest["output_dir"] == str(point)
@@ -658,20 +667,22 @@ class TestSweepCommand:
         """Two values that one point directory name spells fail before any
         point runs, naming both indices."""
         path = self.sweep_config(tmp_path, {"lambda1": [0.0], "alpha": [0.3, *values]})
-        assert main(["sweep", "--config", str(path), "--workers", "2"]) == 1
+        assert main(["sweep", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert "sweep.alpha[2]: point directory" in err and "repeats sweep.alpha[1]" in err
         assert not (tmp_path / "sweep").exists()
 
-    @pytest.mark.parametrize("workers", ["1", "2"], ids=["serial", "pooled"])
-    def test_point_failing_validation_leaves_no_directory(self, tmp_path, capsys, workers):
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
+    def test_point_failing_validation_leaves_no_directory(self, tmp_path, monkeypatch, capsys, cpus):
         """The grid check runs inside each point's design; the sweep exits 1
-        without creating its output directory."""
+        without creating its output directory, with a pool of 1 process or 2."""
+        affinity = set(range(cpus))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
         cfg = small_config(tmp_path / "sweep", grid_resolution_deg=70.0)
         cfg["loss"]["variant"] = "L3"
         cfg["sweep"] = {"alpha": [0.0, 0.5]}
         path = write_config(tmp_path, cfg, "sweep.json")
-        assert main(["sweep", "--config", str(path), "--workers", workers]) == 1
+        assert main(["sweep", "--config", str(path)]) == 1
         assert "grid_resolution_deg" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
@@ -686,42 +697,66 @@ class TestSweepCommand:
         path = write_config(tmp_path, cfg, "nosweep.json")
         assert main(["sweep", "--config", str(path)]) == 1
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_fail_validation(self, tmp_path, capsys, workers):
+    def test_workers_flag_is_a_usage_error(self, tmp_path, capsys):
+        """The pool is sized from the usable CPUs; --workers is no option."""
         path = self.sweep_config(tmp_path, {"alpha": [0.0, 1.0]})
-        assert main(["sweep", "--config", str(path), "--workers", workers]) == 1
-        assert "--workers" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exits:
+            main(["sweep", "--config", str(path), "--workers", "2"])
+        assert exits.value.code == 1
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
-    def test_pool_capped_at_point_count(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("blocker", ["file", "dangling-link"])
+    def test_blocked_point_directory_fails_before_any_point(self, tmp_path, capsys, blocker):
+        """A point whose directory cannot be made fails the sweep before any point runs."""
+        path = self.sweep_config(tmp_path, {"alpha": [0.0, 0.5]})
+        out = tmp_path / "sweep"
+        out.mkdir()
+        if blocker == "file":
+            (out / "alpha=0.5").write_text("")
+        else:
+            (out / "alpha=0.5").symlink_to(tmp_path / "nowhere")
+        assert main(["sweep", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"output_dir: {out / 'alpha=0.5'} exists and is not a directory" in err
+        assert sorted(p.name for p in out.iterdir()) == ["alpha=0.5"]
+
+    def pool_sizes(self, tmp_path, monkeypatch, points):
+        """The pool size of a sweep of ``points`` points, run in this process."""
         sizes = []
+        pool = functools.partial(InProcessPool, sizes)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        path = self.sweep_config(tmp_path, {"alpha": [0.25 * i for i in range(points)]})
+        assert main(["sweep", "--config", str(path)]) == 0
+        return sizes
 
-        class RecordingPool:  # runs the points in this process
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+    def test_pool_capped_at_point_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert self.pool_sizes(tmp_path, monkeypatch, 3) == [3]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        path = self.sweep_config(tmp_path, {"alpha": [0.0, 1.0]})
-        assert main(["sweep", "--config", str(path), "--workers", "5000"]) == 0
-        assert sizes == [2]
-        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "b"), "--workers", "2"]) == 0
-        assert sizes == [2, 2]
+    @pytest.mark.parametrize(
+        "affinity,count,size", [({0}, 8, 1), (None, 8, 3), (None, None, 1)],
+        ids=["one-cpu-of-8", "no-affinity", "no-affinity-unknown-count"],
+    )
+    def test_pool_size_follows_usable_cpus(self, tmp_path, monkeypatch, affinity, count, size):
+        """The CPUs the process may run on size the pool; where the platform
+        has no CPU affinity the CPU count does, and an unknown count gives
+        one process."""
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert self.pool_sizes(tmp_path, monkeypatch, 3) == [size]
 
     @pytest.mark.parametrize("error", [NumericalError])
-    @pytest.mark.parametrize("workers", ["1", "2"], ids=["serial", "pooled"])
-    def test_failed_point_gets_a_status_row(self, tmp_path, monkeypatch, capsys, error, workers):
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
+    def test_failed_point_gets_a_status_row(self, tmp_path, monkeypatch, capsys, error, cpus):
         """A point that fails at run time keeps its rows, with empty metric
         cells and the error class as status; the other points finish, the
-        summary is written and the sweep exits 2."""
+        summary is written and the sweep exits 2, with a pool of 1 process or 2."""
+        affinity = set(range(cpus))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
         real = cli.optimize
 
         def fail_alpha_one(geometry, doa, frequencies, loss, **kwargs):
@@ -730,13 +765,13 @@ class TestSweepCommand:
             return real(geometry, doa, frequencies, loss, **kwargs)
 
         monkeypatch.setattr(cli, "optimize", fail_alpha_one)
-        # the pooled points must see the patched optimize: fork the workers
+        # the points must see the patched optimize: fork the pool's processes
         fork_pool = functools.partial(
             concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
         )
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fork_pool)
         path = self.sweep_config(tmp_path, {"alpha": [0.0, 1.0, 0.5]})
-        assert main(["sweep", "--config", str(path), "--workers", workers]) == 2
+        assert main(["sweep", "--config", str(path)]) == 2
         assert "sweep: 1 of 3 points failed" in capsys.readouterr().err
         with open(tmp_path / "sweep" / "summary.csv") as fh:
             rows = list(csv.reader(fh))
@@ -748,7 +783,7 @@ class TestSweepCommand:
 
 
 def usable_cpus():
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @pytest.fixture
@@ -980,21 +1015,29 @@ class TestGradcheckCommand:
         assert captured.out == ""
 
 
-# design, sweep and gradcheck in one fresh interpreter; prints whether numpy.random was loaded
+# every command in one fresh interpreter, the sweep last; asserts that no
+# command before it imports the process pool, and prints whether numpy.random
+# was loaded
 NO_NUMPY_RANDOM = """
 import sys
 from ccmabeam import cli
-design, sweep = sys.argv[1:]
+design, sweep, tmp = sys.argv[1:]
+params = tmp + "/design/params.json"
 assert cli.main(["design", "--config", design]) == 0
-assert cli.main(["sweep", "--config", sweep]) == 0
+assert cli.main(["eval", "--config", design, "--params", params, "--out", tmp + "/eval"]) == 0
+assert cli.main(["compare", "--config", design, "--params", params, "--out", tmp + "/compare"]) == 0
 assert cli.main(["gradcheck"]) == 0
+pool = [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+assert not pool, pool
+assert cli.main(["sweep", "--config", sweep]) == 0
 print("numpy.random" in sys.modules)
 """
 
 
 def test_commands_never_load_numpy_random(tmp_path):
     """The start point and gradcheck's points are drawn in the package, so no
-    command imports numpy.random (and OpenSSL through its secrets import)."""
+    command imports numpy.random (and OpenSSL through its secrets import);
+    only a sweep imports its process pool."""
     design = write_config(tmp_path, small_config(tmp_path / "design"), "design.json")
     cfg = small_config(tmp_path / "sweep", sweep={"alpha": [0.0, 0.5]})
     cfg["loss"] = {"variant": "L3", "lambda3": 0.01}
@@ -1003,11 +1046,12 @@ def test_commands_never_load_numpy_random(tmp_path):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_RANDOM, str(design), str(sweep)],
+        [sys.executable, "-c", NO_NUMPY_RANDOM, str(design), str(sweep), str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "sweep" / "summary.csv").exists()
 
 
 class TestExitCodes:

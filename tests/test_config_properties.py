@@ -8,8 +8,10 @@ output directory.  A sweep section either fails to parse, naming
 ``sweep``, or gives each of its points a directory of its own.
 """
 
+import concurrent.futures
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from ccmabeam import cli
 from ccmabeam.cli import main, parse_config
+from pools import InProcessPool
 
 MISSING = object()  # delete the field instead of setting it
 
@@ -182,7 +185,9 @@ def test_every_sweep_point_gets_its_own_directory(sweep):
         directories.append(point.output_dir)
         return [["ok"]]
 
+    pool = functools.partial(InProcessPool, [])  # the points must run the patched _sweep_point
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_sweep_point", record), \
+            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", pool), \
             contextlib.redirect_stdout(io.StringIO()):
         cli.cmd_sweep(parsed, tmp)
     assert len(set(directories)) == len(directories), directories
