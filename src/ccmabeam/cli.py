@@ -1,13 +1,16 @@
 """Command-line driver: design, eval, sweep, compare, gradcheck.
 
 Config files are JSON with angles in degrees; everything internal runs
-in radians.  Exit codes: 0 success, 1 validation failure, 2 numerical
-failure (in a sweep: any point failed).
+in radians.  Exit codes: 0 success, 1 validation failure (any
+``ValueError``), 2 numerical failure (any ``ArithmeticError``, such as
+``NumericalError``; in a sweep: any point failed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -31,8 +34,6 @@ from .wavefield import (
 )
 from .weighting import DesignParams, das_gains, normalized_filter, params_gains
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "main"]
-
 SWEEP_KEYS = ("alpha", "lambda1", "lambda2", "lambda3")
 GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_POINTS = 5
@@ -52,10 +53,6 @@ DEFAULTS = {
     "optimizer": {"budget": 2000, "seed": 0},
     "sweep": dict.fromkeys(SWEEP_KEYS),
 }
-
-
-class ConfigError(ValueError):
-    """Config validation failure; the message names the offending field."""
 
 
 @dataclass(frozen=True)
@@ -91,30 +88,30 @@ def _point_name(key: str, value: float) -> str:
 def _object(value, path: str) -> dict:
     """``value``, checked against ``DEFAULTS[path]``, as a copy with the defaults filled in."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{path or 'config root'}: expected a JSON object")
+        raise ValueError(f"{path or 'config root'}: expected a JSON object")
     table = DEFAULTS[path]
     prefix = f"{path}." if path else ""
     for key in value:
         if key not in table:
-            raise ConfigError(f"{prefix}{key}: unknown field, expected one of {list(table)}")
+            raise ValueError(f"{prefix}{key}: unknown field, expected one of {list(table)}")
     for key, default in table.items():
         if default is REQUIRED and key not in value:
-            raise ConfigError(f"{prefix}{key}: required field is missing")
+            raise ValueError(f"{prefix}{key}: required field is missing")
     return {key: value.get(key, default) for key, default in table.items()}
 
 
 def _number(value, field: str, minimum=None, strict=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{field}: expected a number, got {value!r}")
+        raise ValueError(f"{field}: expected a number, got {value!r}")
     try:
         value = float(value)
     except OverflowError:  # an integer literal beyond the float range
         value = math.inf
     if not math.isfinite(value):  # json reads NaN and Infinity
-        raise ConfigError(f"{field}: expected a finite number")
+        raise ValueError(f"{field}: expected a finite number")
     if minimum is not None and (value <= minimum if strict else value < minimum):
         bound = "greater than" if strict else "at least"
-        raise ConfigError(f"{field}: must be {bound} {minimum}, got {value}")
+        raise ValueError(f"{field}: must be {bound} {minimum}, got {value}")
     return value
 
 
@@ -129,7 +126,7 @@ def parse_config(raw: dict) -> RunConfig:
     array_raw = fields["array"] = _object(fields["array"], "array")
     radii = array_raw["ring_radii_m"]
     if not isinstance(radii, list) or not radii:
-        raise ConfigError("array.ring_radii_m: expected a non-empty list of radii")
+        raise ValueError("array.ring_radii_m: expected a non-empty list of radii")
     array_raw["ring_radii_m"] = [_number(r, f"array.ring_radii_m[{i}]") for i, r in enumerate(radii)]
     _numbers(array_raw, "array", ("sample_rate_hz", "sound_speed_mps"), 0.0, strict=True)
     try:
@@ -139,37 +136,37 @@ def parse_config(raw: dict) -> RunConfig:
         for r in array.ring_radii:
             mics_per_ring(r, array.min_wavelength)
     except ValueError as err:  # the rates passed _number; only the radii are left
-        raise ConfigError(f"array.ring_radii_m: {err}") from None
+        raise ValueError(f"array.ring_radii_m: {err}") from None
 
     doa_raw = fields["doa_deg"] = _object(fields["doa_deg"], "doa_deg")
     _numbers(doa_raw, "doa_deg", ("elevation", "azimuth"))
     if not 0.0 <= doa_raw["elevation"] <= 90.0:
         # a planar array cannot separate mirror directions; the fit sector
         # covers [0, 90] degrees only
-        raise ConfigError(f"doa_deg.elevation: must lie in [0, 90], got {doa_raw['elevation']}")
+        raise ValueError(f"doa_deg.elevation: must lie in [0, 90], got {doa_raw['elevation']}")
     doa = Direction.from_degrees(doa_raw["elevation"], doa_raw["azimuth"])
 
     freqs_raw = fields["frequencies_hz"]
     if not isinstance(freqs_raw, list) or not freqs_raw:
-        raise ConfigError("frequencies_hz: expected a non-empty list of frequencies")
+        raise ValueError("frequencies_hz: expected a non-empty list of frequencies")
     nyquist = array.sample_rate / 2.0
     frequencies = fields["frequencies_hz"] = []
     for i, f in enumerate(freqs_raw):
         f = _number(f, f"frequencies_hz[{i}]", 0.0, strict=True)
         if f > nyquist:
-            raise ConfigError(
+            raise ValueError(
                 f"frequencies_hz[{i}]: {f} Hz exceeds the Nyquist frequency {nyquist} Hz"
             )
         if frequencies and f <= frequencies[-1]:
             # bands are looked up by frequency and L3 pairs them by position
-            raise ConfigError(
+            raise ValueError(
                 f"frequencies_hz[{i}]: {f} Hz does not exceed the previous band "
                 f"{frequencies[-1]} Hz; bands must be strictly increasing"
             )
         if frequencies and f"{f:g}" == f"{frequencies[-1]:g}":
             # artifacts name a band by its %g spelling, which is monotone in f,
             # so a repeated spelling repeats the previous band's
-            raise ConfigError(
+            raise ValueError(
                 f"frequencies_hz[{i}]: {f} Hz is written as {f:g} Hz in artifact names, "
                 f"as frequencies_hz[{i - 1}] is; the second band would overwrite the first"
             )
@@ -178,11 +175,11 @@ def parse_config(raw: dict) -> RunConfig:
     loss_raw = fields["loss"] = _object(fields["loss"], "loss")
     variant = loss_raw["variant"]
     if variant not in VARIANTS:
-        raise ConfigError(f"loss.variant: must be one of {list(VARIANTS)}, got {variant!r}")
+        raise ValueError(f"loss.variant: must be one of {list(VARIANTS)}, got {variant!r}")
     for key in ("target_theta_deg", "target_phi_deg"):
         target = loss_raw[key] = _number(loss_raw[key], f"loss.{key}", 0.0, strict=True)
         if target > 180.0:
-            raise ConfigError(f"loss.{key}: must be at most 180 degrees, got {target}")
+            raise ValueError(f"loss.{key}: must be at most 180 degrees, got {target}")
     _numbers(loss_raw, "loss", ("alpha",))
     _numbers(loss_raw, "loss", ("lambda1", "lambda2", "lambda3"), 0.0)
     try:
@@ -193,7 +190,7 @@ def parse_config(raw: dict) -> RunConfig:
             **{key: loss_raw[key] for key in SWEEP_KEYS},
         )
     except ValueError as err:
-        raise ConfigError(f"loss: {err}") from None
+        raise ValueError(f"loss: {err}") from None
 
     grid_deg = _number(fields["grid_resolution_deg"], "grid_resolution_deg", 0.0, strict=True)
     fields["grid_resolution_deg"] = grid_deg
@@ -201,20 +198,20 @@ def parse_config(raw: dict) -> RunConfig:
     opt_raw = fields["optimizer"] = _object(fields["optimizer"], "optimizer")
     budget, seed = opt_raw["budget"], opt_raw["seed"]
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
-        raise ConfigError(f"optimizer.budget: expected a positive integer, got {budget!r}")
+        raise ValueError(f"optimizer.budget: expected a positive integer, got {budget!r}")
     if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"optimizer.seed: expected an integer, got {seed!r}")
+        raise ValueError(f"optimizer.seed: expected an integer, got {seed!r}")
     if seed < 0:  # seeded_uniform takes non-negative integers only
-        raise ConfigError(f"optimizer.seed: must be at least 0, got {seed}")
+        raise ValueError(f"optimizer.seed: must be at least 0, got {seed}")
 
     sweep = fields["sweep"]
     if sweep is not None:
         _object(sweep, "sweep")
         if not sweep:
-            raise ConfigError("sweep: expected a non-empty object of parameter value lists")
+            raise ValueError("sweep: expected a non-empty object of parameter value lists")
         for key, values in sweep.items():
             if not isinstance(values, list) or not values:
-                raise ConfigError(f"sweep.{key}: expected a non-empty list of values")
+                raise ValueError(f"sweep.{key}: expected a non-empty list of values")
             names = {}  # point directory name -> index of its value
             for i, v in enumerate(values):
                 field = f"sweep.{key}[{i}]"
@@ -222,22 +219,22 @@ def parse_config(raw: dict) -> RunConfig:
                 try:  # sweeps run under L3 only
                     replace(loss, variant="L3", **{key: value})
                 except ValueError as err:
-                    raise ConfigError(f"{field}: {err}") from None
+                    raise ValueError(f"{field}: {err}") from None
                 name = _point_name(key, value)
                 if names.setdefault(name, i) != i:
-                    raise ConfigError(
+                    raise ValueError(
                         f"{field}: point directory {name!r} repeats sweep.{key}[{names[name]}]"
                     )
         sweep = fields["sweep"] = {k: [float(v) for v in vals] for k, vals in sweep.items()}
     if (variant == "L3" or sweep is not None) and len(frequencies) < 2:
-        raise ConfigError(
+        raise ValueError(
             "frequencies_hz: the L3 loss, which every sweep runs, needs at least 2 bands, "
             f"got {len(frequencies)}"
         )
 
     output_dir = fields["output_dir"]
     if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("output_dir: expected a non-empty string")
+        raise ValueError("output_dir: expected a non-empty string")
 
     return RunConfig(
         fields, array, doa, tuple(frequencies), loss, math.radians(grid_deg), budget, seed,
@@ -249,9 +246,9 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as err:
-        raise ConfigError(f"config file {path}: {err.strerror}") from None
+        raise ValueError(f"config file {path}: {err.strerror}") from None
     except ValueError as err:  # not JSON, or not text
-        raise ConfigError(f"config file {path} is not valid JSON: {err}") from None
+        raise ValueError(f"config file {path} is not valid JSON: {err}") from None
     return parse_config(raw)
 
 
@@ -278,13 +275,13 @@ def _output_dir(out_dir: str | Path) -> Path:
     out = Path(out_dir)
     existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
     if not existing.is_dir():
-        raise ConfigError(f"output_dir: {existing} exists and is not a directory")
+        raise ValueError(f"output_dir: {existing} exists and is not a directory")
     return out
 
 
 def _check_baseline(tag: str) -> None:
     if tag != "das":  # delay-and-sum is the one baseline
-        raise ConfigError(f"baseline: expected 'das', got {tag!r}")
+        raise ValueError(f"baseline: expected 'das', got {tag!r}")
 
 
 def cmd_design(cfg: RunConfig, out_dir: str | Path) -> MetricCurves:
@@ -322,7 +319,7 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path, params_path=None, baseline=Non
     out = _output_dir(out_dir)
     geometry = build_geometry(cfg.array)
     if (params_path is None) == (baseline is None):
-        raise ConfigError("eval: provide exactly one of --params or --baseline")
+        raise ValueError("eval: provide exactly one of --params or --baseline")
     if baseline is not None:
         _check_baseline(baseline)
         gains = das_gains(geometry, cfg.frequencies)
@@ -337,24 +334,29 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path, params_path=None, baseline=Non
     return curves
 
 
-def _sweep_point(cfg: RunConfig) -> list[list[str]]:
-    """summary.csv rows of one point; a failed point's status is its error class."""
+def _sweep_point(cfg: RunConfig) -> tuple[str, list[list[str]]]:
+    """What the point's design prints, and its summary.csv rows; a failed
+    point's status is its error class."""
     knobs = [f"{getattr(cfg.loss, k):g}" for k in SWEEP_KEYS]
+    printed = io.StringIO()
     try:
-        curves = cmd_design(cfg, cfg.output_dir)
+        with contextlib.redirect_stdout(printed):
+            curves = cmd_design(cfg, cfg.output_dir)
     except NumericalError as err:
         empty = [""] * len(METRIC_COLUMNS)
-        return [[*knobs, f"{f:g}", *empty, type(err).__name__] for f in cfg.frequencies]
-    bands = enumerate(curves.frequencies)
-    return [[*knobs, f"{f:g}", *metric_cells(curves, b), "ok"] for b, f in bands]
+        rows = [[*knobs, f"{f:g}", *empty, type(err).__name__] for f in cfg.frequencies]
+    else:
+        bands = enumerate(curves.frequencies)
+        rows = [[*knobs, f"{f:g}", *metric_cells(curves, b), "ok"] for b, f in bands]
+    return printed.getvalue(), rows
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     out = _output_dir(out_dir)
     if not cfg.sweep:
-        raise ConfigError("sweep: the config has no sweep section")
+        raise ValueError("sweep: the config has no sweep section")
     if cfg.loss.variant != "L3":
-        raise ConfigError("sweep: parameter sweeps require loss.variant == 'L3'")
+        raise ValueError("sweep: parameter sweeps require loss.variant == 'L3'")
     keys = list(cfg.sweep.keys())
     combos = [dict(zip(keys, values)) for values in itertools.product(*cfg.sweep.values())]
     jobs = []
@@ -369,7 +371,9 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(cpus, len(jobs))) as pool:
-        results = list(pool.map(_sweep_point, jobs))
+        printed, results = zip(*pool.map(_sweep_point, jobs))
+    # in point order, whichever process ran a point and whenever it ended
+    print("".join(printed), end="")
     header = [*SWEEP_KEYS, "frequency_hz", *METRIC_COLUMNS, "status"]
     # only now: a point that fails validation must leave no directory behind
     out.mkdir(parents=True, exist_ok=True)
@@ -485,7 +489,7 @@ def main(argv=None) -> int:
         elif args.command == "compare":
             cmd_compare(cfg, out, args.params, args.baseline)
         return 0
-    except (NumericalError, ArithmeticError) as err:
+    except ArithmeticError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     except ValueError as err:

@@ -13,14 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ArrayConfig",
-    "Ring",
-    "ArrayGeometry",
-    "mics_per_ring",
-    "build_geometry",
-]
-
 
 @dataclass(frozen=True)
 class ArrayConfig:

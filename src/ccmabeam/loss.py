@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LossConfig", "BandLossTerms", "total_loss"]
-
 VARIANTS = ("L1", "L2", "L3")
 
 # slack below target before the broadening branch of L2 engages

@@ -32,19 +32,6 @@ from .metrics import (
 from .wavefield import Direction
 from .weighting import DesignParams, SIGMA_FLOOR, constrain_band, mic_layout, params_gains, ring_gains
 
-__all__ = [
-    "RPropState",
-    "rprop_step",
-    "RunRecord",
-    "OptimizeResult",
-    "DesignLoss",
-    "DesignPipeline",
-    "GradcheckResult",
-    "gradcheck",
-    "seeded_uniform",
-    "optimize",
-]
-
 INITIAL_SIGMA = 0.5
 # the width parameter v with softplus(v) + SIGMA_FLOOR = INITIAL_SIGMA
 INITIAL_V = math.log(math.expm1(INITIAL_SIGMA - SIGMA_FLOOR))

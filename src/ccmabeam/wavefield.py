@@ -16,18 +16,6 @@ import numpy as np
 
 from .geometry import ArrayGeometry
 
-__all__ = [
-    "ELEVATION_RANGE",
-    "PATTERN_POWER_FLOOR",
-    "Direction",
-    "AngularGrid",
-    "steering_vector",
-    "BeampatternRows",
-    "bessel_table",
-    "pattern_db",
-    "export_beampattern_csv",
-]
-
 # elevations of a Direction, the beampattern grid and the fit cuts: a planar
 # array cannot tell a direction from its mirror image below the array plane
 ELEVATION_RANGE = (0.0, math.pi / 2.0)

@@ -21,19 +21,6 @@ import numpy as np
 from .geometry import ArrayGeometry
 from .wavefield import Direction
 
-__all__ = [
-    "SIGMA_FLOOR",
-    "DesignParams",
-    "mic_layout",
-    "gaussian_window",
-    "ring_gains",
-    "params_gains",
-    "das_gains",
-    "normalized_filter",
-    "constrain_band",
-    "softplus",
-]
-
 SIGMA_FLOOR = 1e-3
 
 

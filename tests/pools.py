@@ -1,4 +1,4 @@
-"""An in-process stand-in for ``concurrent.futures.ProcessPoolExecutor``."""
+"""In-process stand-ins for ``concurrent.futures.ProcessPoolExecutor``."""
 
 
 class InProcessPool:
@@ -17,3 +17,11 @@ class InProcessPool:
 
     def map(self, fn, jobs):
         return map(fn, jobs)
+
+
+class LastFirstPool(InProcessPool):
+    """Runs the points last first, as a pool whose later points end first
+    would, and returns their results in point order, as ``map`` does."""
+
+    def map(self, fn, jobs):
+        return reversed([fn(job) for job in reversed(list(jobs))])

@@ -84,7 +84,7 @@ def jitter(pipeline, seed, scale=0.5):
     )
 
 
-class TestPrimitives:
+class TestReversePassSteps:
     def test_product_gradient(self, toy_array, doa45):
         """With flat windows (taps within 5e-7 of 1) the gain of a mic is its
         ring weight, so WNG = (sum_r M_r w_r)^2 / sum_r M_r w_r^2; the pullback
@@ -133,7 +133,7 @@ class TestPrimitives:
                 result = gradcheck(metric_of(pipeline, metric, band), point, g)
                 assert result.max_rel_error < 1e-5, (metric, band)
 
-    def test_cvar_product_and_conj(self, array_16k, doa45, ref_pipeline):
+    def test_real_fold_matches_complex_filter(self, array_16k, doa45, ref_pipeline):
         """The pipeline folds the complex product with the conjugate look
         steering into real arithmetic; the complex filter must agree."""
         point = jitter(ref_pipeline, 5)
@@ -160,7 +160,7 @@ class TestPrimitives:
         assert kinked.delta_term == 0.0 and total == plain_total
         assert np.array_equal(kinked.d_df, plain.d_df) and np.array_equal(kinked.d_wng, plain.d_wng)
 
-    def test_division_and_power(self, toy_pipeline):
+    def test_df_and_wng_quotients_match_finite_differences(self, toy_pipeline):
         """DF and WNG are quotients of the gains' sum squared; the width
         parameters enter the taps through 1 / sigma^2."""
         for seed in (1, 2, 3):
@@ -173,7 +173,7 @@ class TestPrimitives:
                     result = gradcheck(metric_of(toy_pipeline, metric, band), point, g)
                     assert result.max_rel_error < 1e-6, (seed, metric, band)
 
-    def test_min_max_clamp_routing(self):
+    def test_gradient_follows_active_branch_and_sentinel_is_flat(self):
         """The loss routes its gradient to the active branch, and the width
         map clamps a non-concave fit to the sentinel with a zero slope."""
         deg = math.radians
@@ -190,7 +190,7 @@ class TestPrimitives:
         assert width[1:].tolist() == [math.pi, math.pi] and slope[1:].tolist() == [0.0, 0.0]
         assert slope[0] == pytest.approx(width[0] / 4.0, rel=1e-15)
 
-    def test_float_fallbacks(self, toy_pipeline):
+    def test_loss_is_a_float_and_takes_numpy_scalars(self, toy_pipeline):
         """A DesignLoss is a float: arithmetic on it gives plain floats, and
         the loss takes numpy scalars and ints as it takes floats."""
         loss, _ = toy_pipeline.build_loss(toy_pipeline.initial_params(seed=1))
@@ -215,7 +215,7 @@ class TestPrimitives:
         with pytest.raises(NumericalError):
             rprop_step(RPropState.create(2), np.array([1.0, math.inf]), np.zeros(2))
 
-    def test_primitives_match_finite_differences(self, ref_pipeline):
+    def test_metric_jacobian_matches_finite_differences(self, ref_pipeline):
         """Every band metric of the reference array against central
         differences: the full Jacobian, one pullback per row."""
         for seed in (11, 12):
@@ -289,7 +289,7 @@ class TestBackward:
 
 
 class TestReductions:
-    def test_lincomb_matches_manual(self):
+    def test_fit_coefficients_give_least_squares_curvature(self):
         """The fit-coefficient dot product equals the curvature of a
         weighted least-squares parabola solved directly."""
         rng = np.random.default_rng(2)
@@ -302,7 +302,7 @@ class TestReductions:
         (a, _), *_ = np.linalg.lstsq(design, y * np.sqrt(w), rcond=None)
         assert fit_coefficients(x, doa_index, sigma) @ y == pytest.approx(a, rel=1e-10)
 
-    def test_lincomb_many_matches_single(self, array_16k, doa45):
+    def test_batched_bands_match_one_pipeline_per_band(self, array_16k, doa45):
         """The band-batched forward and reverse pass agree with one pipeline
         per band (bands with different cut lengths, so padding included)."""
         freqs = (1000.0, 3000.0, 6000.0)
@@ -317,7 +317,7 @@ class TestReductions:
                 assert getattr(one, m)[0] == pytest.approx(getattr(snap, m)[b], rel=1e-12), m
             assert one_loss.gradient() == pytest.approx(grad[b], rel=1e-10, abs=1e-14)
 
-    def test_quadform_matches_manual(self, toy_array, doa45, toy_pipeline):
+    def test_df_matches_diffuse_form_summed_by_hand(self, toy_array, doa45, toy_pipeline):
         """DF = (sum g)^2 / sum_ij g_i g_j Gamma_ij Re(conj(d_i) d_j), summed by hand."""
         point = jitter(toy_pipeline, 12)
         _, snap = toy_pipeline.build_loss(point)
@@ -333,7 +333,7 @@ class TestReductions:
             assert diffuse > GAMMA_DIAGONAL_REG * float(g @ g)
             assert snap.df[b] == pytest.approx(g.sum() ** 2 / diffuse, rel=1e-12)
 
-    def test_sumsq(self, toy_array, doa45):
+    def test_wng_matches_sum_of_squares(self, toy_array, doa45):
         """WNG = (sum g)^2 / sum g^2: with flat windows and all weight on one
         ring it is that ring's mic count."""
         pipeline = DesignPipeline(toy_array, doa45, (2000.0,), cfg())
@@ -395,7 +395,7 @@ class TestGradcheck:
         assert math.isnan(result.max_rel_error)
         assert result.excluded == ()
 
-    def test_requires_var_output(self):
+    def test_rejects_non_scalar_output(self):
         """The checked function must return a scalar."""
         with pytest.raises(TypeError):
             gradcheck(lambda xs: [xs[0], 2.0 * xs[0]], [0.5], [1.0])

@@ -176,14 +176,14 @@ def test_every_sweep_point_gets_its_own_directory(sweep):
     }
     try:
         parsed = parse_config(cfg)
-    except cli.ConfigError as err:
+    except ValueError as err:
         assert str(err).startswith("sweep."), err
         return
     directories = []
 
     def record(point):  # the point's directory, in place of its design
         directories.append(point.output_dir)
-        return [["ok"]]
+        return "", [["ok"]]
 
     pool = functools.partial(InProcessPool, [])  # the points must run the patched _sweep_point
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_sweep_point", record), \

@@ -1,8 +1,13 @@
-"""The package's public surface: every public module-level function and
-class has a caller in the package, the top level holds the quick start, and the test
+"""The package's public surface.  A module-level name is public when it has
+no leading underscore; no module narrows that with ``__all__``, and no module
+imports another's private name.  Every public function and class has a caller
+in the package, the top level holds the quick start, the exception classes
+fall into the two families that the exit codes tell apart, and the test
 oracles stay out of the package."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -49,7 +54,7 @@ def used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
 
 def uncalled_public_definitions() -> list[str]:
     """Module-level functions and classes without a leading underscore that
-    nothing in the package uses, whether or not ``__all__`` lists them."""
+    nothing in the package uses."""
     uncalled = []
     for module, tree in MODULES.items():
         for own in tree.body:
@@ -68,6 +73,46 @@ def uncalled_public_definitions() -> list[str]:
 
 def test_every_exported_function_and_class_has_a_caller():
     assert uncalled_public_definitions() == []
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_only_the_top_level_assigns_all(module):
+    """``ccmabeam.__all__`` is the quick start; a module's public names are
+    those without a leading underscore."""
+    assigns = any(
+        isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+        for node in ast.walk(MODULES[module])
+    )
+    assert assigns == (module == "__init__")
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_imports_a_private_name(module):
+    for node in ast.walk(MODULES[module]):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("ccmabeam"):
+            continue
+        private = [
+            alias.name for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")
+        ]
+        assert private == [], ast.unparse(node)
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_exceptions_fall_into_the_two_exit_code_families(module):
+    """``main`` exits 1 on any ``ValueError`` and 2 on any ``ArithmeticError``,
+    so a ``ValueError`` subclass would tell nothing apart; every exception
+    class the package defines is an ``ArithmeticError``."""
+    mod = importlib.import_module("ccmabeam" if module == "__init__" else f"ccmabeam.{module}")
+    errors = [
+        cls for _, cls in inspect.getmembers(mod, inspect.isclass)
+        if issubclass(cls, BaseException) and cls.__module__ == mod.__name__
+    ]
+    for cls in errors:
+        assert not issubclass(cls, ValueError), cls
+        assert issubclass(cls, ArithmeticError), cls
 
 
 def test_top_level_is_the_quick_start():
