@@ -45,7 +45,7 @@ DEFAULTS = {
     "": {"array": REQUIRED, "doa_deg": REQUIRED,
          "frequencies_hz": [float(f) for f in range(500, 7501, 500)], "loss": {},
          "grid_resolution_deg": math.degrees(GRID_RESOLUTION), "optimizer": {},
-         "output_dir": "out", "version": None, "sweep": None},
+         "version": None, "sweep": None},
     "array": {"ring_radii_m": REQUIRED, "sample_rate_hz": REQUIRED, "sound_speed_mps": 343.0},
     "doa_deg": {"elevation": REQUIRED, "azimuth": REQUIRED},
     "loss": {"variant": "L1", "alpha": 1.0, "lambda1": 0.0, "lambda2": 0.0, "lambda3": 0.0,
@@ -67,17 +67,12 @@ class RunConfig:
     grid_resolution: float
     budget: int
     seed: int
-    output_dir: str
     sweep: dict[str, list[float]] | None
 
     def resolved(self) -> dict:
         """Full config echo; feeding this back through ``design`` reproduces the run."""
         # sweep is the one field that can hold None: an absent sweep stays absent
         return {k: v for k, v in {**self.fields, "version": __version__}.items() if v is not None}
-
-    def replaced(self, **root_fields) -> "RunConfig":
-        """This config with some root fields changed, checked as any config is."""
-        return parse_config({**self.fields, **root_fields})
 
 
 def _point_name(key: str, value: float) -> str:
@@ -232,13 +227,8 @@ def parse_config(raw: dict) -> RunConfig:
             f"got {len(frequencies)}"
         )
 
-    output_dir = fields["output_dir"]
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ValueError("output_dir: expected a non-empty string")
-
     return RunConfig(
-        fields, array, doa, tuple(frequencies), loss, math.radians(grid_deg), budget, seed,
-        output_dir, sweep,
+        fields, array, doa, tuple(frequencies), loss, math.radians(grid_deg), budget, seed, sweep
     )
 
 
@@ -270,8 +260,10 @@ def _write_beampatterns(cfg: RunConfig, geometry: ArrayGeometry, out: Path, gain
 
 
 def _output_dir(out_dir: str | Path) -> Path:
-    """``out_dir``, checked before any work: ``mkdir`` needs its nearest
-    existing part, a dangling link included, to be a directory."""
+    """``out_dir``, checked before any work: it must be non-empty, and ``mkdir``
+    needs its nearest existing part, a dangling link included, to be a directory."""
+    if not out_dir:  # Path("") is the working directory
+        raise ValueError("output_dir: expected a non-empty string")
     out = Path(out_dir)
     existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
     if not existing.is_dir():
@@ -334,14 +326,15 @@ def cmd_eval(cfg: RunConfig, out_dir: str | Path, params_path=None, baseline=Non
     return curves
 
 
-def _sweep_point(cfg: RunConfig) -> tuple[str, list[list[str]]]:
-    """What the point's design prints, and its summary.csv rows; a failed
-    point's status is its error class."""
+def _sweep_point(job: tuple[RunConfig, Path]) -> tuple[str, list[list[str]]]:
+    """What the design of a (point config, point directory) pair prints, and
+    its summary.csv rows; a failed point's status is its error class."""
+    cfg, out = job
     knobs = [f"{getattr(cfg.loss, k):g}" for k in SWEEP_KEYS]
     printed = io.StringIO()
     try:
         with contextlib.redirect_stdout(printed):
-            curves = cmd_design(cfg, cfg.output_dir)
+            curves = cmd_design(cfg, out)
     except NumericalError as err:
         empty = [""] * len(METRIC_COLUMNS)
         rows = [[*knobs, f"{f:g}", *empty, type(err).__name__] for f in cfg.frequencies]
@@ -363,7 +356,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     for overrides in combos:
         point = _output_dir(out / "_".join(_point_name(k, overrides[k]) for k in keys))
         loss = {**cfg.fields["loss"], **overrides}
-        jobs.append(cfg.replaced(loss=loss, output_dir=str(point), sweep=None))
+        jobs.append((parse_config({**cfg.fields, "loss": loss, "sweep": None}), point))
     # every process runs BLAS on one thread: one process per usable CPU, and
     # no more than the points, as a fork pool starts every process at once
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -448,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="run config JSON")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
 
     p = sub.add_parser("design", help="optimize a filter set and write artifacts")
     common(p)
@@ -477,17 +470,14 @@ def main(argv=None) -> int:
             worst = cmd_gradcheck()
             return 0 if worst < GRADCHECK_TOLERANCE else 2
         cfg = load_config(args.config)
-        if args.out is not None:
-            cfg = cfg.replaced(output_dir=args.out)
-        out = cfg.output_dir
         if args.command == "design":
-            cmd_design(cfg, out)
+            cmd_design(cfg, args.out)
         elif args.command == "eval":
-            cmd_eval(cfg, out, params_path=args.params, baseline=args.baseline)
+            cmd_eval(cfg, args.out, params_path=args.params, baseline=args.baseline)
         elif args.command == "sweep":
-            cmd_sweep(cfg, out)
+            cmd_sweep(cfg, args.out)
         elif args.command == "compare":
-            cmd_compare(cfg, out, args.params, args.baseline)
+            cmd_compare(cfg, args.out, args.params, args.baseline)
         return 0
     except ArithmeticError as err:
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -228,15 +228,17 @@ class DesignParams:
             raise ValueError(f"parameter file {path}: {err.strerror}") from None
         except ValueError as err:  # not JSON, or not text
             raise ValueError(f"parameter file {path} is not valid JSON: {err}") from None
+        bands = payload.get("bands") if isinstance(payload, dict) else None
+        if not isinstance(bands, list) or not all(isinstance(band, dict) for band in bands):
+            raise ValueError(f"malformed parameter file {path}: bands: expected a list of objects")
         keys = ["frequency_hz", "ring_weights", "window_widths"]
-        try:
-            bands = payload["bands"]
-            if bands and "u" in bands[0]:
-                keys += ["u", "v"]
-            columns = [[band[key] for band in bands] for key in keys]
-        except (KeyError, TypeError) as err:
-            raise ValueError(f"malformed parameter file {path}: {err}") from None
-        return cls(*columns)
+        if any("u" in band or "v" in band for band in bands):
+            keys += ["u", "v"]  # in every band, or in none
+        for b, band in enumerate(bands):
+            for key in keys:
+                if key not in band:
+                    raise ValueError(f"malformed parameter file {path}: band {b}: {key} is missing")
+        return cls(*([band[key] for band in bands] for key in keys))
 
 
 def normalized_filter(gains: np.ndarray, d: np.ndarray) -> np.ndarray:

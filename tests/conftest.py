@@ -75,6 +75,21 @@ MALFORMED_PARAMS = {
         _set(1, window_widths=[0.5, 0.0]), "band 1: window_widths must be positive, got [0.5, 0.0]"
     ),
     "ragged-weights": (_set(0, ring_weights=[0.5, [0.5]]), "band 0: ring_weights must be a flat list"),
+    # any band with u or v makes both required in every band
+    "u-missing-in-a-later-band": (
+        lambda p: (_set(0, u=[0.0, 0.0], v=[0.0, 0.0])(p), _set(1, v=[0.0, 0.0])(p)),
+        "band 1: u is missing",
+    ),
+    "u-and-v-missing-in-the-first-band": (
+        _set(1, u=[0.0, 0.0], v=[0.0, 0.0]), "band 0: u is missing"
+    ),
+    "v-missing": (_set(0, 1, u=[0.0, 0.0]), "band 0: v is missing"),
+    "frequency-missing": (
+        lambda p: p["bands"][1].pop("frequency_hz"), "band 1: frequency_hz is missing"
+    ),
+    "band-not-an-object": (lambda p: p["bands"].append(1), "bands: expected a list of objects"),
+    "bands-an-object": (lambda p: p.update(bands={"a": 1}), "bands: expected a list of objects"),
+    "bands-missing": (lambda p: p.pop("bands"), "bands: expected a list of objects"),
 }
 
 

@@ -8,11 +8,11 @@ picks the code under test, and calls ``ccmabeam.cli.main`` in-process for
 every entry of ``CORPUS``.  ``diff`` reports every artifact as identical or
 counts its differing cells (comma-, space- or bracket-separated tokens) in
 three kinds: signed-zero flips (``-0.000000`` against ``0.000000``), changes
-of one unit in the last printed digit, and other changes.  ``manifest.json``
-records its own ``output_dir``, so it is compared without that field.  Exit
-status: 0 when every artifact is identical, 1 when the only differences are
-signed-zero flips and last-digit changes, 2 on any other change or a file
-that only one corpus holds, or a corpus directory that is missing or empty.
+of one unit in the last printed digit, and other changes; every file,
+``manifest.json`` included, is compared as written.  Exit status: 0 when
+every artifact is identical, 1 when the only differences are signed-zero
+flips and last-digit changes, 2 on any other change or a file that only one
+corpus holds, or a corpus directory that is missing or empty.
 """
 
 from __future__ import annotations
@@ -140,18 +140,10 @@ def _cells(line: str, csv: bool) -> list[str]:
     return line.split(",") if csv else re.findall(r"[^\s,\[\]{}:]+", line)
 
 
-def _text(path: Path) -> str:
-    if path.name != "manifest.json":
-        return path.read_text()
-    manifest = json.loads(path.read_text())
-    manifest.pop("output_dir", None)
-    return json.dumps(manifest, indent=2)
-
-
 def compare_files(a: Path, b: Path) -> list[int]:
     """Differing cells of two versions of one artifact, counted per KINDS."""
     counts = [0, 0, 0]
-    text_a, text_b = _text(a), _text(b)
+    text_a, text_b = a.read_text(), b.read_text()
     if text_a == text_b:
         return counts
     lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
@@ -193,8 +185,7 @@ def diff(root_a: Path, root_b: Path) -> int:
         totals = [t + c for t, c in zip(totals, counts)]
         if counts == [0, 0, 0]:
             identical += 1
-            note = " (without output_dir)" if rel.name == "manifest.json" else ""
-            print(f"{rel}: identical{note}")
+            print(f"{rel}: identical")
             continue
         print(f"{rel}: " + ", ".join(f"{c} {kind}" for c, kind in zip(counts, KINDS)))
         if counts[2]:

@@ -456,7 +456,7 @@ def test_criterion_9_rprop_unit_behavior():
 
 
 def test_criterion_10_determinism_and_round_trip(tmp_path):
-    def config(out_dir):
+    def config():
         return {
             "array": {"ring_radii_m": [0.0, 0.05], "sample_rate_hz": 16000.0},
             "doa_deg": {"elevation": 45.0, "azimuth": 45.0},
@@ -464,15 +464,14 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
             "loss": {"variant": "L1", "target_theta_deg": 40.0, "target_phi_deg": 40.0},
             "grid_resolution_deg": 1.0,
             "optimizer": {"budget": 50, "seed": 11},
-            "output_dir": str(out_dir),
         }
 
     paths = {}
     for tag in ("a", "b"):
         out = tmp_path / tag
         cfg_path = tmp_path / f"{tag}.json"
-        cfg_path.write_text(json.dumps(config(out)))
-        assert cli_main(["design", "--config", str(cfg_path)]) == 0
+        cfg_path.write_text(json.dumps(config()))
+        assert cli_main(["design", "--config", str(cfg_path), "--out", str(out)]) == 0
         paths[tag] = out
     identical = all(
         (paths["a"] / name).read_bytes() == (paths["b"] / name).read_bytes()
@@ -481,7 +480,7 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
 
     eval_out = tmp_path / "eval"
     cfg_path = tmp_path / "eval.json"
-    cfg_path.write_text(json.dumps(config(eval_out)))
+    cfg_path.write_text(json.dumps(config()))
     assert (
         cli_main(
             [

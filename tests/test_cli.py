@@ -26,7 +26,7 @@ from oracles import assemble_filter, csv_reference, das_filter
 from pools import InProcessPool, LastFirstPool
 
 
-def small_config(out_dir, **overrides):
+def small_config(**overrides):
     cfg = {
         "array": {"ring_radii_m": [0.0, 0.05], "sample_rate_hz": 16000.0},
         "doa_deg": {"elevation": 45.0, "azimuth": 45.0},
@@ -34,7 +34,6 @@ def small_config(out_dir, **overrides):
         "loss": {"variant": "L1", "target_theta_deg": 40.0, "target_phi_deg": 40.0},
         "grid_resolution_deg": 2.0,
         "optimizer": {"budget": 8, "seed": 3},
-        "output_dir": str(out_dir),
     }
     cfg.update(overrides)
     return cfg
@@ -48,7 +47,7 @@ def write_config(tmp_path, cfg, name="config.json"):
 
 class TestConfigParsing:
     def test_defaults_filled(self, tmp_path):
-        cfg = small_config(tmp_path / "out")
+        cfg = small_config()
         del cfg["frequencies_hz"]
         del cfg["grid_resolution_deg"]
         parsed = parse_config(cfg)
@@ -92,8 +91,8 @@ class TestConfigParsing:
              "array.ring_radii_m: ring radius 0.001 m cannot hold two microphones"),
         ],
     )
-    def test_field_level_errors(self, tmp_path, mutate, needle):
-        cfg = small_config(tmp_path / "out")
+    def test_field_level_errors(self, mutate, needle):
+        cfg = small_config()
         mutate(cfg)
         with pytest.raises(ValueError, match=re.escape(needle)):
             parse_config(cfg)
@@ -107,9 +106,9 @@ class TestConfigParsing:
     def test_config_fields_have_no_flags(self, tmp_path, capsys, args):
         """The seed and the grid are set in the config only; a flag for
         either is a usage error."""
-        path = write_config(tmp_path, small_config(tmp_path / "out"))
+        path = write_config(tmp_path, small_config())
         with pytest.raises(SystemExit) as exits:
-            main([args[0], "--config", str(path), *args[1:]])
+            main([args[0], "--config", str(path), "--out", str(tmp_path / "out"), *args[1:]])
         assert exits.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and f"unrecognized arguments: {args[-2]}" in err
@@ -117,8 +116,9 @@ class TestConfigParsing:
 
     def test_azimuth_a_hair_below_zero(self, tmp_path, capsys):
         """-1e-14 % 360 is 360.0; the azimuth wraps to 0 and the design runs."""
-        cfg = small_config(tmp_path / "out", doa_deg={"elevation": 45.0, "azimuth": -1e-14})
-        assert main(["design", "--config", str(write_config(tmp_path, cfg))]) == 0
+        cfg = small_config(doa_deg={"elevation": 45.0, "azimuth": -1e-14})
+        path = write_config(tmp_path, cfg)
+        assert main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "params.json").exists()
 
     def test_missing_file(self, tmp_path):
@@ -181,16 +181,18 @@ class TestNonFiniteNumbers:
         ids=[f[0] for f in NUMERIC_FIELDS + INTEGER_FIELDS],
     )
     def test_rejected_with_field_name(self, tmp_path, capsys, field, mutate, message, value):
-        cfg = small_config(tmp_path / "out")
+        cfg = small_config()
         mutate(cfg, value)
-        assert main(["design", "--config", str(write_config(tmp_path, cfg))]) == 1
+        path = write_config(tmp_path, cfg)
+        assert main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"{field}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_integer_beyond_float_range(self, tmp_path, capsys):
-        cfg = small_config(tmp_path / "out")
+        cfg = small_config()
         cfg["array"]["sample_rate_hz"] = 10**400
-        assert main(["design", "--config", str(write_config(tmp_path, cfg))]) == 1
+        path = write_config(tmp_path, cfg)
+        assert main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "array.sample_rate_hz: expected a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -198,8 +200,8 @@ class TestNonFiniteNumbers:
 class TestDesignCommand:
     def test_artifacts_and_manifest(self, tmp_path):
         out = tmp_path / "out"
-        path = write_config(tmp_path, small_config(out))
-        assert main(["design", "--config", str(path)]) == 0
+        path = write_config(tmp_path, small_config())
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
         for name in (
             "params.json",
             "metrics.csv",
@@ -216,17 +218,18 @@ class TestDesignCommand:
 
     def test_same_seed_reruns_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        p1 = write_config(tmp_path, small_config(out1), "c1.json")
-        p2 = write_config(tmp_path, small_config(out2), "c2.json")
-        assert main(["design", "--config", str(p1)]) == 0
-        assert main(["design", "--config", str(p2)]) == 0
-        for name in ("metrics.csv", "params.json", "run_record.csv"):
+        p1 = write_config(tmp_path, small_config(), "c1.json")
+        p2 = write_config(tmp_path, small_config(), "c2.json")
+        assert main(["design", "--config", str(p1), "--out", str(out1)]) == 0
+        assert main(["design", "--config", str(p2), "--out", str(out2)]) == 0
+        for name in ("metrics.csv", "params.json", "run_record.csv", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_run_record_widths_clamped_like_metrics(self, tmp_path):
         # this config's raw parabola width reaches 185.55 degrees at 2 kHz
         out = tmp_path / "out"
-        assert main(["design", "--config", str(write_config(tmp_path, small_config(out)))]) == 0
+        path = write_config(tmp_path, small_config())
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
         with open(out / "run_record.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         widths = [
@@ -240,23 +243,29 @@ class TestDesignCommand:
 
     def test_manifest_reruns_identically(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        p1 = write_config(tmp_path, small_config(out1), "c1.json")
-        assert main(["design", "--config", str(p1)]) == 0
+        p1 = write_config(tmp_path, small_config(), "c1.json")
+        assert main(["design", "--config", str(p1), "--out", str(out1)]) == 0
         assert main(["design", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
-    def test_out_flag_is_the_manifest_output_dir(self, tmp_path):
-        path = write_config(tmp_path, small_config(tmp_path / "config-out"))
-        out = tmp_path / "flag-out"
-        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["output_dir"] == str(out)
-        assert not (tmp_path / "config-out").exists()
+    def test_manifest_is_the_same_bytes_wherever_written(self, tmp_path):
+        """The caller alone says where a run writes: two --out values and
+        cmd_design write one manifest.json, which records no directory."""
+        path = write_config(tmp_path, small_config())
+        outs = [tmp_path / "a", tmp_path / "b" / "nested", tmp_path / "api"]
+        for out in outs[:2]:
+            assert main(["design", "--config", str(path), "--out", str(out)]) == 0
+        cli.cmd_design(load_config(path), outs[2])
+        manifests = [(out / "manifest.json").read_bytes() for out in outs]
+        assert manifests[1:] == manifests[:1] * 2
+        assert "output_dir" not in json.loads(manifests[0])
 
     def test_manifest_echoes_the_config_degrees(self, tmp_path):
         # both round trip through radians to 12.000000000000002 and 10.600000000000001
-        cfg = small_config(tmp_path / "out", doa_deg={"elevation": 12.0, "azimuth": 10.6})
+        cfg = small_config(doa_deg={"elevation": 12.0, "azimuth": 10.6})
         cfg["loss"].update(target_theta_deg=12.0, target_phi_deg=10.6)
-        assert main(["design", "--config", str(write_config(tmp_path, cfg))]) == 0
+        path = write_config(tmp_path, cfg)
+        assert main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["doa_deg"] == {"elevation": 12.0, "azimuth": 10.6}
         assert manifest["loss"]["target_theta_deg"] == 12.0
@@ -265,8 +274,8 @@ class TestDesignCommand:
         assert "12.000000000000002" not in text and "10.600000000000001" not in text
 
     def test_empty_frequency_list_fails_validation(self, tmp_path, capsys):
-        path = write_config(tmp_path, small_config(tmp_path / "out", frequencies_hz=[]))
-        assert main(["design", "--config", str(path)]) == 1
+        path = write_config(tmp_path, small_config(frequencies_hz=[]))
+        assert main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "frequencies_hz" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -275,9 +284,10 @@ class TestDesignCommand:
         ids=["design", "sweep"],
     )
     def test_single_band_l3_fails_validation(self, tmp_path, capsys, command, section):
-        cfg = small_config(tmp_path / "out", frequencies_hz=[2000.0], **section)
+        cfg = small_config(frequencies_hz=[2000.0], **section)
         cfg["loss"]["variant"] = "L3"
-        assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 1
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "frequencies_hz" in err and "at least 2 bands" in err
         assert not (tmp_path / "out").exists()
@@ -286,8 +296,8 @@ class TestDesignCommand:
 class TestEvalCommand:
     def test_round_trip_reproduces_metrics(self, tmp_path):
         out = tmp_path / "design"
-        path = write_config(tmp_path, small_config(out))
-        assert main(["design", "--config", str(path)]) == 0
+        path = write_config(tmp_path, small_config())
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
         out2 = tmp_path / "eval"
         assert (
             main(
@@ -304,8 +314,8 @@ class TestEvalCommand:
 
     def test_baseline_eval(self, tmp_path):
         out = tmp_path / "das"
-        path = write_config(tmp_path, small_config(out))
-        assert main(["eval", "--config", str(path), "--baseline", "das"]) == 0
+        path = write_config(tmp_path, small_config())
+        assert main(["eval", "--config", str(path), "--baseline", "das", "--out", str(out)]) == 0
         assert (out / "metrics.csv").exists()
         assert (out / "beampattern_2000.csv").exists()
 
@@ -314,12 +324,12 @@ class TestEvalCommand:
         """Every beampattern cell is the dB grid of the intended filter:
         das_filter for the baseline, assemble_filter of each saved band."""
         out = tmp_path / "eval"
-        path = write_config(tmp_path, small_config(out))
+        path = write_config(tmp_path, small_config())
         params = DesignParams((2000.0, 3000.0), [[0.3, 0.7], [0.8, 0.2]], [[0.4, 2.0], [1.5, 0.2]])
         saved = tmp_path / "params.json"
         params.save(saved)
         args = ["--baseline", "das"] if source == "baseline" else ["--params", str(saved)]
-        assert main(["eval", "--config", str(path), *args]) == 0
+        assert main(["eval", "--config", str(path), *args, "--out", str(out)]) == 0
         cfg = load_config(path)
         geometry = build_geometry(cfg.array)
         grid = AngularGrid.build(cfg.grid_resolution, cfg.doa)
@@ -343,26 +353,26 @@ class TestEvalCommand:
 
     def test_ring_count_mismatch(self, tmp_path, capsys):
         out = tmp_path / "design"
-        path = write_config(tmp_path, small_config(out))
-        assert main(["design", "--config", str(path)]) == 0
-        other = small_config(tmp_path / "other")
+        path = write_config(tmp_path, small_config())
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
+        other = small_config()
         other["array"]["ring_radii_m"] = [0.0]
         path2 = write_config(tmp_path, other, "other.json")
-        assert (
-            main(["eval", "--config", str(path2), "--params", str(out / "params.json")])
-            == 1
-        )
+        params = str(out / "params.json")
+        eval_out = str(tmp_path / "eval")
+        assert main(["eval", "--config", str(path2), "--params", params, "--out", eval_out]) == 1
         assert "rings" in capsys.readouterr().err
 
     def test_non_finite_params_fail_validation(self, tmp_path, capsys):
         out = tmp_path / "design"
-        path = write_config(tmp_path, small_config(out))
-        assert main(["design", "--config", str(path)]) == 0
+        path = write_config(tmp_path, small_config())
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
         payload = json.loads((out / "params.json").read_text())
         payload["bands"][1]["window_widths"][0] = math.nan
         bad = tmp_path / "nan_params.json"
         bad.write_text(json.dumps(payload))
-        assert main(["eval", "--config", str(path), "--params", str(bad)]) == 1
+        eval_out = str(tmp_path / "eval")
+        assert main(["eval", "--config", str(path), "--params", str(bad), "--out", eval_out]) == 1
         assert "band 1: window_widths must be finite" in capsys.readouterr().err
 
     def test_tiny_window_widths_give_finite_metrics(self, tmp_path):
@@ -373,31 +383,33 @@ class TestEvalCommand:
             (2000.0, 3000.0), (np.array([0.5, 0.5]),) * 2, (np.full(2, 1e-200),) * 2
         ).save(params)
         out = tmp_path / "eval"
-        path = write_config(tmp_path, small_config(out))
-        assert main(["eval", "--config", str(path), "--params", str(params)]) == 0
+        path = write_config(tmp_path, small_config())
+        args = ["--params", str(params), "--out", str(out)]
+        assert main(["eval", "--config", str(path), *args]) == 0
         with open(out / "metrics.csv") as fh:
             rows = list(csv.reader(fh))[1:]
         assert len(rows) == 2
         assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
     def test_requires_exactly_one_source(self, tmp_path):
-        path = write_config(tmp_path, small_config(tmp_path / "out"))
-        assert main(["eval", "--config", str(path)]) == 1
+        path = write_config(tmp_path, small_config())
+        assert main(["eval", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_missing_band_fails_validation(self, tmp_path, capsys):
         out = tmp_path / "design"
-        path = write_config(tmp_path, small_config(out))
-        assert main(["design", "--config", str(path)]) == 0
-        other = write_config(
-            tmp_path, small_config(tmp_path / "eval", frequencies_hz=[2000.0, 4000.0]), "other.json"
-        )
-        assert main(["eval", "--config", str(other), "--params", str(out / "params.json")]) == 1
+        path = write_config(tmp_path, small_config())
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
+        other = write_config(tmp_path, small_config(frequencies_hz=[2000.0, 4000.0]), "other.json")
+        params, eval_out = str(out / "params.json"), str(tmp_path / "eval")
+        assert main(["eval", "--config", str(other), "--params", params, "--out", eval_out]) == 1
         assert "params: no saved band for frequencies [4000.0]" in capsys.readouterr().err
 
     def test_unknown_baseline_is_a_usage_error(self, tmp_path):
-        path = write_config(tmp_path, small_config(tmp_path / "out"))
+        path = write_config(tmp_path, small_config())
         with pytest.raises(SystemExit) as exits:
-            main(["eval", "--config", str(path), "--baseline", "delay_and_sum"])
+            main(["eval", "--config", str(path), "--baseline", "delay_and_sum",
+                  "--out", str(tmp_path / "out")])
         assert exits.value.code == 1
 
 
@@ -428,14 +440,14 @@ class TestStreamedBeampatterns:
         "block_rows", [9, 7, 45, 64], ids=["divides", "straddles", "one-block", "above"]
     )
     def test_blocks_of_any_size(self, tmp_path, monkeypatch, block_rows):
-        cfg = load_config(write_config(tmp_path, small_config(tmp_path / "out")))
+        cfg = load_config(write_config(tmp_path, small_config()))
         # 45 elevations x 180 azimuths: 9 rows a block divide them, 7 do not
         monkeypatch.setattr(wavefield, "_CSV_BLOCK_CELLS", block_rows * 180)
         grid = self.assert_matches_whole_grid(tmp_path, cfg)
         assert grid.azimuths.shape == (180,) and grid.elevations.shape == (45,)
 
     def test_one_elevation(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, small_config(tmp_path / "out")))
+        cfg = load_config(write_config(tmp_path, small_config()))
         # a grid coarser than the elevation range holds the look elevation only
         cfg = replace(cfg, grid_resolution=math.radians(100.0))
         grid = self.assert_matches_whole_grid(tmp_path, cfg)
@@ -445,16 +457,14 @@ class TestStreamedBeampatterns:
         """At a 3-degree grid, 45 - 15 * 3 degrees rounds a hair below 0;
         the grid clips it, so the first row is not labelled -0.000."""
         out = tmp_path / "out"
-        path = write_config(tmp_path, small_config(out, grid_resolution_deg=3.0))
-        assert main(["eval", "--config", str(path), "--baseline", "das"]) == 0
+        path = write_config(tmp_path, small_config(grid_resolution_deg=3.0))
+        assert main(["eval", "--config", str(path), "--baseline", "das", "--out", str(out)]) == 0
         for f in (2000, 3000):
             rows = (out / f"beampattern_{f}.csv").read_bytes().split(b"\r\n")
             assert rows[1].startswith(b"0.000,") and rows[-2].startswith(b"90.000,")
 
     def test_reference_array_at_half_degree(self, tmp_path):
-        raw = small_config(
-            tmp_path / "out", grid_resolution_deg=0.5, frequencies_hz=[1000.0, 5500.0]
-        )
+        raw = small_config(grid_resolution_deg=0.5, frequencies_hz=[1000.0, 5500.0])
         raw["array"]["ring_radii_m"] = [0.0, 0.05, 0.10, 0.15, 0.20]
         cfg = load_config(write_config(tmp_path, raw))
         grid = self.assert_matches_whole_grid(tmp_path, cfg)
@@ -464,22 +474,25 @@ class TestStreamedBeampatterns:
 @pytest.mark.parametrize("command", ["eval", "compare"])
 class TestParamsFileErrors:
     def test_missing_file(self, tmp_path, capsys, command):
-        path = write_config(tmp_path, small_config(tmp_path / "out"))
+        path = write_config(tmp_path, small_config())
         missing = tmp_path / "nope.json"
-        assert main([command, "--config", str(path), "--params", str(missing)]) == 1
+        out = str(tmp_path / "out")
+        assert main([command, "--config", str(path), "--params", str(missing), "--out", out]) == 1
         assert f"parameter file {missing}" in capsys.readouterr().err
 
     def test_not_json(self, tmp_path, capsys, command):
-        path = write_config(tmp_path, small_config(tmp_path / "out"))
+        path = write_config(tmp_path, small_config())
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
-        assert main([command, "--config", str(path), "--params", str(broken)]) == 1
+        out = str(tmp_path / "out")
+        assert main([command, "--config", str(path), "--params", str(broken), "--out", out]) == 1
         assert f"parameter file {broken} is not valid JSON" in capsys.readouterr().err
 
     def test_malformed_params_name_the_field(self, tmp_path, capsys, command, malformed_params):
-        path = write_config(tmp_path, small_config(tmp_path / "out"))
+        path = write_config(tmp_path, small_config())
         bad, needle = malformed_params
-        assert main([command, "--config", str(path), "--params", str(bad)]) == 1
+        out = str(tmp_path / "out")
+        assert main([command, "--config", str(path), "--params", str(bad), "--out", out]) == 1
         assert needle in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -487,9 +500,10 @@ class TestParamsFileErrors:
 class TestFailedRunsCreateNoDirectory:
     def test_design(self, tmp_path, capsys):
         # 1 mm is too small a ring for two mics half a wavelength apart
-        cfg = small_config(tmp_path / "out")
+        cfg = small_config()
         cfg["array"]["ring_radii_m"] = [0.001]
-        assert main(["design", "--config", str(write_config(tmp_path, cfg))]) == 1
+        path = write_config(tmp_path, cfg)
+        assert main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "cannot hold two microphones" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -499,21 +513,22 @@ class TestFailedRunsCreateNoDirectory:
         ids=["missing-params", "two-sources"],
     )
     def test_eval(self, tmp_path, args):
-        path = write_config(tmp_path, small_config(tmp_path / "out"))
+        path = write_config(tmp_path, small_config())
         args = [str(tmp_path / a) if a == "nope.json" else a for a in args]
-        assert main(["eval", "--config", str(path), *args]) == 1
+        assert main(["eval", "--config", str(path), *args, "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
 
     def test_compare(self, tmp_path):
-        path = write_config(tmp_path, small_config(tmp_path / "out"))
-        assert main(["compare", "--config", str(path), "--params", str(tmp_path / "nope.json")]) == 1
+        path = write_config(tmp_path, small_config())
+        missing, out = str(tmp_path / "nope.json"), str(tmp_path / "out")
+        assert main(["compare", "--config", str(path), "--params", missing, "--out", out]) == 1
         assert not (tmp_path / "out").exists()
 
 
 class TestOutputDirIsChecked:
-    """An output path at or under a regular file or a dangling link is a
-    config error naming output_dir, raised before any work and with no
-    directory made."""
+    """An empty output path, or one at or under a regular file or a dangling
+    link, is a validation error naming output_dir, raised before any work
+    and with no directory made."""
 
     @pytest.mark.parametrize("below", ["file", "file/sub", "dangling", "dangling/sub"])
     @pytest.mark.parametrize("command", ["design", "eval", "compare", "sweep"])
@@ -524,7 +539,7 @@ class TestOutputDirIsChecked:
         monkeypatch.setattr(cli, "optimize", never_called)
         params = tmp_path / "params.json"
         DesignParams((2000.0, 3000.0), [[0.5, 0.5]] * 2, [[0.5, 0.5]] * 2).save(params)
-        cfg = small_config(tmp_path / "cfg-out")
+        cfg = small_config()
         if command == "sweep":
             cfg["loss"]["variant"] = "L3"
             cfg["sweep"] = {"alpha": [0.0, 1.0]}
@@ -535,13 +550,31 @@ class TestOutputDirIsChecked:
         assert main([command, "--config", str(path), *flags, "--out", str(tmp_path / below)]) == 1
         err = capsys.readouterr().err
         assert "output_dir" in err and "Traceback" not in err
-        assert not (tmp_path / "cfg-out").exists()
 
-    def test_empty_out_flag_fails_validation(self, tmp_path, capsys):
-        path = write_config(tmp_path, small_config(tmp_path / "cfg-out"))
+    def test_empty_out_flag_fails_validation(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, small_config())
         assert main(["design", "--config", str(path), "--out", ""]) == 1
         assert "output_dir: expected a non-empty string" in capsys.readouterr().err
-        assert not (tmp_path / "cfg-out").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["design", "eval", "compare", "sweep"])
+    def test_empty_path_fails_through_the_api(self, tmp_path, monkeypatch, command):
+        """The empty-path check is the commands' own, not the CLI's: an
+        empty ``out_dir`` writes nothing into the working directory."""
+        monkeypatch.chdir(tmp_path)
+        params = tmp_path / "params.json"
+        DesignParams((2000.0, 3000.0), [[0.5, 0.5]] * 2, [[0.5, 0.5]] * 2).save(params)
+        cfg = parse_config(small_config(loss={"variant": "L3"}, sweep={"alpha": [0.0, 1.0]}))
+        run = {
+            "design": lambda: cli.cmd_design(cfg, ""),
+            "eval": lambda: cli.cmd_eval(cfg, "", params_path=params),
+            "compare": lambda: cli.cmd_compare(cfg, "", params),
+            "sweep": lambda: cli.cmd_sweep(cfg, ""),
+        }[command]
+        with pytest.raises(ValueError, match=r"^output_dir: expected a non-empty string$"):
+            run()
+        assert [p.name for p in tmp_path.iterdir()] == ["params.json"]
 
 
 class TestCoarseGrid:
@@ -552,11 +585,12 @@ class TestCoarseGrid:
         "args", [["design"], ["eval", "--baseline", "das"]], ids=["design", "eval"]
     )
     def test_names_the_field_and_band(self, tmp_path, capsys, args):
-        cfg = small_config(tmp_path / "out", grid_resolution_deg=30.0)
+        cfg = small_config(grid_resolution_deg=30.0)
         cfg["array"]["ring_radii_m"] = [0.0, 0.05, 0.10, 0.15, 0.20]
         cfg["frequencies_hz"] = [2000.0, 6000.0]  # the 6 kHz elevation cut holds 1 sample
         path = write_config(tmp_path, cfg)
-        assert main([args[0], "--config", str(path), *args[1:]]) == 1
+        out = str(tmp_path / "out")
+        assert main([args[0], "--config", str(path), *args[1:], "--out", out]) == 1
         err = capsys.readouterr().err
         assert "grid_resolution_deg" in err and "elevation fit cut of the 6000 Hz band" in err
         assert "2000 Hz" not in err
@@ -573,9 +607,10 @@ class TestBandsSpelledAlike:
     def test_names_the_field_and_writes_nothing(self, tmp_path, capsys, args):
         bands = (2000.0, 2000.0001)
         DesignParams(bands, [[0.5, 0.5]] * 2, [[0.3, 0.3]] * 2).save(tmp_path / "params.json")
-        path = write_config(tmp_path, small_config(tmp_path / "out", frequencies_hz=list(bands)))
+        path = write_config(tmp_path, small_config(frequencies_hz=list(bands)))
         args = [str(tmp_path / a) if a == "params.json" else a for a in args]
-        assert main([args[0], "--config", str(path), *args[1:]]) == 1
+        out = str(tmp_path / "out")
+        assert main([args[0], "--config", str(path), *args[1:], "--out", out]) == 1
         err = capsys.readouterr().err
         assert "frequencies_hz[1]" in err and "frequencies_hz[0]" in err
         assert not (tmp_path / "out").exists()
@@ -583,7 +618,7 @@ class TestBandsSpelledAlike:
 
 class TestSweepCommand:
     def sweep_config(self, tmp_path, sweep):
-        cfg = small_config(tmp_path / "sweep")
+        cfg = small_config()
         cfg["loss"]["variant"] = "L3"
         cfg["optimizer"]["budget"] = 5
         cfg["sweep"] = sweep
@@ -591,7 +626,7 @@ class TestSweepCommand:
 
     def test_alpha_sweep_directories_and_summary(self, tmp_path):
         path = self.sweep_config(tmp_path, {"alpha": [0.0, 0.25, 0.5, 0.75, 1.0]})
-        assert main(["sweep", "--config", str(path)]) == 0
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 0
         out = tmp_path / "sweep"
         dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
         assert dirs == ["alpha=0", "alpha=0.25", "alpha=0.5", "alpha=0.75", "alpha=1"]
@@ -607,13 +642,13 @@ class TestSweepCommand:
 
     def test_lambda3_sweep_with_fixed_alpha(self, tmp_path):
         path = self.sweep_config(tmp_path, {"lambda3": [0.001, 0.005, 0.01, 0.05]})
-        assert main(["sweep", "--config", str(path)]) == 0
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 0
         out = tmp_path / "sweep"
         assert sum(1 for p in out.iterdir() if p.is_dir()) == 4
 
     def test_cross_product(self, tmp_path):
         path = self.sweep_config(tmp_path, {"alpha": [0.0, 1.0], "lambda3": [0.001, 0.05]})
-        assert main(["sweep", "--config", str(path)]) == 0
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 0
         out = tmp_path / "sweep"
         assert sum(1 for p in out.iterdir() if p.is_dir()) == 4
 
@@ -621,12 +656,10 @@ class TestSweepCommand:
         """A pool of 1 process and one of 2 write the same bytes."""
         path = self.sweep_config(tmp_path, {"alpha": [0.0, 1.0]})
         for cpus in (1, 2):
-            # the same relative --out each time: manifest.json records it
-            (tmp_path / str(cpus)).mkdir()
-            monkeypatch.chdir(tmp_path / str(cpus))
             affinity = set(range(cpus))
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
-            assert main(["sweep", "--config", str(path), "--out", "sweep"]) == 0
+            out = str(tmp_path / str(cpus) / "sweep")
+            assert main(["sweep", "--config", str(path), "--out", out]) == 0
         names = sorted(str(p.relative_to(tmp_path / "1")) for p in (tmp_path / "1").rglob("*.*"))
         assert len(names) == 1 + 2 * 6  # summary.csv, and 6 files per point
         assert names == sorted(str(p.relative_to(tmp_path / "2")) for p in (tmp_path / "2").rglob("*.*"))
@@ -635,21 +668,22 @@ class TestSweepCommand:
 
     def test_point_matches_design_run(self, tmp_path):
         path = self.sweep_config(tmp_path, {"alpha": [0.5], "lambda1": [1.0]})
-        assert main(["sweep", "--config", str(path)]) == 0
-        cfg = small_config(tmp_path / "design")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 0
+        cfg = small_config()
         cfg["loss"].update(variant="L3", alpha=0.5, lambda1=1.0)
         cfg["optimizer"]["budget"] = 5
-        assert main(["design", "--config", str(write_config(tmp_path, cfg, "design.json"))]) == 0
+        design = write_config(tmp_path, cfg, "design.json")
+        assert main(["design", "--config", str(design), "--out", str(tmp_path / "design")]) == 0
         point = tmp_path / "sweep" / "alpha=0.5_lambda1=1"
         for name in ("metrics.csv", "params.json", "run_record.csv"):
             assert (point / name).read_bytes() == (tmp_path / "design" / name).read_bytes(), name
 
     def test_point_manifest_reruns_the_point(self, tmp_path):
         path = self.sweep_config(tmp_path, {"alpha": [0.0, 0.5], "lambda3": [0.01]})
-        assert main(["sweep", "--config", str(path)]) == 0
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 0
         point = tmp_path / "sweep" / "alpha=0.5_lambda3=0.01"
         manifest = json.loads((point / "manifest.json").read_text())
-        assert "sweep" not in manifest and manifest["output_dir"] == str(point)
+        assert "sweep" not in manifest and "output_dir" not in manifest
         assert manifest["loss"]["alpha"] == 0.5 and manifest["loss"]["lambda3"] == 0.01
         rerun = tmp_path / "rerun"
         assert main(["design", "--config", str(point / "manifest.json"), "--out", str(rerun)]) == 0
@@ -657,17 +691,17 @@ class TestSweepCommand:
             assert (rerun / name).read_bytes() == (point / name).read_bytes(), name
 
     def test_sweep_requires_l3(self, tmp_path):
-        cfg = small_config(tmp_path / "sweep")
+        cfg = small_config()
         cfg["sweep"] = {"alpha": [0.5]}
         path = write_config(tmp_path, cfg, "bad.json")
-        assert main(["sweep", "--config", str(path)]) == 1
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 1
 
     @pytest.mark.parametrize("values", [[0.5, 0.5], [0.1, 0.1000001]], ids=["equal", "same-name"])
     def test_colliding_point_names_fail_validation(self, tmp_path, capsys, values):
         """Two values that one point directory name spells fail before any
         point runs, naming both indices."""
         path = self.sweep_config(tmp_path, {"lambda1": [0.0], "alpha": [0.3, *values]})
-        assert main(["sweep", "--config", str(path)]) == 1
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 1
         err = capsys.readouterr().err
         assert "sweep.alpha[2]: point directory" in err and "repeats sweep.alpha[1]" in err
         assert not (tmp_path / "sweep").exists()
@@ -678,30 +712,31 @@ class TestSweepCommand:
         without creating its output directory, with a pool of 1 process or 2."""
         affinity = set(range(cpus))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
-        cfg = small_config(tmp_path / "sweep", grid_resolution_deg=70.0)
+        cfg = small_config(grid_resolution_deg=70.0)
         cfg["loss"]["variant"] = "L3"
         cfg["sweep"] = {"alpha": [0.0, 0.5]}
         path = write_config(tmp_path, cfg, "sweep.json")
-        assert main(["sweep", "--config", str(path)]) == 1
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 1
         assert "grid_resolution_deg" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
     def test_non_number_value_is_named_once(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path, {"alpha": ["x"]})
-        assert main(["sweep", "--config", str(path)]) == 1
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 1
         assert capsys.readouterr().err.count("sweep.alpha[0]") == 1
 
     def test_sweep_without_section(self, tmp_path):
-        cfg = small_config(tmp_path / "sweep")
+        cfg = small_config()
         cfg["loss"]["variant"] = "L3"
         path = write_config(tmp_path, cfg, "nosweep.json")
-        assert main(["sweep", "--config", str(path)]) == 1
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 1
 
     def test_workers_flag_is_a_usage_error(self, tmp_path, capsys):
         """The pool is sized from the usable CPUs; --workers is no option."""
         path = self.sweep_config(tmp_path, {"alpha": [0.0, 1.0]})
         with pytest.raises(SystemExit) as exits:
-            main(["sweep", "--config", str(path), "--workers", "2"])
+            main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep"),
+                  "--workers", "2"])
         assert exits.value.code == 1
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
@@ -716,7 +751,7 @@ class TestSweepCommand:
             (out / "alpha=0.5").write_text("")
         else:
             (out / "alpha=0.5").symlink_to(tmp_path / "nowhere")
-        assert main(["sweep", "--config", str(path)]) == 1
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 1
         err = capsys.readouterr().err
         assert f"output_dir: {out / 'alpha=0.5'} exists and is not a directory" in err
         assert sorted(p.name for p in out.iterdir()) == ["alpha=0.5"]
@@ -739,7 +774,7 @@ class TestSweepCommand:
             concurrent.futures, "ProcessPoolExecutor", functools.partial(LastFirstPool, [])
         )
         path = self.sweep_config(tmp_path, {"alpha": [0.0, 0.5, 1.0], "lambda3": [0.0, 0.01]})
-        assert main(["sweep", "--config", str(path)]) == 2
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 2
         lines = capsys.readouterr().out.splitlines()
         out = tmp_path / "sweep"
         points = [out / f"alpha={a}_lambda3={lam}" for a in ("0", "0.5", "1") for lam in ("0", "0.01")]
@@ -754,7 +789,7 @@ class TestSweepCommand:
         pool = functools.partial(InProcessPool, sizes)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         path = self.sweep_config(tmp_path, {"alpha": [0.25 * i for i in range(points)]})
-        assert main(["sweep", "--config", str(path)]) == 0
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 0
         return sizes
 
     def test_pool_capped_at_point_count(self, tmp_path, monkeypatch):
@@ -798,7 +833,7 @@ class TestSweepCommand:
         )
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fork_pool)
         path = self.sweep_config(tmp_path, {"alpha": [0.0, 1.0, 0.5]})
-        assert main(["sweep", "--config", str(path)]) == 2
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 2
         assert "sweep: 1 of 3 points failed" in capsys.readouterr().err
         with open(tmp_path / "sweep" / "summary.csv") as fh:
             rows = list(csv.reader(fh))
@@ -839,21 +874,20 @@ class TestOneBlasThread:
         path = write_config(
             tmp_path,
             small_config(
-                tmp_path / "unused",
                 array={"ring_radii_m": [0.0, 0.05, 0.10, 0.15, 0.20], "sample_rate_hz": 16000.0},
                 frequencies_hz=[5000.0, 6000.0],
                 grid_resolution_deg=1.0,
             ),
         )
-        params = "design/params.json"
         for threads in (1, 2):
-            # the same relative --out each time: manifest.json records it
-            (tmp_path / str(threads)).mkdir()
-            monkeypatch.chdir(tmp_path / str(threads))
+            out = tmp_path / str(threads)
+            params = str(out / "design" / "params.json")
             set_threads(threads)
-            assert main(["design", "--config", str(path), "--out", "design"]) == 0
-            assert main(["eval", "--config", str(path), "--params", params, "--out", "eval"]) == 0
-            assert main(["compare", "--config", str(path), "--params", params, "--out", "compare"]) == 0
+            assert main(["design", "--config", str(path), "--out", str(out / "design")]) == 0
+            assert main(["eval", "--config", str(path), "--params", params,
+                         "--out", str(out / "eval")]) == 0
+            assert main(["compare", "--config", str(path), "--params", params,
+                         "--out", str(out / "compare")]) == 0
             assert get_threads() == threads
         names = sorted(str(p.relative_to(tmp_path / "1")) for p in (tmp_path / "1").rglob("*.*"))
         assert len(names) == 10  # design: 6 files, eval: 3, compare: 1
@@ -919,8 +953,8 @@ class TestBlasThreadsAtLoad:
 class TestCompareCommand:
     def test_compare_csv(self, tmp_path):
         out = tmp_path / "design"
-        path = write_config(tmp_path, small_config(out))
-        assert main(["design", "--config", str(path)]) == 0
+        path = write_config(tmp_path, small_config())
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
         out2 = tmp_path / "cmp"
         assert (
             main(
@@ -943,8 +977,8 @@ class TestCompareCommand:
         """compare builds one BandTables, and its cells are those of eval
         --params and eval --baseline das."""
         out = tmp_path / "design"
-        path = write_config(tmp_path, small_config(out))
-        assert main(["design", "--config", str(path)]) == 0
+        path = write_config(tmp_path, small_config())
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
         params = str(out / "params.json")
         assert main(["eval", "--config", str(path), "--params", params,
                      "--out", str(tmp_path / "eval")]) == 0
@@ -981,8 +1015,9 @@ class TestCompareCommand:
         """Params that hold more bands than the config: compare, like eval,
         scores the configured bands only."""
         design = tmp_path / "design"
-        assert main(["design", "--config", str(write_config(tmp_path, small_config(design)))]) == 0
-        path = write_config(tmp_path, small_config(tmp_path / "x", frequencies_hz=[2000.0]), "one.json")
+        two = write_config(tmp_path, small_config())
+        assert main(["design", "--config", str(two), "--out", str(design)]) == 0
+        path = write_config(tmp_path, small_config(frequencies_hz=[2000.0]), "one.json")
         params = str(design / "params.json")
         assert main(["eval", "--config", str(path), "--params", params,
                      "--out", str(tmp_path / "eval")]) == 0
@@ -999,11 +1034,12 @@ class TestCompareCommand:
     def test_missing_configured_band(self, tmp_path, capsys):
         """Params that lack a configured band: compare fails as eval does."""
         design = tmp_path / "design"
-        cfg = small_config(design, frequencies_hz=[2000.0])
-        assert main(["design", "--config", str(write_config(tmp_path, cfg))]) == 0
-        path = write_config(tmp_path, small_config(tmp_path / "cmp"), "two.json")
+        one = write_config(tmp_path, small_config(frequencies_hz=[2000.0]))
+        assert main(["design", "--config", str(one), "--out", str(design)]) == 0
+        path = write_config(tmp_path, small_config(), "two.json")
         capsys.readouterr()
-        assert main(["compare", "--config", str(path), "--params", str(design / "params.json")]) == 1
+        params, out = str(design / "params.json"), str(tmp_path / "cmp")
+        assert main(["compare", "--config", str(path), "--params", params, "--out", out]) == 1
         assert "params: no saved band for frequencies [3000.0]" in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
 
@@ -1050,13 +1086,13 @@ import sys
 from ccmabeam import cli
 design, sweep, tmp = sys.argv[1:]
 params = tmp + "/design/params.json"
-assert cli.main(["design", "--config", design]) == 0
+assert cli.main(["design", "--config", design, "--out", tmp + "/design"]) == 0
 assert cli.main(["eval", "--config", design, "--params", params, "--out", tmp + "/eval"]) == 0
 assert cli.main(["compare", "--config", design, "--params", params, "--out", tmp + "/compare"]) == 0
 assert cli.main(["gradcheck"]) == 0
 pool = [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
 assert not pool, pool
-assert cli.main(["sweep", "--config", sweep]) == 0
+assert cli.main(["sweep", "--config", sweep, "--out", tmp + "/sweep"]) == 0
 print("numpy.random" in sys.modules)
 """
 
@@ -1065,8 +1101,8 @@ def test_commands_never_load_numpy_random(tmp_path):
     """The start point and gradcheck's points are drawn in the package, so no
     command imports numpy.random (and OpenSSL through its secrets import);
     only a sweep imports its process pool."""
-    design = write_config(tmp_path, small_config(tmp_path / "design"), "design.json")
-    cfg = small_config(tmp_path / "sweep", sweep={"alpha": [0.0, 0.5]})
+    design = write_config(tmp_path, small_config(), "design.json")
+    cfg = small_config(sweep={"alpha": [0.0, 0.5]})
     cfg["loss"] = {"variant": "L3", "lambda3": 0.01}
     sweep = write_config(tmp_path, cfg, "sweep.json")
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -1087,8 +1123,8 @@ class TestExitCodes:
             raise NumericalError("synthetic failure")
 
         monkeypatch.setattr(cli, "optimize", boom)
-        path = write_config(tmp_path, small_config(tmp_path / "out"))
-        assert main(["design", "--config", str(path)]) == 2
+        path = write_config(tmp_path, small_config())
+        assert main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
     def test_numerical_failure_keeps_best_artifacts(self, tmp_path, monkeypatch):
         """NaN loss at iteration 4: every artifact is written from the best
@@ -1103,8 +1139,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(optimizer, "total_loss", nan_at_four)
         out = tmp_path / "out"
-        path = write_config(tmp_path, small_config(out))
-        assert main(["design", "--config", str(path)]) == 2
+        path = write_config(tmp_path, small_config())
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 2
         monkeypatch.undo()
         names = {"params.json", "metrics.csv", "run_record.csv", "manifest.json",
                  "beampattern_2000.csv", "beampattern_3000.csv"}

@@ -109,11 +109,10 @@ def run_design(cfg: dict) -> tuple[int, str, bool]:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         path = Path(tmp) / "config.json"
-        cfg.setdefault("output_dir", str(out))
         path.write_text(json.dumps(cfg))  # NaN and Infinity as json writes them
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["design", "--config", str(path)])
+            code = main(["design", "--config", str(path), "--out", str(out)])
         return code, err.getvalue(), out.exists()
 
 
@@ -181,8 +180,8 @@ def test_every_sweep_point_gets_its_own_directory(sweep):
         return
     directories = []
 
-    def record(point):  # the point's directory, in place of its design
-        directories.append(point.output_dir)
+    def record(job):  # the point's directory, in place of its design
+        directories.append(job[1])
         return "", [["ok"]]
 
     pool = functools.partial(InProcessPool, [])  # the points must run the patched _sweep_point

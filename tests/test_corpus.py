@@ -14,7 +14,7 @@ def make_corpus(root):
         "elevation_deg,0.000,1.000\n45.000,0.000000,-3.141593\n46.000,-0.250000,12.5\n"
     )
     (root / "design" / "metrics.csv").write_text("frequency_hz,df_db\n1000,9.1\n")
-    manifest = {"array": {"ring_radii_m": [0.0, 0.05]}, "output_dir": str(root / "design")}
+    manifest = {"array": {"ring_radii_m": [0.0, 0.05]}}
     (root / "design" / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     (root / "gradcheck.txt").write_text("gradcheck OK: worst relative error 1.039e-08\n")
 
@@ -42,8 +42,7 @@ def reports(capsys):
 def test_identical_corpora_exit_zero(corpora, capsys):
     assert corpus.diff(*corpora) == 0
     lines, summary = reports(capsys)
-    assert lines["design/manifest.json"] == "identical (without output_dir)"
-    assert set(lines.values()) <= {"identical", "identical (without output_dir)"}
+    assert set(lines.values()) == {"identical"}
     assert summary.startswith("corpus diff: 4 artifacts, 4 identical,")
 
 
@@ -70,14 +69,6 @@ def test_each_kind_of_change(corpora, capsys):
         "changes, 1 with other changes, 1 missing; cells: 1 signed-zero flips, "
         "1 last-digit changes, 1 other changes"
     )
-
-
-def test_manifest_compared_without_output_dir_only(corpora, capsys):
-    a, b = corpora
-    edit(b / "design" / "manifest.json", "0.05", "0.06")
-    assert corpus.diff(a, b) == 1
-    lines, _ = reports(capsys)
-    assert lines["design/manifest.json"].startswith("0 signed-zero flips, 1 last-digit changes")
 
 
 def test_a_file_only_the_second_corpus_holds(corpora, capsys):
