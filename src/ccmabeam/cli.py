@@ -99,7 +99,7 @@ def _number(value, field: str, minimum=None, strict=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field}: expected a number, got {value!r}")
     try:
-        value = float(value)
+        value = float(value) + 0.0  # -0.0 reads as 0.0, which %g spells alike
     except OverflowError:  # an integer literal beyond the float range
         value = math.inf
     if not math.isfinite(value):  # json reads NaN and Infinity
@@ -220,7 +220,7 @@ def parse_config(raw: dict) -> RunConfig:
                     raise ValueError(
                         f"{field}: point directory {name!r} repeats sweep.{key}[{names[name]}]"
                     )
-        sweep = fields["sweep"] = {k: [float(v) for v in vals] for k, vals in sweep.items()}
+        sweep = fields["sweep"] = {k: [_number(v, k) for v in vals] for k, vals in sweep.items()}
     if (variant == "L3" or sweep is not None) and len(frequencies) < 2:
         raise ValueError(
             "frequencies_hz: the L3 loss, which every sweep runs, needs at least 2 bands, "
@@ -414,8 +414,8 @@ def cmd_gradcheck() -> float:
     errors = []
     for p, offset in enumerate(offsets.reshape(GRADCHECK_POINTS, -1)):
         x = pipeline.initial_params(0) + offset
-        value, _ = pipeline.build_loss(x)
-        result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], x, value.gradient())
+        _, terms = pipeline.build_loss(x)
+        result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], x, terms.gradient())
         print(
             f"point {p}: max relative error {result.max_rel_error:.3e}"
             + (f" ({len(result.excluded)} branch-boundary coords skipped)" if result.excluded else "")

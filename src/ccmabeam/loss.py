@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -76,7 +77,9 @@ class BandLossTerms:
 
     Band values are arrays over bands.  ``d_theta``, ``d_phi``, ``d_df``
     and ``d_wng`` hold dL/d(theta), dL/d(phi), dL/d(DF) and dL/d(WNG) per
-    band, regularizers included.
+    band, regularizers included.  ``pullback(d_theta, d_phi, d_df, d_wng)``,
+    None on terms that :func:`total_loss` returns on its own, is d/dx of the
+    sum over bands of d_theta*theta + d_phi*phi + d_df*DF + d_wng*WNG.
     """
 
     theta: np.ndarray
@@ -90,6 +93,10 @@ class BandLossTerms:
     d_phi: np.ndarray
     d_df: np.ndarray
     d_wng: np.ndarray
+    pullback: Callable[..., np.ndarray] | None = None
+
+    def gradient(self) -> np.ndarray:  # dL/dx
+        return self.pullback(self.d_theta, self.d_phi, self.d_df, self.d_wng)
 
 
 def _perf_term(df: np.ndarray, wng: np.ndarray, alpha: float):

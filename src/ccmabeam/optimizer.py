@@ -158,9 +158,6 @@ class RunRecord:
     def iteration_count(self) -> int:
         return len(self.loss)
 
-    def best_so_far(self) -> np.ndarray:
-        return np.minimum.accumulate(self.loss)
-
     def to_csv(self, path: str | Path) -> None:
         order = (2, 3, 0, 1)  # per band: theta, phi, DF, WNG
         header = ["iteration", "loss"]
@@ -172,36 +169,6 @@ class RunRecord:
                 cells = metric_cells(self, (i, b))
                 rows[-1] += [cells[c] for c in order]
         write_csv(path, header, rows)
-
-
-class DesignLoss(float):
-    """The design loss of one parameter vector.
-
-    ``gradient()`` runs the reverse pass over the forward arrays that
-    produced this value and returns dL/dx in the parameter layout.
-    ``pullback`` runs the same pass from any per-band adjoints of the
-    band metrics; ``gradient()`` is the pullback of the loss partials.
-    """
-
-    __slots__ = ("_backward", "_terms")
-
-    def __new__(cls, value: float, backward: Callable[..., np.ndarray], terms: BandLossTerms):
-        loss = super().__new__(cls, value)
-        loss._backward = backward
-        loss._terms = terms
-        return loss
-
-    def gradient(self) -> np.ndarray:
-        t = self._terms
-        return self.pullback(t.d_theta, t.d_phi, t.d_df, t.d_wng)
-
-    def pullback(self, d_theta, d_phi, d_df, d_wng) -> np.ndarray:
-        """d/dx of sum over bands of d_theta*theta + d_phi*phi + d_df*DF + d_wng*WNG."""
-        seeds = [np.asarray(d, dtype=float) for d in (d_theta, d_phi, d_df, d_wng)]
-        bands = len(self._terms.theta)
-        if any(d.shape != (bands,) for d in seeds):
-            raise ValueError(f"each metric adjoint must hold {bands} band values")
-        return self._backward(*seeds)
 
 
 class DesignPipeline:
@@ -262,21 +229,24 @@ class DesignPipeline:
         uv = self._bands_uv(x)
         return DesignParams.from_unconstrained(self.frequencies, uv[:, 0], uv[:, 1])
 
-    def build_loss(self, x: Sequence[float]) -> tuple[DesignLoss, BandLossTerms]:
+    def build_loss(self, x: Sequence[float]) -> tuple[float, BandLossTerms]:
         """Loss of a flat parameter vector, all bands at once.
 
-        Returns (loss, BandLossTerms); ``loss.gradient()`` is the reverse
-        pass of this evaluation.
+        Returns (loss, BandLossTerms); the terms' ``pullback`` is the reverse
+        pass of this evaluation, and ``terms.gradient()`` is dL/dx.
         """
         uv = self._bands_uv(x)
         u, v = uv[:, 0], uv[:, 1]
         weights, sigmas = constrain_band(u, v)
         taps, gains = ring_gains(self._layout, weights, sigmas)
-        df, wng, widths, _, pullback = self.tables.forward(gains)
+        df, wng, widths, _, metrics_pullback = self.tables.forward(gains)
         value, terms = total_loss(widths[:, 0], widths[:, 1], df, wng, self.loss_config)
 
-        def backward(*metric_adjoints) -> np.ndarray:
-            g_gains = pullback(*metric_adjoints)
+        def pullback(d_theta, d_phi, d_df, d_wng) -> np.ndarray:
+            seeds = [np.asarray(d, dtype=float) for d in (d_theta, d_phi, d_df, d_wng)]
+            if any(d.shape != df.shape for d in seeds):
+                raise ValueError(f"each metric adjoint must hold {len(df)} band values")
+            g_gains = metrics_pullback(*seeds)
             # gains = weight * exp(-delta^2 / (2 sigma^2))
             g_weights = np.add.reduceat(g_gains * taps, self._ring_starts, axis=1)
             g_sigmas = np.add.reduceat(
@@ -288,7 +258,8 @@ class DesignPipeline:
             g_u = weights * (g_weights - np.sum(weights * g_weights, axis=1, keepdims=True))
             return np.stack([g_u, g_v], axis=1).reshape(-1)
 
-        return DesignLoss(value, backward, terms), terms
+        terms.pullback = pullback
+        return value, terms
 
 
 # step relative to max(1, |coordinate|), and the relative gap between the
@@ -386,8 +357,7 @@ def optimize(
     reason = "budget_exhausted"
     for it in range(1, budget + 1):
         try:
-            value, snap = pipeline.build_loss(x)
-            current = float(value)
+            current, snap = pipeline.build_loss(x)
             if not math.isfinite(current):
                 raise NumericalError(f"loss became non-finite at iteration {it}")
             # widths reported like BandTables.curves; the loss keeps the raw width
@@ -405,7 +375,7 @@ def optimize(
                 break
             if it == budget:
                 break
-            x = rprop_step(state, value.gradient(), x)
+            x = rprop_step(state, snap.gradient(), x)
         except NumericalError:
             if it == 1:
                 raise

@@ -6,9 +6,9 @@ steps (softmax and softplus, the weight x window-tap product, the sum,
 sum of squares and diffuse quadratic form of the gains, the complex cut
 responses and their squared modulus, the fit-coefficient dot products,
 the loss's branch routing) are checked here through
-``DesignLoss.pullback``, which runs the same pass from chosen adjoints
-of the band metrics, against central differences of the forward and
-against closed forms.
+the ``pullback`` that each evaluation's ``BandLossTerms`` carries, which
+runs the same pass from chosen adjoints of the band metrics, against
+central differences of the forward and against closed forms.
 """
 
 import dataclasses
@@ -26,7 +26,7 @@ from ccmabeam.metrics import (
     fit_coefficients,
     gamma_matrix,
 )
-from ccmabeam.optimizer import DesignLoss, DesignPipeline, RPropState, gradcheck, rprop_step
+from ccmabeam.optimizer import DesignPipeline, RPropState, gradcheck, rprop_step
 from ccmabeam.wavefield import steering_vector
 from ccmabeam.weighting import SIGMA_FLOOR, constrain_band, gaussian_window, mic_layout
 from oracles import assemble_filter, directivity_factor, white_noise_gain
@@ -91,14 +91,14 @@ class TestReversePassSteps:
         in u must match that closed form through the softmax."""
         pipeline = DesignPipeline(toy_array, doa45, (2000.0,), cfg())
         u = np.array([0.4, -0.3])
-        loss, snap = pipeline.build_loss(np.concatenate([u, [1e3, 1e3]]))
+        _, snap = pipeline.build_loss(np.concatenate([u, [1e3, 1e3]]))
         counts = np.array([ring.mic_count for ring in toy_array.rings], dtype=float)
         w, _ = constrain_band(u, [1e3, 1e3])
         s1, s2 = counts @ w, counts @ (w * w)
         assert snap.wng[0] == pytest.approx(s1 * s1 / s2, rel=1e-6)
         g_w = 2.0 * s1 * counts / s2 - 2.0 * s1 * s1 * counts * w / (s2 * s2)
         g_u = w * (g_w - w @ g_w)
-        g = loss.pullback(*one_hot(1, "wng", 0))
+        g = snap.pullback(*one_hot(1, "wng", 0))
         assert g[:2] == pytest.approx(g_u, rel=1e-5)
         assert np.all(np.abs(g[2:]) < 1e-6)
 
@@ -109,9 +109,9 @@ class TestReversePassSteps:
         weights, sigmas = constrain_band(np.zeros(5), np.zeros(5))
         assert weights.tolist() == [0.2] * 5
         assert sigmas == pytest.approx(math.log(2.0) + SIGMA_FLOOR, rel=1e-15)
-        loss, snap = ref_pipeline.build_loss(x)
+        _, snap = ref_pipeline.build_loss(x)
         assert snap.branches == ["both", "perf"]
-        result = gradcheck(lambda xs: ref_pipeline.build_loss(xs)[0], x, loss.gradient())
+        result = gradcheck(lambda xs: ref_pipeline.build_loss(xs)[0], x, snap.gradient())
         assert result.excluded == ()
         assert result.max_rel_error < 1e-5
 
@@ -125,11 +125,11 @@ class TestReversePassSteps:
         doa = cb.Direction.from_degrees(30.0, 120.0)
         pipeline = DesignPipeline(geometry, doa, (500.0, 7500.0), cfg())
         point = jitter(pipeline, 8)
-        loss, snap = pipeline.build_loss(point)
+        _, snap = pipeline.build_loss(point)
         assert math.pi not in snap.theta.tolist() + snap.phi.tolist()  # concave fits, no sentinel
         for metric in ("theta", "phi"):
             for band in range(2):
-                g = loss.pullback(*one_hot(2, metric, band))
+                g = snap.pullback(*one_hot(2, metric, band))
                 result = gradcheck(metric_of(pipeline, metric, band), point, g)
                 assert result.max_rel_error < 1e-5, (metric, band)
 
@@ -165,10 +165,10 @@ class TestReversePassSteps:
         parameters enter the taps through 1 / sigma^2."""
         for seed in (1, 2, 3):
             point = jitter(toy_pipeline, seed)
-            loss, _ = toy_pipeline.build_loss(point)
+            _, terms = toy_pipeline.build_loss(point)
             for metric in ("df", "wng"):
                 for band in range(2):
-                    g = loss.pullback(*one_hot(2, metric, band))
+                    g = terms.pullback(*one_hot(2, metric, band))
                     assert np.any(g[2:4] != 0.0) or np.any(g[6:] != 0.0)
                     result = gradcheck(metric_of(toy_pipeline, metric, band), point, g)
                     assert result.max_rel_error < 1e-6, (seed, metric, band)
@@ -190,13 +190,8 @@ class TestReversePassSteps:
         assert width[1:].tolist() == [math.pi, math.pi] and slope[1:].tolist() == [0.0, 0.0]
         assert slope[0] == pytest.approx(width[0] / 4.0, rel=1e-15)
 
-    def test_loss_is_a_float_and_takes_numpy_scalars(self, toy_pipeline):
-        """A DesignLoss is a float: arithmetic on it gives plain floats, and
-        the loss takes numpy scalars and ints as it takes floats."""
-        loss, _ = toy_pipeline.build_loss(toy_pipeline.initial_params(seed=1))
-        assert isinstance(loss, DesignLoss) and float(loss) == loss
-        assert type(loss + 1.0) is float and type(2.0 * loss) is float
-        assert f"{loss:.9e}" == f"{float(loss):.9e}"
+    def test_loss_is_a_float_and_takes_numpy_scalars(self):
+        """The loss takes numpy scalars and ints as it takes floats."""
         deg = math.radians(30.0)
         ref = total_loss([deg, deg], [deg, deg], [10.0, 20.0], [5.0, 6.0], cfg("L3", alpha=0.5))
         mixed = total_loss(
@@ -206,6 +201,17 @@ class TestReversePassSteps:
         assert mixed[0] == ref[0] and type(mixed[0]) is float
         assert np.array_equal(mixed[1].d_df, ref[1].d_df)
         assert mixed[1].df.dtype == mixed[1].d_wng.dtype == np.float64
+
+    def test_loss_is_a_float_and_the_terms_carry_the_pullback(self, toy_pipeline):
+        """build_loss returns total_loss's plain float; its terms' gradient is
+        the pullback of their loss partials, and terms that total_loss
+        returns on its own have no pullback."""
+        value, terms = toy_pipeline.build_loss(toy_pipeline.initial_params(seed=1))
+        assert type(value) is float
+        alone, alone_terms = total_loss(terms.theta, terms.phi, terms.df, terms.wng, cfg())
+        assert value == alone and alone_terms.pullback is None
+        expected = terms.pullback(terms.d_theta, terms.d_phi, terms.d_df, terms.d_wng)
+        assert np.array_equal(terms.gradient(), expected)
 
     def test_domain_errors(self):
         deg = math.radians(30.0)
@@ -220,10 +226,10 @@ class TestReversePassSteps:
         differences: the full Jacobian, one pullback per row."""
         for seed in (11, 12):
             point = jitter(ref_pipeline, seed)
-            loss, _ = ref_pipeline.build_loss(point)
+            _, terms = ref_pipeline.build_loss(point)
             for metric in METRICS:
                 for band in range(2):
-                    g = loss.pullback(*one_hot(2, metric, band))
+                    g = terms.pullback(*one_hot(2, metric, band))
                     result = gradcheck(metric_of(ref_pipeline, metric, band), point, g)
                     assert len(result.excluded) <= 2, (seed, metric, band)
                     assert result.max_rel_error < 1e-5, (seed, metric, band)
@@ -233,22 +239,22 @@ class TestBackward:
     def test_sum_of_squares(self, ref_pipeline):
         """Pullback of sum_b theta_b^2 + phi_b^2, seeded with 2 theta, 2 phi."""
         point = jitter(ref_pipeline, 3)
-        loss, snap = ref_pipeline.build_loss(point)
+        _, snap = ref_pipeline.build_loss(point)
 
         def f(xs):
             s = ref_pipeline.build_loss(xs)[1]
             return sum(t * t for t in s.theta) + sum(p * p for p in s.phi)
 
-        g = loss.pullback(*seeds(2, theta=2.0 * np.array(snap.theta), phi=2.0 * np.array(snap.phi)))
+        g = snap.pullback(*seeds(2, theta=2.0 * np.array(snap.theta), phi=2.0 * np.array(snap.phi)))
         result = gradcheck(f, point, g)
         assert result.max_rel_error < 1e-5
 
     def test_unreachable_leaf_gets_zero(self, ref_pipeline):
         """Band metrics depend only on their own band's parameters, and the
         centre ring's single mic (distance 0) does not see its width."""
-        loss, _ = ref_pipeline.build_loss(jitter(ref_pipeline, 4))
+        _, terms = ref_pipeline.build_loss(jitter(ref_pipeline, 4))
         for metric in METRICS:
-            g = loss.pullback(*one_hot(2, metric, 0)).reshape(2, 2, 5)  # (band, u/v, ring)
+            g = terms.pullback(*one_hot(2, metric, 0)).reshape(2, 2, 5)  # (band, u/v, ring)
             assert np.all(g[1] == 0.0), metric
             assert g[0, 1, 0] == 0.0, metric
             assert np.all(g[0, 1, 1:] != 0.0), metric
@@ -257,35 +263,36 @@ class TestBackward:
         """Zero adjoints give an exactly zero gradient; and no metric moves
         when a band's u shifts by a constant (the softmax ignores it), so
         each band's u-gradient sums to zero."""
-        loss, _ = ref_pipeline.build_loss(jitter(ref_pipeline, 6))
-        assert np.all(loss.pullback(*seeds(2)) == 0.0)
+        _, terms = ref_pipeline.build_loss(jitter(ref_pipeline, 6))
+        assert np.all(terms.pullback(*seeds(2)) == 0.0)
         for metric in METRICS:
-            g = loss.pullback(*seeds(2, **{metric: np.ones(2)})).reshape(2, 2, 5)
+            g = terms.pullback(*seeds(2, **{metric: np.ones(2)})).reshape(2, 2, 5)
             for band in range(2):
                 g_u = g[band, 0]
                 assert abs(g_u.sum()) <= 1e-12 * np.abs(g_u).sum(), (metric, band)
 
     def test_backward_is_linear(self, ref_pipeline):
-        loss, _ = ref_pipeline.build_loss(jitter(ref_pipeline, 7))
+        _, terms = ref_pipeline.build_loss(jitter(ref_pipeline, 7))
         rng = np.random.default_rng(7)
         s1 = [rng.normal(size=2) for _ in METRICS]
         s2 = [rng.normal(size=2) for _ in METRICS]
         a, b = 2.5, -0.3
-        combined = loss.pullback(*(a * x + b * y for x, y in zip(s1, s2)))
-        expected = a * loss.pullback(*s1) + b * loss.pullback(*s2)
+        combined = terms.pullback(*(a * x + b * y for x, y in zip(s1, s2)))
+        expected = a * terms.pullback(*s1) + b * terms.pullback(*s2)
         assert combined == pytest.approx(expected, rel=1e-12, abs=1e-12 * np.abs(expected).max())
 
     def test_replay_determinism(self, ref_pipeline):
         point = jitter(ref_pipeline, 9)
         first, snap1 = ref_pipeline.build_loss(point)
         second, snap2 = ref_pipeline.build_loss(point)
-        assert float(first) == float(second)
+        assert first == second
         for field in dataclasses.fields(snap1):
             name = field.name
-            assert np.array_equal(getattr(snap1, name), getattr(snap2, name)), name
-        g = first.gradient()
-        assert np.array_equal(g, second.gradient())
-        assert np.array_equal(g, first.gradient())  # the reverse pass leaves the forward intact
+            if name != "pullback":  # each evaluation holds its own closure
+                assert np.array_equal(getattr(snap1, name), getattr(snap2, name)), name
+        g = snap1.gradient()
+        assert np.array_equal(g, snap2.gradient())
+        assert np.array_equal(g, snap1.gradient())  # the reverse pass leaves the forward intact
 
 
 class TestReductions:
@@ -308,14 +315,14 @@ class TestReductions:
         freqs = (1000.0, 3000.0, 6000.0)
         batched = DesignPipeline(array_16k, doa45, freqs, cfg())
         point = jitter(batched, 10)
-        loss, snap = batched.build_loss(point)
-        grad = loss.gradient().reshape(3, -1)
+        _, snap = batched.build_loss(point)
+        grad = snap.gradient().reshape(3, -1)
         for b, f in enumerate(freqs):
             single = DesignPipeline(array_16k, doa45, (f,), cfg())
-            one_loss, one = single.build_loss(point.reshape(3, -1)[b])
+            _, one = single.build_loss(point.reshape(3, -1)[b])
             for m in METRICS:
                 assert getattr(one, m)[0] == pytest.approx(getattr(snap, m)[b], rel=1e-12), m
-            assert one_loss.gradient() == pytest.approx(grad[b], rel=1e-10, abs=1e-14)
+            assert one.gradient() == pytest.approx(grad[b], rel=1e-10, abs=1e-14)
 
     def test_df_matches_diffuse_form_summed_by_hand(self, toy_array, doa45, toy_pipeline):
         """DF = (sum g)^2 / sum_ij g_i g_j Gamma_ij Re(conj(d_i) d_j), summed by hand."""
@@ -346,10 +353,10 @@ class TestReductions:
             assert snap.wng[0] == pytest.approx(mics, rel=1e-9)
 
     def test_shape_validation(self, toy_pipeline):
-        loss, _ = toy_pipeline.build_loss(toy_pipeline.initial_params(seed=1))
+        _, terms = toy_pipeline.build_loss(toy_pipeline.initial_params(seed=1))
         for bad in (seeds(1), seeds(3), [np.zeros((2, 1))] * 4):
             with pytest.raises(ValueError, match="2 band values"):
-                loss.pullback(*bad)
+                terms.pullback(*bad)
         with pytest.raises(ValueError):
             toy_pipeline.build_loss(np.zeros((toy_pipeline.param_count, 1)))
         with pytest.raises(ValueError):

@@ -126,11 +126,12 @@ class TestDesignPipeline:
         x = pipeline.initial_params(seed=1)
         array_loss, array_snap = pipeline.build_loss(x)
         list_loss, list_snap = pipeline.build_loss([float(v) for v in x])
-        assert float(list_loss) == float(array_loss)
+        assert list_loss == array_loss
         for field in dataclasses.fields(array_snap):
             name = field.name
-            assert np.array_equal(getattr(list_snap, name), getattr(array_snap, name)), name
-        assert np.array_equal(list_loss.gradient(), array_loss.gradient())
+            if name != "pullback":  # each evaluation holds its own closure
+                assert np.array_equal(getattr(list_snap, name), getattr(array_snap, name)), name
+        assert np.array_equal(list_snap.gradient(), array_snap.gradient())
 
     @pytest.mark.parametrize("length", [3, 7, 12])
     @pytest.mark.parametrize("method", ["build_loss", "params_from_vector"])
@@ -152,11 +153,11 @@ class TestDesignPipeline:
             point = pipeline.initial_params(seed=0) + rng.uniform(
                 -0.5, 0.5, pipeline.param_count
             )
-            loss, snap = pipeline.build_loss(point)
+            _, snap = pipeline.build_loss(point)
             assert snap.branches == ["both", "perf", "perf"]
             sign = 1.0 if variant == "L2" else -1.0
             assert all(sign * d > 0.0 for d in snap.d_df[1:])
-            result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], point, loss.gradient())
+            result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], point, snap.gradient())
             assert result.max_rel_error < 1e-4
 
     def test_l1_gradient_matches_finite_differences(self, array_16k, doa45):
@@ -179,8 +180,8 @@ class TestDesignPipeline:
         point = pipeline.initial_params(seed=4) + np.random.default_rng(4).uniform(
             -0.4, 0.4, pipeline.param_count
         )
-        loss, _ = pipeline.build_loss(point)
-        result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], point, loss.gradient())
+        _, terms = pipeline.build_loss(point)
+        result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], point, terms.gradient())
         assert result.max_rel_error < 1e-4
 
     def test_wide_l3_gradient_matches_finite_differences(self):
@@ -209,9 +210,9 @@ class TestDesignPipeline:
         point = pipeline.initial_params(seed=0) + np.random.default_rng(21).uniform(
             -0.5, 0.5, pipeline.param_count
         )
-        loss, snap = pipeline.build_loss(point)
+        _, snap = pipeline.build_loss(point)
         assert "perf" in snap.branches and snap.branches.count("perf") < len(freqs)
-        result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], point, loss.gradient())
+        result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], point, snap.gradient())
         assert pipeline.param_count - len(result.excluded) >= 80
         assert result.max_rel_error < 1e-4
 
@@ -229,17 +230,17 @@ class TestDesignPipeline:
         pipeline = DesignPipeline(toy_array, doa45, (2000.0, 4000.0), cfg)
         pipeline.tables.a_gamma = pipeline.tables.a_gamma * 1e-12
         point = pipeline.initial_params(seed=3) + 0.2
-        loss, snap = pipeline.build_loss(point)
+        _, snap = pipeline.build_loss(point)
         assert snap.branches == ["perf", "perf"]
         assert snap.df == pytest.approx(list(1e10 * np.array(snap.wng)), rel=1e-12)
-        result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], point, loss.gradient())
+        result = gradcheck(lambda xs: pipeline.build_loss(xs)[0], point, snap.gradient())
         assert result.max_rel_error < 1e-4
 
     def test_centre_mic_width_gets_zero_gradient(self, pipeline):
         """The centre ring's only mic sits at distance 0, so its window width
         cannot reach the loss."""
-        loss, _ = pipeline.build_loss(pipeline.initial_params(seed=2) + 0.3)
-        grad = loss.gradient().reshape(2, 2, 2)  # (band, u/v, ring)
+        _, terms = pipeline.build_loss(pipeline.initial_params(seed=2) + 0.3)
+        grad = terms.gradient().reshape(2, 2, 2)  # (band, u/v, ring)
         assert np.all(grad[:, 1, 0] == 0.0)
         assert np.all(grad[:, 1, 1] != 0.0)
 
@@ -247,10 +248,10 @@ class TestDesignPipeline:
         """All weight on the centre mic leaves a flat pattern, a non-concave
         fit and the sentinel width pi; the band then has no descent direction."""
         pipeline = DesignPipeline(toy_array, doa45, (2000.0,), L1_CFG)
-        loss, snap = pipeline.build_loss([50.0, -50.0, 0.0, 0.0])
+        _, snap = pipeline.build_loss([50.0, -50.0, 0.0, 0.0])
         assert snap.theta.tolist() == [math.pi] and snap.phi.tolist() == [math.pi]
         assert snap.branches == ["both"]
-        assert np.all(loss.gradient() == 0.0)
+        assert np.all(snap.gradient() == 0.0)
 
     @pytest.mark.parametrize(
         "freqs", [(3000.0, 2000.0), (2000.0, 3000.0, 3000.0)], ids=["unsorted", "duplicate"]
@@ -326,7 +327,7 @@ class TestOptimize:
             cb.ArrayConfig(ring_radii=(0.05,), sample_rate=16000.0)
         )
         result = optimize(geometry, doa45, (4000.0,), L1_CFG, budget=40, seed=0)
-        best = result.record.best_so_far()
+        best = np.minimum.accumulate(result.record.loss)
         assert np.all(np.diff(best) <= 0.0)
         assert result.record.iteration_count <= 40
 
@@ -347,7 +348,7 @@ class TestOptimize:
             assert np.all((w >= 0.0) & (w <= 1.0))
         for s in result.params.window_widths:
             assert np.all(s > 0.0)
-        assert result.record.best_so_far()[-1] == result.record.loss.min()
+        assert np.minimum.accumulate(result.record.loss)[-1] == result.record.loss.min()
 
     def test_l2_broadens_where_l1_narrows(self, array_16k, doa45):
         """At 4 kHz the directivity-maximizing branch of L1 leaves a narrow
@@ -385,14 +386,14 @@ class TestOptimize:
 
             monkeypatch.setattr(opt, "total_loss", patched)
         else:
-            real = opt.DesignLoss.gradient
+            real = opt.BandLossTerms.gradient
 
             def patched(self):
                 g = real(self)
                 calls[0] += 1
                 return g * math.nan if calls[0] == call else g
 
-            monkeypatch.setattr(opt.DesignLoss, "gradient", patched)
+            monkeypatch.setattr(opt.BandLossTerms, "gradient", patched)
 
     @pytest.mark.parametrize("where,kept", [("loss", 5), ("gradient", 6)])
     def test_numerical_failure_returns_best_so_far(self, toy_array, doa45, monkeypatch, where, kept):

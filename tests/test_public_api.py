@@ -1,7 +1,8 @@
 """The package's public surface.  A module-level name is public when it has
 no leading underscore; no module narrows that with ``__all__``, and no module
-imports another's private name.  Every public function and class has a caller
-in the package, the top level holds the quick start, the exception classes
+imports another's private name.  Every public function and class, and every
+public method and property of a public class, has a caller in the package,
+the top level holds the quick start, the exception classes
 fall into the two families that the exit codes tell apart, and the test
 oracles stay out of the package."""
 
@@ -52,26 +53,35 @@ def used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return found
 
 
+def public_definitions(module: str, tree: ast.Module):
+    """(dotted name, node) of the module-level functions and classes without a
+    leading underscore, and of the methods and properties of those classes."""
+    for own in tree.body:
+        if not isinstance(own, (ast.FunctionDef, ast.ClassDef)) or own.name.startswith("_"):
+            continue
+        if (module, own.name) not in ENTRY_POINTS:
+            yield own.name, own
+        if isinstance(own, ast.ClassDef):
+            for member in own.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{own.name}.{member.name}", member
+
+
 def uncalled_public_definitions() -> list[str]:
-    """Module-level functions and classes without a leading underscore that
-    nothing in the package uses."""
+    """Public definitions whose name nothing in the package uses outside them."""
     uncalled = []
     for module, tree in MODULES.items():
-        for own in tree.body:
-            if not isinstance(own, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            name = own.name
-            if name.startswith("_") or (module, name) in ENTRY_POINTS:
-                continue
+        for dotted, own in public_definitions(module, tree):
             if not any(
-                name in used_names(other, own if other is tree else None)
+                own.name in used_names(other, own if other is tree else None)
                 for other in MODULES.values()
             ):
-                uncalled.append(f"{module}.{name}")
+                uncalled.append(f"{module}.{dotted}")
     return uncalled
 
 
 def test_every_exported_function_and_class_has_a_caller():
+    """Methods and properties of public classes included."""
     assert uncalled_public_definitions() == []
 
 
